@@ -14,94 +14,63 @@
 // before CPU (§2.3), now demonstrated on a running fleet with migration
 // overhead and downtime included rather than on a frozen placement.
 //
-// The bench also A/Bs the event-driven fast path against the reference
-// slow-stepped loop at full cluster scale (byte-identical traces required)
-// and records simulated-seconds-per-wall-second, with an optional floor
-// for CI (--require-rate=2000).
+// Identity: the 8x64 scenario and every optional tier below (trace,
+// chaos, control, federation) run through run_variants — slow-stepped,
+// fast, and at --threads > 1 the parallel engine — and each verdict is the
+// tier's first_divergence (cluster::, or fed:: for the federation). The
+// identity gates are always on, --smoke included; a failing one prints the
+// first field that differs. Verdicts are tri-state: a `*_identical` JSON
+// field is null when its comparison never ran (e.g. `parallel_identical`
+// at --threads=1), never a vacuous true.
 //
-// --threads=N additionally runs the same scenario on the parallel cluster
-// engine (N executors stepping host segments on a thread pool) and records
-// serial-vs-parallel wall time as `parallel_speedup`. The parallel run
-// must be byte-identical to the serial one — that gate is always on —
-// and --require-parallel-speedup=X turns the speedup into a CI floor
-// (full runs only; --smoke keeps the exactness check but is exempt from
-// the speedup gate, which needs real cores and a real horizon).
+// Throughput: simulated-seconds-per-wall-second of the fast run, with an
+// optional CI floor (--require-rate=2000); --threads=N records
+// serial-vs-parallel wall as `parallel_speedup`, and
+// --require-parallel-speedup=X floors it. Timing and saving gates are
+// full-run only: --smoke is exempt, identity is not.
 //
-// --trace=DIR additionally replays a recorded-demand scenario: the same
-// fleet, every tenant a wl::TraceReplay over a trace from DIR
-// (scenario::WorkloadPreset::kTrace, assignment seeded by --fleet-seed).
-// The replay is run fast-vs-slow (and at --threads if > 1) and must stay
-// byte-identical — `trace.replay_identical` is gated like the other
-// identity contracts, smoke mode included; results land in the
-// `trace{...}` JSON block.
+// --trace=DIR replays a recorded-demand scenario: the same fleet, every
+// tenant a wl::TraceReplay over a trace from DIR
+// (scenario::WorkloadPreset::kTrace, assignment seeded by --fleet-seed);
+// results land in `trace{...}`.
 //
 // --fleet=mixed swaps the uniform 8-GB fleet for the heterogeneous
 // platform catalog (scenario::FleetPreset::kMixed: xeon / optiplex / elite
-// round-robin, hungriest class first). The same three policies run on the
-// mixed fleet, plus a fourth — the manager with efficient-first packing
-// turned OFF (naive index-order FFD) — and the gap between naive and
-// efficient-first is the energy the heterogeneity-aware cost term is
-// worth. Per-class host counts and the per-class energy split land in the
-// `hetero{...}` JSON block; --require-hetero-saving turns the gap into a
-// CI floor (full runs only; --smoke is exempt like the speedup gate — a
-// short horizon barely starts packing).
+// round-robin, hungriest class first). A fourth policy — the manager with
+// efficient-first packing turned OFF (naive index-order FFD) — prices the
+// heterogeneity-aware cost term; per-class host counts and energy land in
+// `hetero{...}`, and --require-hetero-saving floors the gap.
 //
-// --chaos-seed=N additionally reruns the scenario under a seeded fault
-// schedule (fault::draw_fault_plan: host crashes, migration aborts, link
-// degradation, planner brownouts) fast-vs-slow (and at --threads if > 1).
-// Byte-identity under faults is gated like the other identity contracts,
-// smoke included; survived-VM and recovery-latency stats land in the
-// `chaos{...}` JSON block. The chaos runs are separate from the policy
-// measurements above — fault-free numbers stay fault-free.
+// --chaos-seed=N reruns the scenario under a seeded fault schedule
+// (fault::draw_fault_plan: host crashes, migration aborts, link
+// degradation, planner brownouts), separate from the fault-free policy
+// runs; survived-VM and recovery-latency stats land in `chaos{...}`.
 //
-// --commands=FILE additionally runs the scenario under an external command
-// stream (ctl::parse_tasks over a JSON task log; see src/control/task.hpp)
-// fast-vs-slow (and at --threads if > 1). The control plane is held to the
-// trace-replay contract: byte-identical cluster state AND result logs
-// across engines, a byte-identical result log on re-record, and a
-// byte-exact annotation round trip (result log → no-op annotate stream →
-// re-record). The combined `control.replay_identical` verdict is gated
-// always, smoke included; task/acceptance counts land in the
-// `control{...}` JSON block.
+// --commands=FILE runs the scenario under an external command stream
+// (ctl::parse_tasks over a JSON task log; see src/control/task.hpp). On
+// top of identity (which includes the result log), a fresh re-record must
+// match, and the result log re-injected as a no-op annotation stream must
+// re-record itself verbatim. Counts land in `control{...}`.
 //
 // --scale-hosts=N (with --scale-vms, --scale-horizon) adds the SCALE tier:
-// the same hosting scenario at fleet size (the CI gate runs 1000 hosts x
-// 10000 VMs), executed twice — the delta-driven incremental planner
-// (ClusterManagerConfig::incremental, the default) against the legacy
-// full-replan manager — with byte-identity between the two ALWAYS gated:
-// the incremental planner is an optimization, never a behavior change.
-// Planner wall time is metered inside the manager (planner_ns / planning
-// ticks / plans skipped) and lands in the `scale{...}` JSON block;
-// --require-scale-rate puts a sim-s/wall-s floor on the scale run,
-// --require-planner-speedup a floor on legacy-vs-incremental planner time,
-// and --require-scale-planner-ns a ceiling on incremental planner ns per
-// manager tick (all full runs only — --smoke is exempt, scale needs scale).
+// the same recipe at fleet size (CI: 1000 hosts x 10000 VMs), run once on
+// the fast path at --threads. Planner time is metered inside the manager
+// and lands in `scale{...}`; --require-scale-rate floors the rate and
+// --require-scale-planner-ns caps planner ns per manager tick. The
+// planner's equivalence to from-scratch FFD is pinned per tick by
+// tests/cluster/cluster_incremental_test.cpp.
 //
 // Every invocation also reports the sparse driver's dispatch counters in
-// the `engine{...}` JSON block (segments / dispatches / bulk_skips /
-// active_fraction / pool_grain, taken from the scale run when present,
-// else the 8x64 fast run); --require-active-fraction=X turns the fraction
-// into a CI ceiling on the scale tier (full runs only, --smoke exempt).
+// `engine{...}` (from the scale run when present, else the 8x64 fast run);
+// --require-active-fraction=X caps the active fraction on the scale tier.
 //
-// --federation=K adds the FEDERATION tier: K hosting-cluster shards (the
-// same per-shard recipe, shard 0 skew-loaded with a quarter of the last
-// shard's tenants) under one fed::Federation — a global planner balancing
-// per-shard aggregate books with bounded cross-shard WAN migrations. The
-// federated run is executed slow-path, fast-path, and (at --threads > 1)
-// on the parallel engine; every shard must be byte-identical across all
-// of them AND the cross-shard migration ledgers must match — gated
-// always, smoke included. With K = 1 the federation must degrade
-// byte-exactly to the bench's own single-cluster fast run (it schedules
-// no federation events at all). Shard count, cross-shard census per link
-// kind and sim-s/wall-s land in the `federation{...}` JSON block;
-// --require-federation-rate puts a floor on the federated rate (full
-// runs only, --smoke exempt).
-//
-// Identity verdicts are tri-state throughout: a `*_identical` JSON field
-// is true/false only when its comparison actually executed, and null when
-// it never ran (e.g. `parallel_identical` with --threads=1) — a gate that
-// "passes" because nothing was compared is a vacuous gate, and the gates
-// below skip null verdicts instead of defaulting them to true.
+// --federation=K adds K hosting-cluster shards (shard 0 skew-loaded with a
+// quarter of the last shard's tenants) under one fed::Federation — a global
+// planner balancing per-shard aggregate books with bounded cross-shard WAN
+// migrations. With K = 1 the federation must additionally be identical to
+// the bench's own single-cluster fast run (it schedules no federation
+// events). Census per link kind and the rate land in `federation{...}`;
+// --require-federation-rate floors the rate.
 //
 // Usage: bench_cluster_consolidation [--smoke] [--horizon=SECONDS]
 //          [--hosts=8] [--vms=64] [--out=BENCH_cluster.json]
@@ -110,7 +79,7 @@
 //          [--fleet=uniform|mixed] [--fleet-seed=N] [--require-hetero-saving]
 //          [--trace=DIR] [--chaos-seed=N] [--commands=FILE]
 //          [--scale-hosts=N] [--scale-vms=N] [--scale-horizon=SECONDS]
-//          [--require-scale-rate=RATE] [--require-planner-speedup=X]
+//          [--require-scale-rate=RATE]
 //          [--require-scale-planner-ns=NS] [--require-active-fraction=X]
 //          [--federation=K] [--require-federation-rate=RATE]
 #include <algorithm>
@@ -122,6 +91,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -140,6 +110,7 @@ namespace {
 
 using pas::common::seconds;
 using pas::common::SimTime;
+using pas::scenario::FederationScenarioConfig;
 using pas::scenario::HostingClusterConfig;
 
 // Minimal JSON string escaping for user-supplied values (the --trace
@@ -162,81 +133,59 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-double run_timed(pas::cluster::Cluster& cluster, SimTime horizon) {
+template <class Sim>
+double run_timed(Sim& sim, SimTime horizon) {
   const auto start = std::chrono::steady_clock::now();
-  cluster.run_until(horizon);
+  sim.run_until(horizon);
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(stop - start).count();
 }
 
-bool clusters_identical(pas::cluster::Cluster& a, pas::cluster::Cluster& b) {
-  for (pas::cluster::HostId h = 0; h < a.host_count(); ++h) {
-    const auto sa = a.host(h).trace().samples();
-    const auto sb = b.host(h).trace().samples();
-    if (sa.size() != sb.size()) return false;
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      const auto ra = sa[i];
-      const auto rb = sb[i];
-      if (ra.t != rb.t || ra.freq_mhz != rb.freq_mhz ||
-          ra.global_load_pct != rb.global_load_pct ||
-          ra.absolute_load_pct != rb.absolute_load_pct)
-        return false;
-      for (std::size_t v = 0; v < ra.vm_global_pct.size(); ++v) {
-        if (ra.vm_global_pct[v] != rb.vm_global_pct[v] ||
-            ra.vm_absolute_pct[v] != rb.vm_absolute_pct[v] ||
-            ra.vm_credit_pct[v] != rb.vm_credit_pct[v] ||
-            ra.vm_saturated[v] != rb.vm_saturated[v])
-          return false;
-      }
-    }
-    if (a.host(h).idle_time() != b.host(h).idle_time()) return false;
-  }
-  if (a.migrations().size() != b.migrations().size()) return false;
-  for (std::size_t i = 0; i < a.migrations().size(); ++i) {
-    if (a.migrations()[i].vm != b.migrations()[i].vm ||
-        a.migrations()[i].start != b.migrations()[i].start ||
-        a.migrations()[i].end != b.migrations()[i].end ||
-        a.migrations()[i].outcome != b.migrations()[i].outcome)
-      return false;
-  }
-  for (pas::cluster::GlobalVmId g = 0; g < a.vm_count(); ++g)
-    if (a.vm_state(g) != b.vm_state(g)) return false;
-  for (pas::cluster::GlobalVmId g = 0; g < a.vm_count(); ++g)
-    if (a.residence(g) != b.residence(g)) return false;
-  return true;
+std::unique_ptr<pas::cluster::Cluster> build(const HostingClusterConfig& cfg) {
+  return pas::scenario::build_hosting_cluster(cfg);
 }
+std::unique_ptr<pas::fed::Federation> build(const FederationScenarioConfig& cfg) {
+  return pas::scenario::build_federation(cfg);
+}
+HostingClusterConfig& engine(HostingClusterConfig& cfg) { return cfg; }
+HostingClusterConfig& engine(FederationScenarioConfig& cfg) { return cfg.base; }
 
-// The cluster identity contract lifted to the federation: every shard
-// byte-identical, plus matching cross-shard ledgers (same flights over the
-// same links at the same instants) and VM registries.
-bool federations_identical(pas::fed::Federation& a, pas::fed::Federation& b) {
-  if (a.shard_count() != b.shard_count()) return false;
-  for (pas::fed::ShardId s = 0; s < a.shard_count(); ++s)
-    if (!clusters_identical(a.shard(s), b.shard(s))) return false;
-  if (a.planner_ticks() != b.planner_ticks() || a.moves_issued() != b.moves_issued() ||
-      a.cross_shard_in_flight() != b.cross_shard_in_flight())
-    return false;
-  const auto& ra = a.cross_shard_records();
-  const auto& rb = b.cross_shard_records();
-  if (ra.size() != rb.size()) return false;
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    if (ra[i].vm != rb[i].vm || ra[i].from_shard != rb[i].from_shard ||
-        ra[i].to_shard != rb[i].to_shard || ra[i].from_host != rb[i].from_host ||
-        ra[i].to_host != rb[i].to_host || ra[i].src_vm != rb[i].src_vm ||
-        ra[i].dst_vm != rb[i].dst_vm || ra[i].link != rb[i].link ||
-        ra[i].record.start != rb[i].record.start ||
-        ra[i].record.stop != rb[i].record.stop || ra[i].record.end != rb[i].record.end ||
-        ra[i].record.downtime != rb[i].record.downtime ||
-        ra[i].record.rounds != rb[i].record.rounds ||
-        ra[i].record.transferred_mb != rb[i].record.transferred_mb ||
-        ra[i].record.outcome != rb[i].record.outcome)
-      return false;
+// One tier's engine variants of the same scenario, each run to the
+// horizon: slow-stepped, fast, and (at threads > 1) fast on the parallel
+// engine. Only the fast run is kept for the tier's statistics.
+template <class Config>
+struct Variants {
+  decltype(build(std::declval<const Config&>())) fast;
+  double slow_wall = 0.0;
+  double fast_wall = 0.0;
+  double par_wall = 0.0;
+  std::optional<std::string> slow_vs_fast;  // first divergence, nullopt = identical
+  std::optional<std::string> par_vs_serial;
+
+  [[nodiscard]] bool identical() const { return !slow_vs_fast && !par_vs_serial; }
+  [[nodiscard]] std::string divergence() const {
+    return slow_vs_fast ? "slow vs fast: " + *slow_vs_fast
+                        : "parallel vs serial: " + par_vs_serial.value_or("");
   }
-  if (a.vm_count() != b.vm_count()) return false;
-  for (pas::fed::FedVmId v = 0; v < a.vm_count(); ++v)
-    if (a.locate(v).shard != b.locate(v).shard || a.locate(v).vm != b.locate(v).vm)
-      return false;
-  return true;
+};
+
+template <class Config>
+Variants<Config> run_variants(Config cfg, SimTime horizon, std::size_t threads) {
+  Variants<Config> v;
+  engine(cfg).fast_path = false;
+  auto slow = build(cfg);
+  v.slow_wall = run_timed(*slow, horizon);
+  engine(cfg).fast_path = true;
+  v.fast = build(cfg);
+  v.fast_wall = run_timed(*v.fast, horizon);
+  v.slow_vs_fast = first_divergence(*slow, *v.fast);
+  if (threads > 1) {
+    engine(cfg).threads = threads;
+    auto par = build(cfg);
+    v.par_wall = run_timed(*par, horizon);
+    v.par_vs_serial = first_divergence(*v.fast, *par);
+  }
+  return v;
 }
 
 // Tri-state identity verdict for JSON: a comparison that never ran is
@@ -254,8 +203,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_cluster_consolidation: --horizon must be >= 64\n");
     return 2;
   }
-  const auto hosts = static_cast<std::size_t>(flags.get_int("hosts", 8));
-  const auto vms = static_cast<std::size_t>(flags.get_int("vms", 64));
+  const std::size_t hosts = flags.get_count("hosts", 8);
+  const std::size_t vms = flags.get_count("vms", 64);
   const std::string out = flags.get_or("out", "BENCH_cluster.json");
   const std::string fleet = flags.get_or("fleet", "uniform");
   if (fleet != "uniform" && fleet != "mixed") {
@@ -277,24 +226,32 @@ int main(int argc, char** argv) {
   std::printf("=== cluster consolidation: %zu hosts x %zu VMs, %ld simulated s, %s fleet ===\n",
               hosts, vms, horizon_s, fleet.c_str());
 
-  // --- throughput + exactness: fast path vs reference loop, manager on ---
-  auto cfg_slow = base;
-  cfg_slow.fast_path = false;
-  auto slow = pas::scenario::build_hosting_cluster(cfg_slow);
-  const double slow_wall = run_timed(*slow, horizon);
+  // --threads follows ExecutionPolicy semantics: 1 (the default) = serial
+  // only, no parallel measurement; 0 = hardware concurrency; N > 1 = N.
+  std::size_t threads = flags.get_count("threads", 1);
+  if (threads == 0) threads = pas::common::ThreadPool::hardware_threads();
+
+  // --- throughput + exactness: fast path vs reference loop (and the
+  // --- parallel engine at --threads > 1), manager on ---
+  auto main_runs = run_variants(base, horizon, threads);
+  const auto& fast = main_runs.fast;
+  const double slow_wall = main_runs.slow_wall;
   const double slow_rate = static_cast<double>(horizon_s) / slow_wall;
   std::printf("  slow-stepped loop : %8.2f wall ms   %10.0f sim-s/wall-s\n",
               slow_wall * 1e3, slow_rate);
-
-  auto cfg_fast = base;
-  cfg_fast.fast_path = true;
-  auto fast = pas::scenario::build_hosting_cluster(cfg_fast);
-  const double fast_wall = run_timed(*fast, horizon);
+  const double fast_wall = main_runs.fast_wall;
   const double fast_rate = static_cast<double>(horizon_s) / fast_wall;
   std::printf("  event-driven loop : %8.2f wall ms   %10.0f sim-s/wall-s\n",
               fast_wall * 1e3, fast_rate);
 
-  const bool identical = clusters_identical(*slow, *fast);
+  // First divergences of failed identity verdicts, printed with the gates.
+  std::vector<std::string> divergences;
+  const auto verdict = [&divergences](const char* tier, const auto& runs) {
+    if (!runs.identical()) divergences.push_back(std::string{tier} + " " + runs.divergence());
+    return runs.identical();
+  };
+  verdict("hosting cluster", main_runs);
+  const bool identical = !main_runs.slow_vs_fast;
   const double speedup = slow_wall / fast_wall;
   std::printf("  speedup: %.2fx   traces identical: %s\n", speedup,
               identical ? "yes" : "NO — BUG");
@@ -306,27 +263,16 @@ int main(int argc, char** argv) {
   pas::cluster::EngineStats engine_stats = fast->engine_stats();
   std::size_t engine_grain = fast->config().execution.pool_grain;
 
-  // --- the parallel engine: same scenario, host segments on a pool ---
-  // --threads follows ExecutionPolicy semantics: 1 (the default) = serial
-  // only, no parallel measurement; 0 = hardware concurrency; N > 1 = N.
-  auto threads = static_cast<std::size_t>(flags.get_int("threads", 1));
-  if (threads == 0) threads = pas::common::ThreadPool::hardware_threads();
-  double par_wall = 0.0;
+  // No parallel run, no verdict: with --threads=1 this stays nullopt and
+  // the JSON says null.
+  const double par_wall = main_runs.par_wall;
   double par_rate = 0.0;
   double parallel_speedup = 0.0;
-  // No parallel run, no verdict: with --threads=1 this stays nullopt and
-  // the JSON says null — previously it defaulted to true and the gate
-  // "passed" a comparison that never executed.
   std::optional<bool> parallel_identical;
   if (threads > 1) {
-    auto cfg_par = base;
-    cfg_par.fast_path = true;
-    cfg_par.threads = threads;
-    auto par = pas::scenario::build_hosting_cluster(cfg_par);
-    par_wall = run_timed(*par, horizon);
     par_rate = static_cast<double>(horizon_s) / par_wall;
     parallel_speedup = fast_wall / par_wall;
-    parallel_identical = clusters_identical(*fast, *par);
+    parallel_identical = !main_runs.par_vs_serial;
     std::printf("  parallel (%zu thr)  : %8.2f wall ms   %10.0f sim-s/wall-s   "
                 "%.2fx vs serial   identical: %s\n",
                 threads, par_wall * 1e3, par_rate, parallel_speedup,
@@ -410,9 +356,6 @@ int main(int argc, char** argv) {
   }
 
   // --- trace replay: recorded-demand tenants on the same fleet ---
-  // Fast vs slow (and vs parallel when --threads > 1) must stay
-  // byte-identical with every tenant a TraceReplay; that identity is a
-  // gated contract like the synthetic ones, smoke included.
   const std::string trace_dir = flags.get_or("trace", "");
   std::optional<bool> replay_identical;  // nullopt until the replay A/B runs
   std::string trace_json;
@@ -422,29 +365,16 @@ int main(int argc, char** argv) {
     cfg_trace.workload = pas::scenario::WorkloadPreset::kTrace;
     cfg_trace.traces = traces;
 
-    auto tr_slow_cfg = cfg_trace;
-    tr_slow_cfg.fast_path = false;
-    auto tr_slow = pas::scenario::build_hosting_cluster(tr_slow_cfg);
-    const double tr_slow_wall = run_timed(*tr_slow, horizon);
-
-    auto tr_fast = pas::scenario::build_hosting_cluster(cfg_trace);
-    const double tr_fast_wall = run_timed(*tr_fast, horizon);
-    const double tr_rate = static_cast<double>(horizon_s) / tr_fast_wall;
-    replay_identical = clusters_identical(*tr_slow, *tr_fast);
-
-    if (threads > 1) {
-      auto tr_par_cfg = cfg_trace;
-      tr_par_cfg.threads = threads;
-      auto tr_par = pas::scenario::build_hosting_cluster(tr_par_cfg);
-      (void)run_timed(*tr_par, horizon);
-      replay_identical = *replay_identical && clusters_identical(*tr_fast, *tr_par);
-    }
+    const auto tr = run_variants(cfg_trace, horizon, threads);
+    const auto& tr_fast = tr.fast;
+    const double tr_rate = static_cast<double>(horizon_s) / tr.fast_wall;
+    replay_identical = verdict("trace replay", tr);
 
     std::printf("\n  trace replay (%zu trace(s) from %s):\n", traces.size(),
                 trace_dir.c_str());
     std::printf("  replay fast path  : %8.2f wall ms   %10.0f sim-s/wall-s   "
                 "%.2fx vs slow   identical: %s\n",
-                tr_fast_wall * 1e3, tr_rate, tr_slow_wall / tr_fast_wall,
+                tr.fast_wall * 1e3, tr_rate, tr.slow_wall / tr.fast_wall,
                 *replay_identical ? "yes" : "NO — BUG");
     std::printf("  replay fleet      : %8.1f mean W   %zu migrations\n",
                 tr_fast->average_watts(), tr_fast->migrations().size());
@@ -460,15 +390,13 @@ int main(int argc, char** argv) {
                   "    \"watts\": %.3f,\n"
                   "    \"migrations\": %zu\n  },\n",
                   traces.size(), json_verdict(replay_identical), tr_rate,
-                  tr_slow_wall / tr_fast_wall, tr_fast->average_watts(),
+                  tr.slow_wall / tr.fast_wall, tr_fast->average_watts(),
                   tr_fast->migrations().size());
     trace_json = "  \"trace\": {\n    \"dir\": \"" + json_escape(trace_dir) + "\",\n" + buf;
   }
 
   // --- chaos: the same scenario under a seeded fault schedule ---
-  // Separate runs so the policy numbers above stay fault-free; the gate is
-  // the standing byte-identity contract, now under crashes/aborts/degraded
-  // links/brownouts.
+  // Separate runs, so the policy numbers above stay fault-free.
   const auto chaos_seed = static_cast<std::uint64_t>(flags.get_int("chaos-seed", 0));
   std::optional<bool> chaos_identical;  // nullopt until the chaos A/B runs
   std::string chaos_json;
@@ -476,22 +404,9 @@ int main(int argc, char** argv) {
     auto cfg_chaos = base;
     cfg_chaos.chaos_seed = chaos_seed;
 
-    auto ch_slow_cfg = cfg_chaos;
-    ch_slow_cfg.fast_path = false;
-    auto ch_slow = pas::scenario::build_hosting_cluster(ch_slow_cfg);
-    ch_slow->run_until(horizon);
-
-    auto ch_fast = pas::scenario::build_hosting_cluster(cfg_chaos);
-    ch_fast->run_until(horizon);
-    chaos_identical = clusters_identical(*ch_slow, *ch_fast);
-
-    if (threads > 1) {
-      auto ch_par_cfg = cfg_chaos;
-      ch_par_cfg.threads = threads;
-      auto ch_par = pas::scenario::build_hosting_cluster(ch_par_cfg);
-      ch_par->run_until(horizon);
-      chaos_identical = *chaos_identical && clusters_identical(*ch_fast, *ch_par);
-    }
+    const auto ch = run_variants(cfg_chaos, horizon, threads);
+    const auto& ch_fast = ch.fast;
+    chaos_identical = verdict("chaos", ch);
 
     const pas::fault::FaultInjector& inj = *ch_fast->faults();
     std::size_t brownout_skipped = 0;
@@ -556,15 +471,8 @@ int main(int argc, char** argv) {
   }
 
   // --- control plane: an external command stream over the same fleet ---
-  // --commands=FILE parses a JSON task log (ctl::parse_tasks, strict), runs
-  // the scenario under it fast-vs-slow (and at --threads if > 1), and holds
-  // the control plane to the PR 5 trace contract: cluster state AND the
-  // serialized result log must be byte-identical across engines, and the
-  // record→replay→re-record loop must close byte-exactly — re-running the
-  // same file reproduces the same result log, and re-injecting the result
-  // log as a no-op annotation stream re-records itself verbatim. The
-  // combined verdict is `control.replay_identical`, gated always (smoke
-  // included) like every identity contract.
+  // `control.replay_identical` combines the engine variants, the re-record
+  // and the annotation round trip (see the file header).
   const std::string commands_file = flags.get_or("commands", "");
   std::optional<bool> control_replay_identical;  // nullopt until the A/B runs
   std::string control_json;
@@ -583,34 +491,19 @@ int main(int argc, char** argv) {
     auto cfg_ctl = base;
     cfg_ctl.commands = tasks;
 
-    auto ct_slow_cfg = cfg_ctl;
-    ct_slow_cfg.fast_path = false;
-    auto ct_slow = pas::scenario::build_hosting_cluster(ct_slow_cfg);
-    ct_slow->run_until(horizon);
-
-    auto ct_fast = pas::scenario::build_hosting_cluster(cfg_ctl);
-    ct_fast->run_until(horizon);
-    const std::string result_log = ct_fast->control()->result_log();
-    control_replay_identical = clusters_identical(*ct_slow, *ct_fast) &&
-                               ct_slow->control()->result_log() == result_log;
-
-    if (threads > 1) {
-      auto ct_par_cfg = cfg_ctl;
-      ct_par_cfg.threads = threads;
-      auto ct_par = pas::scenario::build_hosting_cluster(ct_par_cfg);
-      ct_par->run_until(horizon);
-      control_replay_identical = *control_replay_identical &&
-                                 clusters_identical(*ct_fast, *ct_par) &&
-                                 ct_par->control()->result_log() == result_log;
-    }
+    const auto ct = run_variants(cfg_ctl, horizon, threads);
+    const auto& ct_fast = ct.fast;
+    control_replay_identical = verdict("control", ct);
 
     // Re-record: the same file through a fresh cluster must reproduce the
-    // result log byte-for-byte.
+    // run, result log included.
     {
       auto ct_re = pas::scenario::build_hosting_cluster(cfg_ctl);
       ct_re->run_until(horizon);
-      control_replay_identical = *control_replay_identical &&
-                                 ct_re->control()->result_log() == result_log;
+      if (auto d = first_divergence(*ct_fast, *ct_re)) {
+        control_replay_identical = false;
+        divergences.push_back("control re-record: " + *d);
+      }
     }
 
     // Close the loop: the result log re-injected as a no-op annotation
@@ -623,9 +516,10 @@ int main(int argc, char** argv) {
       cfg_notes.commands = pas::ctl::parse_tasks(notes, "<annotations>", {hosts, vms});
       auto ct_notes = pas::scenario::build_hosting_cluster(cfg_notes);
       ct_notes->run_until(horizon);
-      control_replay_identical =
-          *control_replay_identical &&
-          pas::ctl::results_to_annotations(ct_notes->control()->results()) == notes;
+      if (pas::ctl::results_to_annotations(ct_notes->control()->results()) != notes) {
+        control_replay_identical = false;
+        divergences.push_back("control annotation round trip: re-recorded stream differs");
+      }
     }
 
     const pas::ctl::ControlPlane& plane = *ct_fast->control();
@@ -652,23 +546,16 @@ int main(int argc, char** argv) {
         "  \"control\": {\n    \"file\": \"" + json_escape(commands_file) + "\",\n" + buf;
   }
 
-  // --- scale: the delta-driven incremental planner at fleet size ---
-  // Same scenario recipe at --scale-hosts x --scale-vms, run twice: the
-  // incremental manager (persistent HostBook + event-fed dirty set +
-  // unchanged-tick early-out) against the legacy from-scratch replan.
-  // Byte-identity between the two is the whole contract — the planner
-  // rewrite is an optimization, never a behavior change — so that gate is
-  // always on, smoke included. The planner-time floors/ceilings only bind
-  // on full runs: a smoke horizon barely plans at all.
-  const auto scale_hosts = static_cast<std::size_t>(flags.get_int("scale-hosts", 0));
-  std::optional<bool> scale_identical;  // nullopt until the scale A/B runs
+  // --- scale: the delta-driven planner at fleet size ---
+  // Same scenario recipe at --scale-hosts x --scale-vms, run once. The
+  // planner-time and rate floors/ceilings only bind on full runs: a smoke
+  // horizon barely plans at all.
+  const std::size_t scale_hosts = flags.get_count("scale-hosts", 0);
   double scale_rate = 0.0;
-  double planner_speedup = 0.0;
-  double inc_ns_per_tick = 0.0;
+  double ns_per_tick = 0.0;
   std::string scale_json;
   if (scale_hosts > 0) {
-    const auto scale_vms = static_cast<std::size_t>(
-        flags.get_int("scale-vms", static_cast<long>(scale_hosts * 10)));
+    const std::size_t scale_vms = flags.get_count("scale-vms", scale_hosts * 10);
     const long scale_horizon_s =
         flags.get_int("scale-horizon", flags.has("smoke") ? 120 : 600);
     const SimTime scale_horizon = seconds(scale_horizon_s);
@@ -680,60 +567,38 @@ int main(int argc, char** argv) {
     cfg_scale.fast_path = true;
     // The scale tier exercises the full engine: sparse partition on the
     // coordinating thread, pooled dispatch of the active remainder at
-    // --threads. Both sides of the legacy/incremental A/B get the same
-    // executors, so the planner comparison stays apples-to-apples.
+    // --threads.
     cfg_scale.threads = threads;
 
     std::printf("\n  scale tier: %zu hosts x %zu VMs, %ld simulated s\n",
                 scale_hosts, scale_vms, scale_horizon_s);
 
-    auto cfg_leg = cfg_scale;
-    cfg_leg.manager.incremental = false;
-    auto sc_leg = pas::scenario::build_hosting_cluster(cfg_leg);
-    const double leg_wall = run_timed(*sc_leg, scale_horizon);
+    auto sc = pas::scenario::build_hosting_cluster(cfg_scale);
+    const double sc_wall = run_timed(*sc, scale_horizon);
+    scale_rate = static_cast<double>(scale_horizon_s) / sc_wall;
+    engine_stats = sc->engine_stats();
+    engine_grain = sc->config().execution.pool_grain;
 
-    auto cfg_inc = cfg_scale;
-    cfg_inc.manager.incremental = true;
-    auto sc_inc = pas::scenario::build_hosting_cluster(cfg_inc);
-    const double inc_wall = run_timed(*sc_inc, scale_horizon);
-    scale_rate = static_cast<double>(scale_horizon_s) / inc_wall;
-    engine_stats = sc_inc->engine_stats();
-    engine_grain = sc_inc->config().execution.pool_grain;
-
-    scale_identical = clusters_identical(*sc_leg, *sc_inc);
-
-    const pas::cluster::ClusterManager& inc_mgr = *sc_inc->manager();
-    const pas::cluster::ClusterManager& leg_mgr = *sc_leg->manager();
-    const pas::consolidation::HostBookStats& bk = inc_mgr.book_stats();
+    const pas::cluster::ClusterManager& mgr = *sc->manager();
+    const pas::consolidation::HostBookStats& bk = mgr.book_stats();
     // Amortized planner cost per manager tick: skipped ticks count — the
     // early-out is exactly what buys the amortization.
-    const std::size_t inc_ticks = inc_mgr.planning_ticks() + inc_mgr.plans_skipped();
-    inc_ns_per_tick = inc_ticks > 0
-                          ? static_cast<double>(inc_mgr.planner_ns()) /
-                                static_cast<double>(inc_ticks)
-                          : 0.0;
-    planner_speedup = inc_mgr.planner_ns() > 0
-                          ? static_cast<double>(leg_mgr.planner_ns()) /
-                                static_cast<double>(inc_mgr.planner_ns())
-                          : 0.0;
+    const std::size_t ticks = mgr.planning_ticks() + mgr.plans_skipped();
+    ns_per_tick = ticks > 0 ? static_cast<double>(mgr.planner_ns()) /
+                                  static_cast<double>(ticks)
+                            : 0.0;
 
-    std::printf("  legacy replan     : %8.2f wall s   planner %8.1f ms over %zu tick(s)\n",
-                leg_wall, static_cast<double>(leg_mgr.planner_ns()) * 1e-6,
-                leg_mgr.planning_ticks());
-    std::printf("  incremental       : %8.2f wall s   planner %8.1f ms over %zu tick(s), "
+    std::printf("  run               : %8.2f wall s   planner %8.1f ms over %zu tick(s), "
                 "%zu skipped\n",
-                inc_wall, static_cast<double>(inc_mgr.planner_ns()) * 1e-6,
-                inc_mgr.planning_ticks(), inc_mgr.plans_skipped());
-    std::printf("  planner speedup: %.2fx   %.0f ns/tick amortized   "
-                "sim rate %.0f sim-s/wall-s\n",
-                planner_speedup, inc_ns_per_tick, scale_rate);
+                sc_wall, static_cast<double>(mgr.planner_ns()) * 1e-6,
+                mgr.planning_ticks(), mgr.plans_skipped());
+    std::printf("  planner %.0f ns/tick amortized   sim rate %.0f sim-s/wall-s\n",
+                ns_per_tick, scale_rate);
     std::printf("  book: %zu plan(s) = %zu cached + %zu delta + %zu rebuild; "
                 "%zu rank(s) walked, %zu scan(s), %zu mark(s)+%zu event(s) coalesced\n",
                 bk.plans, bk.cached_plans, bk.delta_plans, bk.full_rebuilds,
                 bk.vms_walked, bk.vms_scanned, bk.coalesced_marks,
-                inc_mgr.events_coalesced());
-    std::printf("  identical to legacy replan: %s\n",
-                *scale_identical ? "yes" : "NO — BUG");
+                mgr.events_coalesced());
 
     char buf[1024];
     std::snprintf(buf, sizeof(buf),
@@ -741,76 +606,47 @@ int main(int argc, char** argv) {
                   "    \"hosts\": %zu,\n"
                   "    \"vms\": %zu,\n"
                   "    \"simulated_seconds\": %ld,\n"
-                  "    \"incremental\": {\"wall_seconds\": %.6f, \"sim_per_wall\": %.1f,\n"
-                  "      \"planner_ns\": %llu, \"planning_ticks\": %zu, "
-                  "\"plans_skipped\": %zu,\n"
-                  "      \"planner_ns_per_tick\": %.1f, \"events_coalesced\": %zu},\n"
-                  "    \"legacy\": {\"wall_seconds\": %.6f, \"planner_ns\": %llu, "
-                  "\"planning_ticks\": %zu},\n"
-                  "    \"planner_speedup\": %.3f,\n"
+                  "    \"wall_seconds\": %.6f,\n"
+                  "    \"sim_per_wall\": %.1f,\n"
+                  "    \"planner_ns\": %llu,\n"
+                  "    \"planning_ticks\": %zu,\n"
+                  "    \"plans_skipped\": %zu,\n"
+                  "    \"planner_ns_per_tick\": %.1f,\n"
+                  "    \"events_coalesced\": %zu,\n"
                   "    \"book\": {\"plans\": %zu, \"cached\": %zu, \"delta\": %zu, "
                   "\"full_rebuilds\": %zu,\n"
                   "      \"vms_walked\": %zu, \"vms_scanned\": %zu, "
-                  "\"coalesced_marks\": %zu},\n"
-                  "    \"scale_identical\": %s\n  },\n",
-                  scale_hosts, scale_vms, scale_horizon_s, inc_wall, scale_rate,
-                  static_cast<unsigned long long>(inc_mgr.planner_ns()),
-                  inc_mgr.planning_ticks(), inc_mgr.plans_skipped(), inc_ns_per_tick,
-                  inc_mgr.events_coalesced(), leg_wall,
-                  static_cast<unsigned long long>(leg_mgr.planner_ns()),
-                  leg_mgr.planning_ticks(), planner_speedup, bk.plans, bk.cached_plans,
-                  bk.delta_plans, bk.full_rebuilds, bk.vms_walked, bk.vms_scanned,
-                  bk.coalesced_marks, json_verdict(scale_identical));
+                  "\"coalesced_marks\": %zu}\n  },\n",
+                  scale_hosts, scale_vms, scale_horizon_s, sc_wall, scale_rate,
+                  static_cast<unsigned long long>(mgr.planner_ns()), mgr.planning_ticks(),
+                  mgr.plans_skipped(), ns_per_tick, mgr.events_coalesced(), bk.plans,
+                  bk.cached_plans, bk.delta_plans, bk.full_rebuilds, bk.vms_walked,
+                  bk.vms_scanned, bk.coalesced_marks);
     scale_json = buf;
   }
 
   // --- federation: K shards under the global planner, per-link WAN moves ---
-  // The same per-shard recipe, shard 0 skew-loaded, run slow-path vs
-  // fast-path (and vs the parallel engine at --threads > 1). Identity is
-  // the lifted cluster contract — every shard byte-identical AND the
-  // cross-shard ledgers equal — gated always, smoke included. K = 1 must
-  // additionally reproduce the bench's own single-cluster fast run
-  // byte-exactly: a single-shard federation schedules no events at all.
-  const auto fed_shards = static_cast<std::size_t>(flags.get_int("federation", 0));
+  const std::size_t fed_shards = flags.get_count("federation", 0);
   std::optional<bool> federation_identical;  // nullopt until the tier runs
   double fed_rate = 0.0;
   std::string federation_json;
   if (fed_shards > 0) {
-    pas::scenario::FederationScenarioConfig fc;
+    FederationScenarioConfig fc;
     fc.base = base;
     fc.shards = fed_shards;
 
-    auto fc_slow = fc;
-    fc_slow.base.fast_path = false;
-    auto fd_slow = pas::scenario::build_federation(fc_slow);
-    const auto slow_start = std::chrono::steady_clock::now();
-    fd_slow->run_until(horizon);
-    const double fd_slow_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - slow_start)
-            .count();
-
-    auto fd_fast = pas::scenario::build_federation(fc);
-    const auto fast_start = std::chrono::steady_clock::now();
-    fd_fast->run_until(horizon);
-    const double fd_fast_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - fast_start)
-            .count();
-    fed_rate = static_cast<double>(horizon_s) / fd_fast_wall;
-    federation_identical = federations_identical(*fd_slow, *fd_fast);
-
-    if (threads > 1) {
-      auto fc_par = fc;
-      fc_par.base.threads = threads;
-      auto fd_par = pas::scenario::build_federation(fc_par);
-      fd_par->run_until(horizon);
-      federation_identical =
-          *federation_identical && federations_identical(*fd_fast, *fd_par);
-    }
+    const auto fd = run_variants(fc, horizon, threads);
+    const auto& fd_fast = fd.fast;
+    fed_rate = static_cast<double>(horizon_s) / fd.fast_wall;
+    federation_identical = verdict("federation", fd);
     // K = 1 degradation: byte-exact to the single-cluster fast run above
     // (same config, same seed, no skew, no federation events).
-    if (fed_shards == 1)
-      federation_identical =
-          *federation_identical && clusters_identical(*fast, fd_fast->shard(0));
+    if (fed_shards == 1) {
+      if (auto d = first_divergence(*fast, fd_fast->shard(0))) {
+        federation_identical = false;
+        divergences.push_back("federation K=1 vs bare cluster: " + *d);
+      }
+    }
 
     // Cross-shard census by link kind; the intra-rack tier is the shards'
     // own internal migrations.
@@ -833,7 +669,7 @@ int main(int argc, char** argv) {
                 fed_shards, hosts, fed_vms);
     std::printf("  federated run     : %8.2f wall ms   %10.0f sim-s/wall-s   "
                 "%.2fx vs slow\n",
-                fd_fast_wall * 1e3, fed_rate, fd_slow_wall / fd_fast_wall);
+                fd.fast_wall * 1e3, fed_rate, fd.slow_wall / fd.fast_wall);
     std::printf("  migrations: %zu intra-rack (shard-internal), %zu cross-rack, "
                 "%zu wan   planner ticks %zu   identical: %s\n",
                 intra_moves, cross_rack_moves, wan_moves, fd_fast->planner_ticks(),
@@ -853,7 +689,7 @@ int main(int argc, char** argv) {
                   "    \"federation_identical\": %s\n  },\n",
                   fed_shards, fed_vms, fd_fast->planner_ticks(),
                   fd_fast->cross_shard_records().size(), intra_moves, cross_rack_moves,
-                  wan_moves, fd_fast_wall, fed_rate, json_verdict(federation_identical));
+                  wan_moves, fd.fast_wall, fed_rate, json_verdict(federation_identical));
     federation_json = buf;
   }
 
@@ -952,38 +788,11 @@ int main(int argc, char** argv) {
     std::printf("  written to %s\n", out.c_str());
   }
 
-  // Identity gates. The optional verdicts fail only on an EXECUTED
-  // comparison that came back false; a nullopt (the tier never ran) is
-  // skipped — failing it would be as wrong as the old vacuous pass.
-  if (!identical) {
-    std::printf("  FAIL: fast path diverged from the reference loop\n");
-    return 1;
-  }
-  if (parallel_identical && !*parallel_identical) {
-    std::printf("  FAIL: parallel engine diverged from the serial engine\n");
-    return 1;
-  }
-  if (replay_identical && !*replay_identical) {
-    std::printf("  FAIL: trace replay diverged between engine variants\n");
-    return 1;
-  }
-  if (chaos_identical && !*chaos_identical) {
-    std::printf("  FAIL: engines diverged under injected faults\n");
-    return 1;
-  }
-  if (control_replay_identical && !*control_replay_identical) {
-    std::printf("  FAIL: control-plane replay diverged (state, result log, or "
-                "annotation round trip)\n");
-    return 1;
-  }
-  if (scale_identical && !*scale_identical) {
-    std::printf("  FAIL: incremental planner diverged from the legacy replan\n");
-    return 1;
-  }
-  if (federation_identical && !*federation_identical) {
-    std::printf("  FAIL: federated shards or cross-shard ledgers diverged\n");
-    return 1;
-  }
+  // Identity gates: every verdict that came back false left its first
+  // divergence here; a tier that never ran (a null verdict) left nothing —
+  // failing it would be as wrong as the old vacuous pass.
+  for (const std::string& d : divergences) std::printf("  FAIL: %s\n", d.c_str());
+  if (!divergences.empty()) return 1;
   const double fed_floor = flags.get_double("require-federation-rate", 0.0);
   if (fed_floor > 0.0 && !flags.has("smoke")) {
     if (fed_shards == 0) {
@@ -1008,27 +817,15 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const double planner_floor = flags.get_double("require-planner-speedup", 0.0);
-  if (planner_floor > 0.0 && !flags.has("smoke")) {
-    if (scale_hosts == 0) {
-      std::printf("  FAIL: --require-planner-speedup needs --scale-hosts > 0\n");
-      return 1;
-    }
-    if (planner_speedup < planner_floor) {
-      std::printf("  FAIL: planner speedup %.2fx below the %.2fx floor\n",
-                  planner_speedup, planner_floor);
-      return 1;
-    }
-  }
   const double ns_ceiling = flags.get_double("require-scale-planner-ns", 0.0);
   if (ns_ceiling > 0.0 && !flags.has("smoke")) {
     if (scale_hosts == 0) {
       std::printf("  FAIL: --require-scale-planner-ns needs --scale-hosts > 0\n");
       return 1;
     }
-    if (inc_ns_per_tick > ns_ceiling) {
+    if (ns_per_tick > ns_ceiling) {
       std::printf("  FAIL: planner %.0f ns/tick above the %.0f ceiling\n",
-                  inc_ns_per_tick, ns_ceiling);
+                  ns_per_tick, ns_ceiling);
       return 1;
     }
   }

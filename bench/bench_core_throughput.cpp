@@ -6,8 +6,8 @@
 // tenants whose web servers, batch jobs and thrashing loads come and go
 // across the day while most capacity sits reserved-but-idle — exactly the
 // long-horizon regime the dynamic-reconfiguration studies need. The bench
-// asserts the fast path produces byte-identical traces, then records both
-// rates and the speedup in BENCH_core.json.
+// asserts the fast path runs identically (hv::first_divergence), then
+// records both rates and the speedup in BENCH_core.json.
 //
 // Usage: bench_core_throughput [--smoke] [--horizon=SECONDS]
 //                              [--out=BENCH_core.json]
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/flags.hpp"
@@ -94,34 +95,6 @@ std::unique_ptr<pas::hv::Host> build_host(bool fast_path, SimTime horizon) {
   return host;
 }
 
-bool traces_identical(const pas::hv::Host& a, const pas::hv::Host& b) {
-  const auto sa = a.trace().samples();
-  const auto sb = b.trace().samples();
-  if (sa.size() != sb.size()) return false;
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    const auto ra = sa[i];
-    const auto rb = sb[i];
-    if (ra.t != rb.t || ra.freq_mhz != rb.freq_mhz ||
-        ra.global_load_pct != rb.global_load_pct ||
-        ra.absolute_load_pct != rb.absolute_load_pct)
-      return false;
-    for (std::size_t v = 0; v < ra.vm_global_pct.size(); ++v) {
-      if (ra.vm_global_pct[v] != rb.vm_global_pct[v] ||
-          ra.vm_absolute_pct[v] != rb.vm_absolute_pct[v] ||
-          ra.vm_credit_pct[v] != rb.vm_credit_pct[v] ||
-          ra.vm_saturated[v] != rb.vm_saturated[v])
-        return false;
-    }
-  }
-  if (a.idle_time() != b.idle_time()) return false;
-  for (pas::common::VmId v = 0; v < a.vm_count(); ++v) {
-    if (a.vm(v).total_busy != b.vm(v).total_busy ||
-        a.vm(v).total_work != b.vm(v).total_work)
-      return false;
-  }
-  return true;
-}
-
 double run_timed(pas::hv::Host& host, SimTime horizon) {
   const auto start = std::chrono::steady_clock::now();
   host.run_until(horizon);
@@ -171,10 +144,13 @@ int main(int argc, char** argv) {
   std::printf("  event-driven loop : %8.2f wall ms   %10.0f sim-s/wall-s\n",
               fast_wall * 1e3, fast_rate);
 
-  const bool identical = traces_identical(*slow_host, *fast_host);
+  const std::optional<std::string> divergence =
+      pas::hv::first_divergence(*slow_host, *fast_host);
+  const bool identical = !divergence;
   const double speedup = slow_wall / fast_wall;
   std::printf("  speedup: %.2fx   traces identical: %s\n", speedup,
               identical ? "yes" : "NO — BUG");
+  if (divergence) std::printf("  first divergence: %s\n", divergence->c_str());
 
   {
     std::ofstream js{out};

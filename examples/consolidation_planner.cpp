@@ -16,8 +16,8 @@
 int main(int argc, char** argv) {
   using namespace pas;
   const common::Flags flags{argc, argv};
-  const auto vm_count = static_cast<std::size_t>(flags.get_int("vms", 32));
-  const auto host_count = static_cast<std::size_t>(flags.get_int("hosts", 16));
+  const std::size_t vm_count = flags.get_count("vms", 32);
+  const std::size_t host_count = flags.get_count("hosts", 16);
 
   // --fleet=mixed packs against the heterogeneous platform catalog (with
   // NUMA-aware costs); the default is the classic uniform Optiplex fleet.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "cluster/cluster_manager.hpp"
+#include "common/divergence.hpp"
 #include "control/control_plane.hpp"
 #include "core/compensation.hpp"
 #include "fault/fault.hpp"
@@ -650,6 +651,88 @@ void Cluster::run_until(common::SimTime until) {
     // that lets the next iteration trust a single peek.
     assert(events_.next_event_time(until) > now_ || events_.empty());
   }
+}
+
+std::optional<std::string> migration_divergence(const MigrationRecord& a,
+                                                const MigrationRecord& b) {
+  return common::FieldDiff{}
+      .field("vm", a.vm, b.vm)
+      .field("from", a.from, b.from)
+      .field("to", a.to, b.to)
+      .field("start", a.start, b.start)
+      .field("stop", a.stop, b.stop)
+      .field("end", a.end, b.end)
+      .field("rounds", a.rounds, b.rounds)
+      .field("transferred_mb", a.transferred_mb, b.transferred_mb)
+      .field("downtime", a.downtime, b.downtime)
+      .field("outcome", a.outcome, b.outcome)
+      .field("credit_exported", a.credit_exported, b.credit_exported)
+      .field("credit_imported", a.credit_imported, b.credit_imported)
+      .first();
+}
+
+std::optional<std::string> first_divergence(const Cluster& a, const Cluster& b) {
+  using common::FieldDiff;
+  if (auto d = FieldDiff{}
+                   .field("host_count", a.host_count(), b.host_count())
+                   .field("vm_count", a.vm_count(), b.vm_count())
+                   .field("migrations", a.migrations().size(), b.migrations().size())
+                   .field("recoveries", a.recoveries().size(), b.recoveries().size())
+                   .first())
+    return d;
+  for (HostId h = 0; h < a.host_count(); ++h)
+    if (auto d = hv::first_divergence(a.host(h), b.host(h)))
+      return "host " + std::to_string(h) + ": " + *d;
+  for (std::size_t i = 0; i < a.migrations().size(); ++i)
+    if (auto d = migration_divergence(a.migrations()[i], b.migrations()[i]))
+      return "migration " + std::to_string(i) + " " + *d;
+  for (std::size_t i = 0; i < a.recoveries().size(); ++i) {
+    const VmRecovery& ra = a.recoveries()[i];
+    const VmRecovery& rb = b.recoveries()[i];
+    if (auto d = FieldDiff{}
+                     .field("vm", ra.vm, rb.vm)
+                     .field("crashed_at", ra.crashed_at, rb.crashed_at)
+                     .field("restarted_at", ra.restarted_at, rb.restarted_at)
+                     .first())
+      return "recovery " + std::to_string(i) + " " + *d;
+  }
+  for (GlobalVmId g = 0; g < a.vm_count(); ++g)
+    if (auto d = FieldDiff{}
+                     .field("state", a.vm_state(g), b.vm_state(g))
+                     .field("residence", a.residence(g), b.residence(g))
+                     .field("sla violation_time", a.sla().violation_time(g),
+                            b.sla().violation_time(g))
+                     .field("sla observed_time", a.sla().observed_time(g),
+                            b.sla().observed_time(g))
+                     .field("downtime", a.vm_stats(g).downtime, b.vm_stats(g).downtime)
+                     .first())
+      return "vm " + std::to_string(g) + " " + *d;
+  for (HostId h = 0; h < a.host_count(); ++h)
+    if (auto d = FieldDiff{}
+                     .field("powered_on", a.powered_on(h), b.powered_on(h))
+                     .field("crashed", a.crashed(h), b.crashed(h))
+                     .first())
+      return "host " + std::to_string(h) + " " + *d;
+  if (auto d = FieldDiff{}.energy("energy_joules", a.energy_joules(), b.energy_joules()).first())
+    return d;
+
+  // A run driven by hand-compiled events has no control plane to compare;
+  // the logs are compared whenever both sides published one.
+  if (a.control() == nullptr || b.control() == nullptr) return std::nullopt;
+  const std::string la = a.control()->result_log();
+  const std::string lb = b.control()->result_log();
+  if (la == lb) return std::nullopt;
+  // Name the first differing line of the two logs.
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(la.begin(), la.end(), lb.begin(), lb.end()).first - la.begin());
+  const std::size_t nl = at == 0 ? std::string::npos : la.rfind('\n', at - 1);
+  const std::size_t start = nl == std::string::npos ? 0 : nl + 1;
+  const auto line = [start](const std::string& log) {
+    return "'" + log.substr(start, log.find('\n', start) - start) + "'";
+  };
+  return "control result log line " +
+         std::to_string(std::count(la.begin(), la.begin() + start, '\n')) + ": " + line(la) +
+         " vs " + line(lb);
 }
 
 }  // namespace pas::cluster

@@ -49,6 +49,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -292,6 +294,7 @@ class Cluster {
   /// observe the post-crash world deterministically.
   void install_control(std::unique_ptr<ctl::ControlPlane> control);
   [[nodiscard]] ctl::ControlPlane* control() { return control_.get(); }
+  [[nodiscard]] const ctl::ControlPlane* control() const { return control_.get(); }
 
   /// Schedules an arbitrary callback at a fixed queue position: hooks are
   /// armed at run start, after the injector and control plane, in call
@@ -502,5 +505,20 @@ class Cluster {
   /// run this segment); reused so the per-segment pass is allocation-free.
   std::vector<std::size_t> active_hosts_;
 };
+
+/// Field-by-field comparison of two migration records: nullopt when equal,
+/// else "<field>: <a> vs <b>". The building block both the cluster and the
+/// federation comparators use for their ledgers.
+[[nodiscard]] std::optional<std::string> migration_divergence(const MigrationRecord& a,
+                                                              const MigrationRecord& b);
+
+/// The cluster tier's identity comparator: nullopt when `a` and `b` ran
+/// identically, else a message naming the first host, row, migration or VM
+/// that differs. Every host goes through hv::first_divergence; on top come
+/// every MigrationRecord field, recoveries, each VM's state, residence, SLA
+/// counters and downtime, each host's power and crash state, cluster
+/// energy, and — when both runs installed a control plane — the control
+/// result log. This is the contract behind "fast ≡ slow ≡ parallel".
+[[nodiscard]] std::optional<std::string> first_divergence(const Cluster& a, const Cluster& b);
 
 }  // namespace pas::cluster

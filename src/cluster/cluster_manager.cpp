@@ -67,7 +67,8 @@ consolidation::HostSpec ClusterManager::plan_host_spec(const Cluster& cluster,
   // that differ.
   const platform::HostClass& cls = cluster.host_class(host);
   consolidation::HostSpec spec = platform::to_host_spec(cls);
-  spec.name += "-" + std::to_string(host);
+  spec.name += '-';
+  spec.name += std::to_string(host);
   // Reserve the hypervisor agent's credit out of the schedulable
   // capacity, like Dom0 in the paper's single-host budget.
   spec.cpu_capacity_pct = cls.cpu_capacity_pct - cluster.config().agent_credit;
@@ -108,11 +109,11 @@ void ClusterManager::sync_book(const Cluster& cluster) {
     if (book_.has_host(h)) book_.remove_host(h);
   pending_crashes_.clear();
   for (const GlobalVmId vm : pending_vms_) {
-    // Membership mirrors the legacy filter: running VMs are planned,
-    // orphaned/lost ones are not. Specs themselves are static (purchased
-    // credit + memory), so a VM already on the right side of that line
-    // needs nothing — the event was a residency change, which the
-    // issuance pass below reconciles against the (unchanged) plan.
+    // Membership: running VMs are planned, orphaned/lost ones are not.
+    // Specs themselves are static (purchased credit + memory), so a VM
+    // already on the right side of that line needs nothing — the event was
+    // a residency change, which the issuance pass below reconciles against
+    // the (unchanged) plan.
     const bool live = cluster.vm_state(vm) == VmState::kRunning;
     if (live && !in_book_[vm]) {
       book_.add_vm(vm, plan_vm_spec(cluster, vm));
@@ -209,8 +210,7 @@ void ClusterManager::on_tick(common::SimTime now, Cluster& cluster) {
 
   if (cfg_.consolidate) {
     const std::uint64_t version = cluster.topology_version();
-    const bool can_skip = cfg_.incremental && !cfg_.replan_every_tick &&
-                          book_seeded_ && have_version_ && version == last_version_ &&
+    const bool can_skip = book_seeded_ && have_version_ && version == last_version_ &&
                           pending_vms_.empty() && pending_crashes_.empty() && converged_;
     if (can_skip) {
       // Provably unchanged tick: no residency/power/lifecycle change since
@@ -230,60 +230,26 @@ void ClusterManager::on_tick(common::SimTime now, Cluster& cluster) {
       // does, and static inputs keep the plan stable between ticks.
       // Observed load enters below, in the DVFS step.
       // Plan over the *live* fleet only: running VMs (orphaned/lost ones
-      // have no slot to pack) onto non-crashed hosts. Plan indices are
-      // therefore dense over the survivors — plan_vms/plan_hosts map them
-      // back.
-      const consolidation::Placement* plan = nullptr;
-      consolidation::Placement legacy_plan;
-      std::vector<GlobalVmId> plan_vms;
-      std::vector<HostId> plan_hosts;
-      if (cfg_.incremental) {
-        // Delta path: reconcile pending events into the persistent book
-        // and let it replay only what changed. Byte-identical to the
-        // legacy branch below by the book's equivalence contract.
-        sync_book(cluster);
-        plan = &book_.plan();
-        plan_vms.reserve(book_.planned_vms().size());
-        for (const std::size_t id : book_.planned_vms())
-          plan_vms.push_back(static_cast<GlobalVmId>(id));
-        plan_hosts.reserve(book_.planned_hosts().size());
-        for (const std::size_t id : book_.planned_hosts())
-          plan_hosts.push_back(static_cast<HostId>(id));
-      } else {
-        // Legacy path: rebuild the dense spec vectors and re-run full FFD
-        // from scratch — the A/B baseline the scale bench prices the
-        // incremental planner against.
-        std::vector<consolidation::VmSpec> vms;
-        vms.reserve(cluster.vm_count());
-        for (GlobalVmId gid = 0; gid < cluster.vm_count(); ++gid) {
-          if (cluster.vm_state(gid) != VmState::kRunning) continue;
-          vms.push_back(plan_vm_spec(cluster, gid));
-          plan_vms.push_back(gid);
-        }
-        std::vector<consolidation::HostSpec> hosts;
-        hosts.reserve(cluster.host_count());
-        for (HostId h = 0; h < cluster.host_count(); ++h) {
-          if (cluster.crashed(h)) continue;
-          hosts.push_back(plan_host_spec(cluster, h));
-          plan_hosts.push_back(h);
-        }
-        legacy_plan = consolidation::place_ffd(vms, hosts, ffd_options(cfg_));
-        plan = &legacy_plan;
-      }
+      // have no slot to pack) onto non-crashed hosts. The book reconciles
+      // pending events and replays only what changed; its plan is dense
+      // over the survivors — planned_vms/planned_hosts map it back.
+      sync_book(cluster);
+      const consolidation::Placement& plan = book_.plan();
+      const std::vector<std::size_t>& plan_vms = book_.planned_vms();
+      const std::vector<std::size_t>& plan_hosts = book_.planned_hosts();
       // Unplaced VMs are an explicit outcome: they stay where they are, and
       // the count is surfaced so operators see unserved reservations.
-      last_plan_unplaced_ = plan->unplaced;
+      last_plan_unplaced_ = plan.unplaced;
 
       std::size_t disagree = 0;
       for (std::size_t i = 0; i < plan_vms.size(); ++i) {
-        const GlobalVmId gid = plan_vms[i];
-        const std::size_t target = plan->assignment[i];
+        const auto gid = static_cast<GlobalVmId>(plan_vms[i]);
+        const std::size_t target = plan.assignment[i];
         if (target == consolidation::kUnplaced) continue;
-        const HostId target_host = plan_hosts[target];
+        const auto target_host = static_cast<HostId>(plan_hosts[target]);
         if (target_host == cluster.residence(gid)) continue;
-        // Off-plan. The issuance below matches the pre-incremental loop
-        // exactly (same order, same budget, same skips); the count feeds
-        // the convergence flag the early-out needs.
+        // Off-plan: issue in plan order within the tick's budget; the count
+        // feeds the convergence flag the early-out needs.
         ++disagree;
         if (migration_budget_left_ == 0) continue;
         if (cluster.migrating(gid)) continue;

@@ -20,19 +20,18 @@
 // between ticks: once the fleet matches it, the manager issues no further
 // migrations until demand moves the DVFS step.
 //
-// Planning is DELTA-DRIVEN by default (ClusterManagerConfig::incremental):
-// the manager keeps a persistent consolidation::HostBook mirroring the
-// live fleet and feeds it a dirty set from cluster events — crash sweeps,
-// recoveries, losses — delivered through note_vm_event/note_host_crashed
-// and coalesced per id until the next tick. The book replays only what
-// changed (falling back to a full rebuild on host-set changes) and its
-// output is byte-identical to the from-scratch place_ffd the legacy path
-// (incremental = false) runs, so both modes issue the same migrations and
-// record the same energy. On ticks where nothing changed at all — the
-// topology version is stable, no events are pending, and the fleet already
-// matches the plan — the consolidation pass is skipped outright
-// (plans_skipped()); VOVO and DVFS still run, as they track live load.
-// replan_every_tick defeats the skip for debugging.
+// Planning is DELTA-DRIVEN: the manager keeps a persistent
+// consolidation::HostBook mirroring the live fleet and feeds it a dirty set
+// from cluster events — crash sweeps, recoveries, losses — delivered
+// through note_vm_event/note_host_crashed and coalesced per id until the
+// next tick. The book replays only what changed (falling back to a full
+// rebuild on host-set changes), and its plan is byte-identical to a
+// from-scratch place_ffd over the live fleet — the equivalence
+// tests/cluster/cluster_incremental_test.cpp checks at every tick through
+// book(). On ticks where nothing changed at all — the topology version is
+// stable, no events are pending, and the fleet already matches the plan —
+// the consolidation pass is skipped outright (plans_skipped()); VOVO and
+// DVFS still run, as they track live load.
 #pragma once
 
 #include <chrono>
@@ -79,13 +78,6 @@ struct ClusterManagerConfig {
   /// granularity (a retry due mid-period waits for the next tick).
   std::size_t max_restart_attempts = 5;
   common::SimTime restart_backoff = common::seconds(20);
-  /// Delta-driven planning through the persistent HostBook (see the file
-  /// header). Off = the legacy from-scratch spec rebuild + full FFD every
-  /// tick — the A/B baseline the scale bench prices the feature against.
-  bool incremental = true;
-  /// Debug knob: run the full consolidation pass even on provably
-  /// unchanged ticks (disables the early-out, not the book).
-  bool replan_every_tick = false;
 };
 
 class ClusterManager {
@@ -151,9 +143,13 @@ class ClusterManager {
   [[nodiscard]] const consolidation::HostBookStats& book_stats() const {
     return book_.stats();
   }
-  /// True once the incremental book mirrors the fleet (first planning tick
-  /// on the incremental path has run).
+  /// True once the book mirrors the fleet (the first planning tick has
+  /// run; never, with consolidate off).
   [[nodiscard]] bool book_ready() const { return book_seeded_; }
+  /// The planner book, read-only: last_plan() is the placement the last
+  /// planning tick served, planned_vms()/planned_hosts() map its dense
+  /// indices back to GlobalVmId/HostId.
+  [[nodiscard]] const consolidation::HostBook& book() const { return book_; }
   /// Aggregate of the book's live hosts / planned VMs — the per-shard
   /// summary the federation's global planner balances. Only meaningful
   /// when book_ready(); reflects the fleet as of the last reconcile (the
@@ -161,15 +157,20 @@ class ClusterManager {
   /// cross-cluster tier would see.
   [[nodiscard]] consolidation::BookTotals book_totals() const { return book_.totals(); }
 
+  /// The planner's view of a host (its class, named "<class>-<id>", with
+  /// the hypervisor agent's credit reserved) and of a VM (purchased credit
+  /// + memory) — what the book is fed, and what a from-scratch place_ffd
+  /// oracle over the live fleet must be fed to reproduce its plan.
+  [[nodiscard]] static consolidation::HostSpec plan_host_spec(const Cluster& cluster,
+                                                              HostId host);
+  [[nodiscard]] static consolidation::VmSpec plan_vm_spec(const Cluster& cluster,
+                                                          GlobalVmId vm);
+
  private:
   void recover_orphans(common::SimTime now, Cluster& cluster);
   void apply_dvfs(Cluster& cluster);
   /// Seeds the book on first use, then reconciles the pending dirty set.
   void sync_book(const Cluster& cluster);
-  [[nodiscard]] static consolidation::HostSpec plan_host_spec(const Cluster& cluster,
-                                                              HostId host);
-  [[nodiscard]] static consolidation::VmSpec plan_vm_spec(const Cluster& cluster,
-                                                          GlobalVmId vm);
 
   struct RetryState {
     std::size_t attempts = 0;
@@ -191,7 +192,7 @@ class ClusterManager {
   std::size_t restarts_abandoned_ = 0;
   std::size_t last_plan_unplaced_ = 0;
 
-  // Incremental-planning state.
+  // Planner state.
   consolidation::HostBook book_;
   bool book_seeded_ = false;
   std::vector<std::uint8_t> in_book_;        // per VM id: live in the book

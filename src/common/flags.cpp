@@ -72,4 +72,11 @@ long Flags::get_int(const std::string& key, long def) const {
   return parsed;
 }
 
+std::size_t Flags::get_count(const std::string& key, std::size_t def) const {
+  if (!has(key)) return def;
+  const long parsed = get_int(key, 0);
+  if (parsed < 0) fail(key, *get(key), "count must be non-negative");
+  return static_cast<std::size_t>(parsed);
+}
+
 }  // namespace pas::common

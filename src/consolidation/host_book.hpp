@@ -128,6 +128,8 @@ class HostBook {
   /// The placement, equivalent to place_ffd over the dense active lists.
   /// The reference stays valid (and unchanged) until the next mutation.
   [[nodiscard]] const Placement& plan();
+  /// The placement the last plan() served (empty before the first).
+  [[nodiscard]] const Placement& last_plan() const { return placement_; }
 
   /// Dense index -> id maps for the last plan(): active VM/host ids in
   /// ascending order. Valid after plan().

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "cluster/cluster_manager.hpp"
+#include "common/divergence.hpp"
 
 namespace pas::fed {
 
@@ -193,8 +194,8 @@ Federation::ShardLoad Federation::shard_load(ShardId s) const {
   const cluster::Cluster& c = *shards_.at(s);
   ShardLoad load;
   const cluster::ClusterManager* mgr = c.manager();
-  if (mgr != nullptr && mgr->config().incremental && mgr->book_ready()) {
-    // The shard's own incremental book, summed — the aggregate is as fresh
+  if (mgr != nullptr && mgr->book_ready()) {
+    // The shard's own planner book, summed — the aggregate is as fresh
     // as the shard's last planning tick, exactly the staleness a real
     // cross-cluster control plane would see.
     const consolidation::BookTotals totals = mgr->book_totals();
@@ -284,6 +285,47 @@ void Federation::planner_tick(common::SimTime /*now*/) {
     loads[hi].reserved_mb -= best_mem;
     loads[lo].reserved_mb += best_mem;
   }
+}
+
+std::optional<std::string> first_divergence(const Federation& a, const Federation& b) {
+  using common::FieldDiff;
+  if (auto d = FieldDiff{}
+                   .field("shard_count", a.shard_count(), b.shard_count())
+                   .field("cross-shard records", a.cross_shard_records().size(),
+                          b.cross_shard_records().size())
+                   .field("vm_count", a.vm_count(), b.vm_count())
+                   .first())
+    return d;
+  for (ShardId s = 0; s < a.shard_count(); ++s)
+    if (auto d = cluster::first_divergence(a.shard(s), b.shard(s)))
+      return "shard " + std::to_string(s) + ": " + *d;
+  for (std::size_t i = 0; i < a.cross_shard_records().size(); ++i) {
+    const FedMigrationRecord& ra = a.cross_shard_records()[i];
+    const FedMigrationRecord& rb = b.cross_shard_records()[i];
+    auto d = FieldDiff{}
+                 .field("vm", ra.vm, rb.vm)
+                 .field("from_shard", ra.from_shard, rb.from_shard)
+                 .field("to_shard", ra.to_shard, rb.to_shard)
+                 .field("from_host", ra.from_host, rb.from_host)
+                 .field("to_host", ra.to_host, rb.to_host)
+                 .field("src_vm", ra.src_vm, rb.src_vm)
+                 .field("dst_vm", ra.dst_vm, rb.dst_vm)
+                 .field("link", ra.link, rb.link)
+                 .first();
+    if (!d) d = cluster::migration_divergence(ra.record, rb.record);
+    if (d) return "cross-shard record " + std::to_string(i) + " " + *d;
+  }
+  for (FedVmId v = 0; v < a.vm_count(); ++v)
+    if (auto d = FieldDiff{}
+                     .field("shard", a.locate(v).shard, b.locate(v).shard)
+                     .field("local id", a.locate(v).vm, b.locate(v).vm)
+                     .first())
+      return "fed vm " + std::to_string(v) + " " + *d;
+  return FieldDiff{}
+      .field("planner_ticks", a.planner_ticks(), b.planner_ticks())
+      .field("moves_issued", a.moves_issued(), b.moves_issued())
+      .field("cross_shard_in_flight", a.cross_shard_in_flight(), b.cross_shard_in_flight())
+      .first();
 }
 
 }  // namespace pas::fed

@@ -36,8 +36,8 @@
 // Cluster::set_federation_lock.
 //
 // Planner: each tick reads per-shard aggregate books — the manager's
-// incremental consolidation::HostBook summed by HostBook::totals() when
-// seeded, a direct deterministic scan otherwise — and issues at most
+// consolidation::HostBook summed by HostBook::totals() when seeded, a
+// direct deterministic scan otherwise — and issues at most
 // max_cross_shard_per_tick moves from the most- to the least-utilized
 // shard while their reserved-memory utilization gap exceeds the
 // threshold. The global tier balances shard AGGREGATES; placement inside
@@ -48,6 +48,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -216,5 +218,13 @@ class Federation {
   common::SimTime now_{};
   bool started_ = false;
 };
+
+/// The federation tier's identity comparator: nullopt when `a` and `b` ran
+/// identically, else a message naming the first shard, ledger entry or VM
+/// that differs. Every shard goes through cluster::first_divergence; on top
+/// come the cross-shard ledger (every FedMigrationRecord field), the
+/// planner counters and the VM registry.
+[[nodiscard]] std::optional<std::string> first_divergence(const Federation& a,
+                                                          const Federation& b);
 
 }  // namespace pas::fed

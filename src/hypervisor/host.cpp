@@ -4,6 +4,9 @@
 #include <cassert>
 #include <span>
 #include <stdexcept>
+#include <string>
+
+#include "common/divergence.hpp"
 
 namespace pas::hv {
 
@@ -619,6 +622,48 @@ void Host::run_until(common::SimTime until) {
       skip_idle_time(until);
   }
   events_.run_until(now_);
+}
+
+std::optional<std::string> first_divergence(const Host& a, const Host& b) {
+  using common::FieldDiff;
+  if (auto d = FieldDiff{}
+                   .field("vm_count", a.vm_count(), b.vm_count())
+                   .field("trace rows", a.trace().size(), b.trace().size())
+                   .first())
+    return d;
+  for (std::size_t i = 0; i < a.trace().size(); ++i) {
+    const auto ra = a.trace().sample(i);
+    const auto rb = b.trace().sample(i);
+    const auto row = [i] { return "trace row " + std::to_string(i) + " "; };
+    if (auto d = FieldDiff{}
+                     .field("t", ra.t, rb.t)
+                     .field("freq_mhz", ra.freq_mhz, rb.freq_mhz)
+                     .field("global_load_pct", ra.global_load_pct, rb.global_load_pct)
+                     .field("absolute_load_pct", ra.absolute_load_pct, rb.absolute_load_pct)
+                     .first())
+      return row() + *d;
+    for (std::size_t v = 0; v < ra.vm_global_pct.size(); ++v)
+      if (auto d = FieldDiff{}
+                       .field("vm_global_pct", ra.vm_global_pct[v], rb.vm_global_pct[v])
+                       .field("vm_absolute_pct", ra.vm_absolute_pct[v], rb.vm_absolute_pct[v])
+                       .field("vm_credit_pct", ra.vm_credit_pct[v], rb.vm_credit_pct[v])
+                       .field("vm_saturated", ra.vm_saturated[v], rb.vm_saturated[v])
+                       .first())
+        return row() + "vm " + std::to_string(v) + " " + *d;
+  }
+  for (common::VmId v = 0; v < a.vm_count(); ++v)
+    if (auto d = FieldDiff{}
+                     .field("total_busy", a.vm(v).total_busy, b.vm(v).total_busy)
+                     .field("total_work", a.vm(v).total_work, b.vm(v).total_work)
+                     .field("window_wanting", a.vm(v).window_wanting, b.vm(v).window_wanting)
+                     .first())
+      return "vm " + std::to_string(v) + " " + *d;
+  return FieldDiff{}
+      .field("idle_time", a.idle_time(), b.idle_time())
+      .field("freq transitions", a.cpufreq().transition_count(),
+             b.cpufreq().transition_count())
+      .energy("energy_joules", a.energy().joules(), b.energy().joules())
+      .first();
 }
 
 }  // namespace pas::hv

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -168,6 +169,7 @@ class Host {
     activity_dirty_ = true;
     return cpufreq_;
   }
+  [[nodiscard]] const cpu::Cpufreq& cpufreq() const { return cpufreq_; }
   [[nodiscard]] const cpu::CpuModel& cpu() const { return cpu_; }
   [[nodiscard]] cpu::CpuModel& cpu_mutable() {
     activity_dirty_ = true;
@@ -304,5 +306,13 @@ class Host {
   std::vector<double> trace_scratch_global_, trace_scratch_absolute_,
       trace_scratch_credit_, trace_scratch_saturated_;
 };
+
+/// The host tier's identity comparator: nullopt when `a` and `b` ran
+/// identically, else a message naming the first field (trace row, VM slot)
+/// that differs. Covers every trace column, idle time, frequency
+/// transitions, each slot's busy time, work and window_wanting, and energy
+/// (the one tolerance: common::kEnergyRelTolerance). This is the contract
+/// behind "fast path ≡ slow-stepped loop".
+[[nodiscard]] std::optional<std::string> first_divergence(const Host& a, const Host& b);
 
 }  // namespace pas::hv

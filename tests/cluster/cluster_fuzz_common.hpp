@@ -1,8 +1,8 @@
 // Shared machinery for the cluster differential tests: seeded random
 // scenario generation (draw_scenario), cluster construction from a spec
 // (build_cluster — fast path and executor-thread count are the knobs the
-// tests sweep), scripted execution (run_spec) and the byte-for-byte
-// observable comparison (expect_identical).
+// tests sweep), scripted execution (run_spec) and the identity assertion
+// over cluster::first_divergence (expect_identical).
 //
 // Used by cluster_fuzz_test.cpp (fast path vs reference loop),
 // cluster_parallel_test.cpp (parallel engine vs serial engine, threads in
@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -300,100 +301,12 @@ inline void run_spec(Cluster& cluster, const ScenarioSpec& s) {
   cluster.run_until(s.horizon);
 }
 
-/// Asserts every observable of `b` matches `a` byte for byte: per-host
-/// traces (every row, every column), integer accounting, frequency
-/// transitions, migration records, residencies, SLA counters, power
-/// states, energy. `label` names the comparison in failure messages.
-inline void expect_identical(Cluster& a, Cluster& b, std::uint64_t seed,
+/// Asserts `b` ran identically to `a` — every observable
+/// cluster::first_divergence covers. `label` names the comparison in
+/// failure messages.
+inline void expect_identical(const Cluster& a, const Cluster& b, std::uint64_t seed,
                              const std::string& label = {}) {
-  const std::string ctx = "seed " + std::to_string(seed) + (label.empty() ? "" : " " + label);
-  for (HostId h = 0; h < a.host_count(); ++h) {
-    hv::Host& ha = a.host(h);
-    hv::Host& hb = b.host(h);
-    const auto sa = ha.trace().samples();
-    const auto sb = hb.trace().samples();
-    ASSERT_EQ(sa.size(), sb.size()) << ctx << " host " << h;
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      const auto ra = sa[i];
-      const auto rb = sb[i];
-      ASSERT_EQ(ra.t, rb.t) << ctx << " host " << h << " row " << i;
-      ASSERT_EQ(ra.freq_mhz, rb.freq_mhz) << ctx << " host " << h << " row " << i;
-      ASSERT_EQ(ra.global_load_pct, rb.global_load_pct)
-          << ctx << " host " << h << " row " << i;
-      ASSERT_EQ(ra.absolute_load_pct, rb.absolute_load_pct)
-          << ctx << " host " << h << " row " << i;
-      for (std::size_t v = 0; v < ha.vm_count(); ++v) {
-        ASSERT_EQ(ra.vm_global_pct[v], rb.vm_global_pct[v])
-            << ctx << " host " << h << " row " << i << " vm " << v;
-        ASSERT_EQ(ra.vm_absolute_pct[v], rb.vm_absolute_pct[v])
-            << ctx << " host " << h << " row " << i << " vm " << v;
-        ASSERT_EQ(ra.vm_credit_pct[v], rb.vm_credit_pct[v])
-            << ctx << " host " << h << " row " << i << " vm " << v;
-        ASSERT_EQ(ra.vm_saturated[v], rb.vm_saturated[v])
-            << ctx << " host " << h << " row " << i << " vm " << v;
-      }
-    }
-    ASSERT_EQ(ha.idle_time(), hb.idle_time()) << ctx << " host " << h;
-    ASSERT_EQ(ha.cpufreq().transition_count(), hb.cpufreq().transition_count())
-        << ctx << " host " << h;
-    for (common::VmId v = 0; v < ha.vm_count(); ++v) {
-      ASSERT_EQ(ha.vm(v).total_busy, hb.vm(v).total_busy)
-          << ctx << " host " << h << " vm " << v;
-      ASSERT_EQ(ha.vm(v).total_work, hb.vm(v).total_work)
-          << ctx << " host " << h << " vm " << v;
-      ASSERT_EQ(ha.vm(v).window_wanting, hb.vm(v).window_wanting)
-          << ctx << " host " << h << " vm " << v;
-    }
-    ASSERT_NEAR(ha.energy().joules(), hb.energy().joules(),
-                1e-9 * (ha.energy().joules() + 1.0))
-        << ctx << " host " << h;
-  }
-
-  // Cluster-level observables: migrations happened at the same instants
-  // with the same cost structure, residencies and SLA counters agree.
-  const auto& ma = a.migrations();
-  const auto& mb = b.migrations();
-  ASSERT_EQ(ma.size(), mb.size()) << ctx;
-  for (std::size_t i = 0; i < ma.size(); ++i) {
-    ASSERT_EQ(ma[i].vm, mb[i].vm) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].from, mb[i].from) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].to, mb[i].to) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].start, mb[i].start) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].stop, mb[i].stop) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].end, mb[i].end) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].rounds, mb[i].rounds) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].transferred_mb, mb[i].transferred_mb) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].downtime, mb[i].downtime) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].outcome, mb[i].outcome) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].credit_exported, mb[i].credit_exported) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].credit_imported, mb[i].credit_imported) << ctx << " migration " << i;
-  }
-  // Fault-path observables: crash states, VM lifecycle and recovery events
-  // must replay identically too (all zero/empty in fault-free scenarios).
-  const auto& ra = a.recoveries();
-  const auto& rb = b.recoveries();
-  ASSERT_EQ(ra.size(), rb.size()) << ctx;
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    ASSERT_EQ(ra[i].vm, rb[i].vm) << ctx << " recovery " << i;
-    ASSERT_EQ(ra[i].crashed_at, rb[i].crashed_at) << ctx << " recovery " << i;
-    ASSERT_EQ(ra[i].restarted_at, rb[i].restarted_at) << ctx << " recovery " << i;
-  }
-  for (GlobalVmId gid = 0; gid < a.vm_count(); ++gid) {
-    ASSERT_EQ(a.vm_state(gid), b.vm_state(gid)) << ctx << " vm " << gid;
-    ASSERT_EQ(a.residence(gid), b.residence(gid)) << ctx << " vm " << gid;
-    ASSERT_EQ(a.sla().violation_time(gid), b.sla().violation_time(gid))
-        << ctx << " vm " << gid;
-    ASSERT_EQ(a.sla().observed_time(gid), b.sla().observed_time(gid))
-        << ctx << " vm " << gid;
-    ASSERT_EQ(a.vm_stats(gid).downtime, b.vm_stats(gid).downtime)
-        << ctx << " vm " << gid;
-  }
-  for (HostId h = 0; h < a.host_count(); ++h) {
-    ASSERT_EQ(a.powered_on(h), b.powered_on(h)) << ctx << " host " << h;
-    ASSERT_EQ(a.crashed(h), b.crashed(h)) << ctx << " host " << h;
-  }
-  ASSERT_NEAR(a.energy_joules(), b.energy_joules(), 1e-9 * (a.energy_joules() + 1.0))
-      << ctx;
+  ASSERT_EQ(first_divergence(a, b), std::nullopt) << "seed " << seed << " " << label;
 }
 
 }  // namespace pas::cluster::fuzz

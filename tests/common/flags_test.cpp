@@ -89,6 +89,27 @@ TEST(FlagsTest, RejectsNonNumber) {
   EXPECT_THROW((void)f.get_double("n", 0.0), std::runtime_error);
 }
 
+TEST(FlagsTest, RejectsNegativeCounts) {
+  // A negative count must be refused at the flag, not wrapped through
+  // static_cast<std::size_t> into an allocation failure far from the typo.
+  for (const char* arg : {"--hosts=-1", "--threads=-2", "--scale-hosts=-5", "--federation=-1"}) {
+    const Flags f = make({arg});
+    const std::string key = std::string{arg}.substr(2, std::string{arg}.find('=') - 2);
+    try {
+      (void)f.get_count(key, 1);
+      FAIL() << arg << ": expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(arg), std::string::npos) << e.what();
+    }
+    EXPECT_LT(f.get_int(key, 1), 0) << "get_int itself still parses " << arg;
+  }
+  const Flags f = make({"--hosts=0", "--vms=12", "--junk=3x"});
+  EXPECT_EQ(f.get_count("hosts", 8), 0u);
+  EXPECT_EQ(f.get_count("vms", 64), 12u);
+  EXPECT_EQ(f.get_count("absent", 7), 7u);
+  EXPECT_THROW((void)f.get_count("junk", 1), std::runtime_error);
+}
+
 TEST(FlagsTest, AcceptsWellFormedNumbers) {
   const Flags f = make({"--a=-12", "--b=1e3", "--c=0.5", "--d=+7"});
   EXPECT_EQ(f.get_int("a", 0), -12);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "core/pas_controller.hpp"
 #include "governor/governors.hpp"
@@ -59,7 +61,8 @@ std::unique_ptr<Scheduler> make_sched(Sched kind) {
 
 /// A small hosting mix that exercises every workload kind and both idle
 /// tails (no-runnable stretches and over-cap stretches).
-std::unique_ptr<Host> build_mixed_host(bool fast_path, Sched kind, bool controller) {
+std::unique_ptr<Host> build_mixed_host(bool fast_path, Sched kind, bool controller,
+                                       std::uint64_t web_seed = 42) {
   HostConfig hc;
   hc.trace_stride = seconds(1);
   hc.event_driven_fast_path = fast_path;
@@ -73,7 +76,7 @@ std::unique_ptr<Host> build_mixed_host(bool fast_path, Sched kind, bool controll
     cfg.credit = 10.0;
     wl::WebAppConfig wc;
     wc.queue_capacity = 200;
-    wc.seed = 42;
+    wc.seed = web_seed;
     const double rate = wl::WebApp::rate_for_demand(10.0, wc.request_cost);
     host->add_vm(cfg, std::make_unique<wl::WebApp>(
                           wl::LoadProfile::pulse(seconds(10), seconds(70), rate), wc));
@@ -106,35 +109,7 @@ void expect_identical_runs(Sched kind, bool controller) {
   slow->run_until(seconds(120));
   fast->run_until(seconds(120));
 
-  // Byte-identical trace: every sampled quantity, every row.
-  const auto sa = slow->trace().samples();
-  const auto sb = fast->trace().samples();
-  ASSERT_EQ(sa.size(), sb.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    const auto ra = sa[i];
-    const auto rb = sb[i];
-    EXPECT_EQ(ra.t, rb.t) << "row " << i;
-    EXPECT_EQ(ra.freq_mhz, rb.freq_mhz) << "row " << i;
-    EXPECT_EQ(ra.global_load_pct, rb.global_load_pct) << "row " << i;
-    EXPECT_EQ(ra.absolute_load_pct, rb.absolute_load_pct) << "row " << i;
-    for (std::size_t v = 0; v < slow->vm_count(); ++v) {
-      EXPECT_EQ(ra.vm_global_pct[v], rb.vm_global_pct[v]) << "row " << i << " vm " << v;
-      EXPECT_EQ(ra.vm_absolute_pct[v], rb.vm_absolute_pct[v]) << "row " << i << " vm " << v;
-      EXPECT_EQ(ra.vm_credit_pct[v], rb.vm_credit_pct[v]) << "row " << i << " vm " << v;
-      EXPECT_EQ(ra.vm_saturated[v], rb.vm_saturated[v]) << "row " << i << " vm " << v;
-    }
-  }
-  // Integer accounting is exactly equal; energy may differ only by
-  // floating-point summation order across idle chunks.
-  EXPECT_EQ(slow->idle_time(), fast->idle_time());
-  EXPECT_EQ(slow->cpufreq().transition_count(), fast->cpufreq().transition_count());
-  for (common::VmId v = 0; v < slow->vm_count(); ++v) {
-    EXPECT_EQ(slow->vm(v).total_busy, fast->vm(v).total_busy) << "vm " << v;
-    EXPECT_EQ(slow->vm(v).total_work, fast->vm(v).total_work) << "vm " << v;
-    EXPECT_EQ(slow->vm(v).window_wanting, fast->vm(v).window_wanting) << "vm " << v;
-  }
-  EXPECT_NEAR(slow->energy().joules(), fast->energy().joules(),
-              1e-6 * slow->energy().joules());
+  EXPECT_EQ(first_divergence(*slow, *fast), std::nullopt);
 }
 
 TEST(HostFastPathTest, TraceIdenticalToSlowLoopCredit) {
@@ -151,6 +126,26 @@ TEST(HostFastPathTest, TraceIdenticalToSlowLoopSedf) {
 
 TEST(HostFastPathTest, TraceIdenticalToSlowLoopCredit2) {
   expect_identical_runs(Sched::kCredit2, /*controller=*/false);
+}
+
+TEST(HostFastPathTest, FirstDivergenceNamesThePerturbedRow) {
+  auto a = build_mixed_host(/*fast_path=*/true, Sched::kCredit, /*controller=*/false);
+  auto b = build_mixed_host(/*fast_path=*/true, Sched::kCredit, /*controller=*/false,
+                            /*web_seed=*/43);
+  a->run_until(seconds(120));
+  b->run_until(seconds(120));
+  EXPECT_EQ(first_divergence(*a, *a), std::nullopt);
+  // A reseeded web tenant first shows in the trace, no earlier than the
+  // row its request pulse opens (10 s at a 1 s stride).
+  const std::optional<std::string> d = first_divergence(*a, *b);
+  ASSERT_TRUE(d.has_value());
+  ASSERT_EQ(d->rfind("trace row ", 0), 0u) << *d;
+  EXPECT_GE(std::stoul(d->substr(10)), 10u) << *d;
+  // Slow vs fast differ only in the energy's low bits: the one tolerance.
+  auto slow = build_mixed_host(/*fast_path=*/false, Sched::kCredit, /*controller=*/false);
+  slow->run_until(seconds(120));
+  ASSERT_NE(slow->energy().joules(), a->energy().joules());
+  EXPECT_EQ(first_divergence(*slow, *a), std::nullopt);
 }
 
 TEST(HostFastPathTest, BulkIdleSkipMatchesSteppedRun) {
@@ -184,33 +179,10 @@ TEST(HostFastPathTest, BulkIdleSkipMatchesSteppedRun) {
 
   auto expect_equal = [&](const char* where) {
     ASSERT_EQ(skipped->now(), stepped->now()) << where;
-    EXPECT_EQ(skipped->idle_time(), stepped->idle_time()) << where;
+    EXPECT_EQ(first_divergence(*skipped, *stepped), std::nullopt) << where;
+    // Stricter than the comparator's energy tolerance: the bulk skip
+    // replays the stepped run's exact energy chunks, so the bits match.
     EXPECT_EQ(skipped->energy().joules(), stepped->energy().joules()) << where;
-    for (common::VmId v = 0; v < skipped->vm_count(); ++v) {
-      EXPECT_EQ(skipped->vm(v).total_busy, stepped->vm(v).total_busy)
-          << where << " vm " << v;
-      EXPECT_EQ(skipped->vm(v).window_wanting, stepped->vm(v).window_wanting)
-          << where << " vm " << v;
-    }
-    const auto sa = skipped->trace().samples();
-    const auto sb = stepped->trace().samples();
-    ASSERT_EQ(sa.size(), sb.size()) << where;
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      const auto ra = sa[i];
-      const auto rb = sb[i];
-      EXPECT_EQ(ra.t, rb.t) << where << " row " << i;
-      EXPECT_EQ(ra.freq_mhz, rb.freq_mhz) << where << " row " << i;
-      EXPECT_EQ(ra.global_load_pct, rb.global_load_pct) << where << " row " << i;
-      EXPECT_EQ(ra.absolute_load_pct, rb.absolute_load_pct) << where << " row " << i;
-      for (std::size_t v = 0; v < skipped->vm_count(); ++v) {
-        EXPECT_EQ(ra.vm_global_pct[v], rb.vm_global_pct[v])
-            << where << " row " << i << " vm " << v;
-        EXPECT_EQ(ra.vm_credit_pct[v], rb.vm_credit_pct[v])
-            << where << " row " << i << " vm " << v;
-        EXPECT_EQ(ra.vm_saturated[v], rb.vm_saturated[v])
-            << where << " row " << i << " vm " << v;
-      }
-    }
   };
 
   // Phase 1: run both through the busy pulse into the idle stretch.
@@ -262,18 +234,11 @@ TEST(HostFastPathTest, OffGridEventPeriodsStayIdentical) {
   auto fast = build(true);
   slow->run_until(seconds(20));
   fast->run_until(seconds(20));
-  EXPECT_EQ(slow->idle_time(), fast->idle_time());
-  EXPECT_EQ(slow->vm(0).total_busy, fast->vm(0).total_busy);
+  EXPECT_EQ(first_divergence(*slow, *fast), std::nullopt);
   const auto& web_slow = dynamic_cast<const wl::WebApp&>(slow->workload(0));
   const auto& web_fast = dynamic_cast<const wl::WebApp&>(fast->workload(0));
   EXPECT_EQ(web_slow.completed(), web_fast.completed());
   EXPECT_EQ(web_slow.latency_sec().mean(), web_fast.latency_sec().mean());
-  ASSERT_EQ(slow->trace().size(), fast->trace().size());
-  for (std::size_t i = 0; i < slow->trace().size(); ++i) {
-    EXPECT_EQ(slow->trace().sample(i).vm_global_pct[0],
-              fast->trace().sample(i).vm_global_pct[0])
-        << "row " << i;
-  }
 }
 
 TEST(HostFastPathTest, SpuriousWakeupRetriesOthers) {
@@ -365,11 +330,7 @@ TEST(HostFastPathTest, OverCapIdleIdenticalAcrossModes) {
                      wl::LoadProfile::pulse(seconds(2), seconds(7), 1.0)));
     h->run_until(common::msec(8765));
   }
-  EXPECT_EQ(slow.idle_time(), fast.idle_time());
-  for (common::VmId v = 0; v < 2; ++v) {
-    EXPECT_EQ(slow.vm(v).total_busy, fast.vm(v).total_busy);
-    EXPECT_EQ(slow.vm(v).window_wanting, fast.vm(v).window_wanting);
-  }
+  EXPECT_EQ(first_divergence(slow, fast), std::nullopt);
 }
 
 }  // namespace
