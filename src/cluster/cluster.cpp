@@ -51,6 +51,24 @@ std::vector<platform::HostClass> resolve_classes(const ClusterConfig& cfg) {
   return std::vector<platform::HostClass>(cfg.host_count, c);
 }
 
+/// The lifecycle graph documented on VmState, which set_state enforces.
+[[maybe_unused]] bool legal_transition(VmState from, VmState to) {
+  switch (from) {
+    case VmState::kRunning:
+      return to == VmState::kOrphaned || to == VmState::kLost || to == VmState::kStopped ||
+             to == VmState::kDeparted;
+    case VmState::kOrphaned:
+      return to == VmState::kRunning || to == VmState::kLost;
+    case VmState::kStopped:
+    case VmState::kInbound:
+      return to == VmState::kRunning;
+    case VmState::kLost:
+    case VmState::kDeparted:
+      return false;
+  }
+  return false;
+}
+
 }  // namespace
 
 RecoveryStats summarize_recoveries(const std::vector<VmRecovery>& recoveries) {
@@ -113,8 +131,25 @@ Cluster::~Cluster() = default;
 GlobalVmId Cluster::add_vm(ClusterVmConfig config, std::unique_ptr<wl::Workload> workload,
                            HostId home) {
   if (started_) throw std::logic_error("Cluster: add_vm after run started");
-  if (home >= hosts_.size()) throw std::invalid_argument("Cluster: bad home host");
   if (workload == nullptr) throw std::invalid_argument("Cluster: workload required");
+  return register_vm(std::move(config), std::move(workload), home, VmState::kRunning);
+}
+
+GlobalVmId Cluster::admit_inbound(ClusterVmConfig config, HostId home) {
+  if (home < hosts_.size() && crashed_[home])
+    throw std::invalid_argument("Cluster: inbound destination host crashed");
+  // Mid-run registration rides the same between-segments Host::add_vm path
+  // ensure_slot uses: the slot parks an IdleGuest until the federation
+  // link's attach delivers the guest (workload + credit) into it.
+  const GlobalVmId gid = register_vm(std::move(config), std::make_unique<wl::IdleGuest>(),
+                                     home, VmState::kInbound);
+  set_powered(home, true);  // the destination must be receiving
+  return gid;
+}
+
+GlobalVmId Cluster::register_vm(ClusterVmConfig config, std::unique_ptr<wl::Workload> workload,
+                                HostId home, VmState state) {
+  if (home >= hosts_.size()) throw std::invalid_argument("Cluster: bad home host");
   if (config.memory_mb <= 0.0)
     throw std::invalid_argument("Cluster: VM memory must be positive");
 
@@ -127,7 +162,7 @@ GlobalVmId Cluster::add_vm(ClusterVmConfig config, std::unique_ptr<wl::Workload>
   home_.push_back(home);
   home_slot_.push_back(slot_id);
   vm_slots_.emplace_back();
-  vm_state_.push_back(VmState::kRunning);
+  vm_state_.push_back(state);
   held_wl_.emplace_back();
   held_since_.emplace_back();
   downtime_.emplace_back();
@@ -138,34 +173,22 @@ GlobalVmId Cluster::add_vm(ClusterVmConfig config, std::unique_ptr<wl::Workload>
   return gid;
 }
 
-GlobalVmId Cluster::admit_inbound(ClusterVmConfig config, HostId home) {
-  if (home >= hosts_.size()) throw std::invalid_argument("Cluster: bad home host");
-  if (config.memory_mb <= 0.0)
-    throw std::invalid_argument("Cluster: VM memory must be positive");
-  if (crashed_[home])
-    throw std::invalid_argument("Cluster: inbound destination host crashed");
-
-  const auto gid = static_cast<GlobalVmId>(vm_cfgs_.size());
-  // Mid-run registration rides the same between-segments Host::add_vm path
-  // ensure_slot uses: the slot parks an IdleGuest until the federation
-  // link's attach delivers the guest (workload + credit) into it.
-  const common::VmId slot_id =
-      hosts_[home]->add_vm(config.vm, std::make_unique<wl::IdleGuest>());
-  sla_.register_vm(gid, config.vm.credit);
-  vm_cfgs_.push_back(std::move(config));
-  home_.push_back(home);
-  home_slot_.push_back(slot_id);
-  vm_slots_.emplace_back();
-  vm_state_.push_back(VmState::kInbound);
-  held_wl_.emplace_back();
-  held_since_.emplace_back();
-  downtime_.emplace_back();
-  migration_count_.push_back(0);
-  fed_locked_.push_back(0);
-  record_slot(home, gid, slot_id);
-  set_powered(home, true);  // the destination must be receiving
+void Cluster::set_state(GlobalVmId vm, VmState to) {
+  assert(legal_transition(vm_state_[vm], to) && "illegal VM lifecycle transition");
+  vm_state_[vm] = to;
   ++topology_version_;
-  return gid;
+  if (manager_) manager_->note_vm_event(vm);
+}
+
+std::unique_ptr<wl::Workload> Cluster::drain(GlobalVmId vm) {
+  hv::Host& h = *hosts_[home_[vm]];
+  const common::VmId s = home_slot_[vm];
+  auto workload = h.swap_workload(s, std::make_unique<wl::IdleGuest>());
+  // The balance dies with the slot (unlike a migration's export, nothing
+  // carries it), and the cap drops to zero so the parked slot earns nothing.
+  h.scheduler().set_cap(s, 0.0);
+  h.scheduler().import_credit(s, common::SimTime{});
+  return workload;
 }
 
 void Cluster::mark_departed(GlobalVmId vm) {
@@ -174,10 +197,8 @@ void Cluster::mark_departed(GlobalVmId vm) {
     throw std::logic_error("Cluster: only a running VM can depart");
   // The link's detach already drained the slot (workload held in the
   // flight, credit exported, cap zeroed) — only the bookkeeping is ours.
-  vm_state_[vm] = VmState::kDeparted;
   fed_locked_[vm] = 0;
-  ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
+  set_state(vm, VmState::kDeparted);
 }
 
 void Cluster::complete_inbound(GlobalVmId vm, common::SimTime downtime) {
@@ -185,7 +206,7 @@ void Cluster::complete_inbound(GlobalVmId vm, common::SimTime downtime) {
   if (vm_state_[vm] != VmState::kInbound)
     throw std::logic_error("Cluster: complete_inbound on a non-inbound VM");
   set_powered(home_[vm], true);
-  vm_state_[vm] = VmState::kRunning;
+  set_state(vm, VmState::kRunning);
   downtime_[vm] += downtime;
   ++migration_count_[vm];
   // Same SLA contract as an intra-cluster stop-and-copy: the pause is one
@@ -193,13 +214,11 @@ void Cluster::complete_inbound(GlobalVmId vm, common::SimTime downtime) {
   // bought.
   if (downtime > common::SimTime{})
     sla_.record_window(vm, downtime, 0.0, /*saturated=*/true);
-  ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
 }
 
-void Cluster::set_federation_lock(GlobalVmId vm, bool locked) {
+void Cluster::set_federation_lock(GlobalVmId vm) {
   if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
-  fed_locked_[vm] = locked ? 1 : 0;
+  fed_locked_[vm] = 1;
 }
 
 void Cluster::record_slot(HostId host, GlobalVmId vm, common::VmId slot) {
@@ -320,8 +339,7 @@ void Cluster::on_migration_done(const MigrationRecord& record) {
     case MigrationOutcome::kLostSourceCrash:
       // The guest evaporated with its source; the crash sweep that caused
       // this runs right after and handles the host side.
-      vm_state_[record.vm] = VmState::kLost;
-      if (manager_) manager_->note_vm_event(record.vm);
+      set_state(record.vm, VmState::kLost);
       break;
   }
 }
@@ -374,6 +392,17 @@ bool Cluster::crash_host(HostId host, bool restart_orphans) {
   for (const auto c : crashed_)
     if (c == 0) ++alive;
   if (alive <= 1) return false;  // a zero-host cluster cannot be simulated
+  // A cross-shard flight endpoint cannot crash until the flight resolves:
+  // the federation link owns the guest's source slot (fed-locked, through
+  // pre-copy) or its landing slot (kInbound), and neither side of this
+  // cluster could tear it off without stranding the link's detach/attach.
+  for (const auto& entry : host_slots_[host]) {
+    const GlobalVmId gid = entry.first;
+    if (home_[gid] != host) continue;
+    if (vm_state_[gid] == VmState::kInbound ||
+        (vm_state_[gid] == VmState::kRunning && fed_locked_[gid]))
+      return false;
+  }
 
   crashed_[host] = 1;
   // Migrations first, residents second: a destination crash then rolls its
@@ -381,27 +410,22 @@ bool Cluster::crash_host(HostId host, bool restart_orphans) {
   // during pre-copy returns the guest to `host` in time for the resident
   // sweep below to orphan it like any other resident.
   engine_->abort_host_flights(host, now_);
-  hv::Host& h = *hosts_[host];
   // Resident sweep over the host's slot holders, ascending VM id — only
   // VMs that actually touched this host can be resident on it.
-  for (const auto& [gid, s] : host_slots_[host]) {
+  for (const auto& entry : host_slots_[host]) {
+    const GlobalVmId gid = entry.first;
     if (home_[gid] != host || vm_state_[gid] != VmState::kRunning) continue;
-    auto workload = h.swap_workload(s, std::make_unique<wl::IdleGuest>());
-    // Crash semantics for credit: the balance dies with the host (unlike a
-    // migration's export, nothing carries it), and the cap drops to zero so
-    // the dead slot earns nothing.
-    h.scheduler().set_cap(s, 0.0);
-    h.scheduler().import_credit(s, common::SimTime{});
+    auto workload = drain(gid);
     if (restart_orphans) {
-      vm_state_[gid] = VmState::kOrphaned;
       held_wl_[gid] = std::move(workload);
       held_since_[gid] = now_;
+      set_state(gid, VmState::kOrphaned);
     } else {
-      vm_state_[gid] = VmState::kLost;
+      set_state(gid, VmState::kLost);
     }
-    if (manager_) manager_->note_vm_event(gid);
   }
   // Silence the host's hypervisor agent too — a crashed host burns no CPU.
+  hv::Host& h = *hosts_[host];
   h.scheduler().set_cap(0, 0.0);
   h.scheduler().import_credit(0, common::SimTime{});
   if (manager_) manager_->note_host_crashed(host);
@@ -412,27 +436,43 @@ bool Cluster::crash_host(HostId host, bool restart_orphans) {
   return true;
 }
 
-bool Cluster::restart_vm(GlobalVmId vm, HostId to) {
+bool Cluster::stop_vm(GlobalVmId vm) {
+  if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
+  if (vm_state_[vm] != VmState::kRunning || engine_->in_flight(vm)) return false;
+  if (fed_locked_[vm]) return false;  // a federation flight owns its placement
+
+  // Same drain as a crash sweep, but into the held store on purpose, and
+  // with no SLA consequence: the monitor simply stops sampling a
+  // non-running VM (sample_sla's filter).
+  held_wl_[vm] = drain(vm);
+  set_state(vm, VmState::kStopped);
+  return true;
+}
+
+bool Cluster::start_vm(GlobalVmId vm, HostId to) {
   if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
   if (to >= hosts_.size()) throw std::invalid_argument("Cluster: bad host id");
-  if (vm_state_[vm] != VmState::kOrphaned || crashed_[to]) return false;
+  const VmState from = vm_state_[vm];
+  if ((from != VmState::kStopped && from != VmState::kOrphaned) || crashed_[to]) return false;
 
-  set_powered(to, true);  // recovery may revive a VOVO-parked host
+  set_powered(to, true);  // resuming may revive a VOVO-parked host
   hv::Host& dst = *hosts_[to];
   const common::VmId s = ensure_slot(to, vm);
   (void)dst.swap_workload(s, std::move(held_wl_[vm]));
   const ClusterVmConfig& cfg = vm_cfgs_[vm];
   // Same re-attach contract as a migration's attach: purchased credit
   // compensated for the destination's current P-state — but with an empty
-  // balance, because the crash burned whatever the slot held.
+  // balance, because the drain (stop or crash) cleared whatever the slot
+  // held.
   dst.scheduler().set_cap(s, core::compensated_credit(cfg.vm.credit, dst.cpu().ladder(),
                                                       dst.cpu().current_index()));
   dst.scheduler().import_credit(s, common::SimTime{});
   home_[vm] = to;
   home_slot_[vm] = s;
-  vm_state_[vm] = VmState::kRunning;
-  ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
+  set_state(vm, VmState::kRunning);
+  if (from == VmState::kStopped) return true;
+  // A crash recovery: the outage [crash, now] is one fully violated SLA
+  // window. A stop was requested, not suffered, so it is never charged.
   const common::SimTime outage = now_ - held_since_[vm];
   if (outage > common::SimTime{})
     sla_.record_window(vm, outage, 0.0, /*saturated=*/true);
@@ -440,67 +480,16 @@ bool Cluster::restart_vm(GlobalVmId vm, HostId to) {
   return true;
 }
 
-bool Cluster::stop_vm(GlobalVmId vm) {
-  if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
-  if (vm_state_[vm] != VmState::kRunning || engine_->in_flight(vm)) return false;
-  if (fed_locked_[vm]) return false;  // a federation flight owns its placement
-
-  hv::Host& h = *hosts_[home_[vm]];
-  const common::VmId s = home_slot_[vm];
-  // Same drain as a crash sweep — workload off-host, cap 0, balance gone —
-  // but into the held store on purpose, and with no SLA consequence: the
-  // monitor simply stops sampling a non-running VM (sample_sla's filter).
-  held_wl_[vm] = h.swap_workload(s, std::make_unique<wl::IdleGuest>());
-  h.scheduler().set_cap(s, 0.0);
-  h.scheduler().import_credit(s, common::SimTime{});
-  vm_state_[vm] = VmState::kStopped;
-  ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
-  return true;
-}
-
-bool Cluster::start_vm(GlobalVmId vm, HostId to) {
-  if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
-  if (to >= hosts_.size()) throw std::invalid_argument("Cluster: bad host id");
-  if (vm_state_[vm] != VmState::kStopped || crashed_[to]) return false;
-
-  set_powered(to, true);  // resuming may revive a VOVO-parked host
-  hv::Host& dst = *hosts_[to];
-  const common::VmId s = ensure_slot(to, vm);
-  (void)dst.swap_workload(s, std::move(held_wl_[vm]));
-  const ClusterVmConfig& cfg = vm_cfgs_[vm];
-  // Re-attach like a recovery restart — compensated purchased credit,
-  // empty balance — but without the SLA outage charge: the interval was a
-  // requested stop, not a violation.
-  dst.scheduler().set_cap(s, core::compensated_credit(cfg.vm.credit, dst.cpu().ladder(),
-                                                      dst.cpu().current_index()));
-  dst.scheduler().import_credit(s, common::SimTime{});
-  home_[vm] = to;
-  home_slot_[vm] = s;
-  vm_state_[vm] = VmState::kRunning;
-  ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
-  return true;
-}
-
 void Cluster::mark_lost(GlobalVmId vm) {
   if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
   if (vm_state_[vm] != VmState::kOrphaned) return;
   held_wl_[vm].reset();
-  vm_state_[vm] = VmState::kLost;
-  ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
+  set_state(vm, VmState::kLost);
 }
 
 bool Cluster::abort_migration(GlobalVmId vm) {
   if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
   return engine_->cancel(vm, now_);
-}
-
-bool Cluster::abort_oldest_migration() {
-  const auto vms = engine_->in_flight_vms();
-  if (vms.empty()) return false;
-  return engine_->cancel(vms.front(), now_);
 }
 
 void Cluster::set_link_bandwidth(double mb_per_s) {

@@ -150,19 +150,29 @@ struct ClusterConfig {
 
 /// Lifecycle of a cluster VM under faults and external control. Healthy,
 /// uncommanded clusters only ever see kRunning; kOrphaned/kLost exist
-/// because hosts can crash, kStopped because operators can say stop.
+/// because hosts can crash, kStopped because operators can say stop,
+/// kInbound/kDeparted because a federation can move a guest between
+/// clusters. Every change after registration is one of
+///
+///     kRunning  -> kOrphaned | kLost | kStopped | kDeparted
+///     kOrphaned -> kRunning | kLost
+///     kStopped  -> kRunning
+///     kInbound  -> kRunning
+///
+/// (kLost and kDeparted are terminal), and each one bumps
+/// topology_version() and tells the manager.
 enum class VmState : std::uint8_t {
   kRunning = 0,
   /// Its host crashed but the VM is restartable: the cluster holds its
-  /// workload off-host until the manager's recovery path places it (or
-  /// gives up and marks it lost).
+  /// workload off-host until the manager's recovery path start_vm()s it
+  /// elsewhere (or gives up and marks it lost).
   kOrphaned,
   /// Gone for good — crashed without restart, recovery abandoned, or lost
   /// mid-migration (MigrationOutcome::kLostSourceCrash).
   kLost,
   /// Administratively stopped (ctl stop_vm): the workload is held off-host
   /// like an orphan's, but deliberately — no SLA accrues and no recovery
-  /// path touches it; only start_vm resumes it.
+  /// path touches it; only an explicit start_vm resumes it.
   kStopped,
   /// Arriving from another cluster (federation WAN migration, destination
   /// side): registered and slot-parked here, but the guest still runs on
@@ -255,16 +265,11 @@ class Cluster {
   /// otherwise — and finally the host powers off. Refuses (returns false)
   /// to crash an already-crashed host or the last live one; a crashed host
   /// keeps following the clock (idle, energy-gated off) so the fleet stays
-  /// lockstep.
+  /// lockstep. Also refuses while the host is an endpoint of a federation
+  /// flight — it holds a fed-locked running VM (the source, through
+  /// pre-copy) or a kInbound one (the destination) — until the flight
+  /// resolves.
   bool crash_host(HostId host, bool restart_orphans);
-
-  /// Restarts an orphaned VM on live host `to` (the manager's recovery
-  /// path). The outage [crash, now] is SLA-charged as one fully violated
-  /// window; the VM resumes at its purchased credit (compensated for the
-  /// destination's P-state) with an empty credit balance — the crash burned
-  /// whatever balance the slot held. Returns false unless the VM is
-  /// orphaned and `to` is alive.
-  bool restart_vm(GlobalVmId vm, HostId to);
 
   /// Abandons an orphaned VM (recovery retries exhausted): destroys the
   /// held workload, state becomes kLost. SLA windows stop accruing at the
@@ -280,11 +285,14 @@ class Cluster {
   /// kRunning and not in flight.
   bool stop_vm(GlobalVmId vm);
 
-  /// Resumes a stopped VM on live host `to` (not necessarily where it
-  /// stopped): same re-attach contract as a recovery restart — compensated
-  /// purchased credit, empty balance — but with no SLA outage charge.
-  /// Powers `to` on. Returns false unless the VM is kStopped and `to` is
-  /// alive.
+  /// Resumes a held VM — kStopped or kOrphaned — on live host `to` (not
+  /// necessarily where it was): the workload re-attaches at its purchased
+  /// credit, compensated for the destination's P-state, with an empty
+  /// balance (the drain cleared it). Powers `to` on. An orphan's restart
+  /// (the manager's recovery path) also charges the outage [crash, now] as
+  /// one fully violated SLA window and appends a VmRecovery; a stopped VM's
+  /// pause was requested, so it gets neither. Returns false unless the VM
+  /// is held and `to` is alive.
   bool start_vm(GlobalVmId vm, HostId to);
 
   /// Installs the external control plane (optional). Must precede the first
@@ -307,10 +315,6 @@ class Cluster {
   /// Aborts the in-flight migration of `vm` (see MigrationEngine::cancel).
   /// Returns false if none is in flight.
   bool abort_migration(GlobalVmId vm);
-
-  /// Aborts the longest-in-flight migration — the deterministic choice the
-  /// fault injector makes. Returns false if nothing is in flight.
-  bool abort_oldest_migration();
 
   /// Changes the migration-link bandwidth now, re-planning in-flight
   /// pre-copies (see MigrationEngine::set_link_bandwidth).
@@ -335,7 +339,7 @@ class Cluster {
 
   /// Source-side handoff at the federation link's detach: the engine has
   /// already drained the slot (workload + credit are in transit), so this
-  /// just marks the VM kDeparted and feeds the manager's dirty set.
+  /// just releases the federation lock and marks the VM kDeparted.
   /// Throws std::logic_error unless the VM is kRunning.
   void mark_departed(GlobalVmId vm);
 
@@ -346,10 +350,11 @@ class Cluster {
   /// the migration. Throws std::logic_error unless the VM is kInbound.
   void complete_inbound(GlobalVmId vm, common::SimTime downtime);
 
-  /// Federation transfer lock: while set, the shard's own manager and
-  /// control paths cannot migrate or stop the VM — the federation owns its
-  /// placement until the cross-cluster flight resolves.
-  void set_federation_lock(GlobalVmId vm, bool locked);
+  /// Federation transfer lock, set when a cross-cluster flight starts:
+  /// the shard's own manager and control paths cannot migrate or stop the
+  /// VM, and its host cannot crash — the federation owns its placement.
+  /// mark_departed is the only unlock.
+  void set_federation_lock(GlobalVmId vm);
   [[nodiscard]] bool federation_locked(GlobalVmId vm) const {
     return fed_locked_.at(vm) != 0;
   }
@@ -390,8 +395,9 @@ class Cluster {
     return host_slots_.at(host);
   }
   /// Bumped on every topology change: migration begin/done (any outcome),
-  /// crash, restart, loss, and actual power flips. A planner that saw
-  /// version v and converged can skip work until the version moves.
+  /// VM registration, every lifecycle transition, crash, and actual power
+  /// flips. A planner that saw version v and converged can skip work until
+  /// the version moves.
   [[nodiscard]] std::uint64_t topology_version() const { return topology_version_; }
   /// Host currently responsible for the VM (the source until a migration's
   /// attach completes).
@@ -450,6 +456,18 @@ class Cluster {
   void advance_hosts(common::SimTime target);
   void sample_sla(common::SimTime now);
   void on_migration_done(const MigrationRecord& record);
+  /// The one registration path (add_vm, admit_inbound): a slot on `home`
+  /// holding `workload`, SLA accounting, per-VM books, initial `state`.
+  GlobalVmId register_vm(ClusterVmConfig config, std::unique_ptr<wl::Workload> workload,
+                         HostId home, VmState state);
+  /// The only writer of vm_state_ after registration: asserts the change
+  /// is a legal lifecycle edge, bumps the topology version and feeds the
+  /// manager's dirty set.
+  void set_state(GlobalVmId vm, VmState to);
+  /// Takes a running VM's guest off its residence slot (stop, crash):
+  /// parks an IdleGuest there, zeroes the cap and the balance, and returns
+  /// the workload for the caller to hold or drop.
+  std::unique_ptr<wl::Workload> drain(GlobalVmId vm);
   /// The VM's slot on `host`, creating it (an IdleGuest parked mid-run) on
   /// first touch.
   common::VmId ensure_slot(HostId host, GlobalVmId vm);
@@ -473,9 +491,9 @@ class Cluster {
   std::uint64_t topology_version_ = 0;
   std::vector<VmState> vm_state_;
   /// Workload of each kOrphaned or kStopped VM, held off-host until
-  /// restart_vm / start_vm / mark_lost. held_since_ is the orphaning
-  /// instant (drives the SLA outage charge at restart); administrative
-  /// stops don't read it.
+  /// start_vm / mark_lost. held_since_ is the orphaning instant (drives the
+  /// SLA outage charge at an orphan's restart); administrative stops don't
+  /// read it.
   std::vector<std::unique_ptr<wl::Workload>> held_wl_;
   std::vector<common::SimTime> held_since_;
   std::vector<std::uint8_t> crashed_;

@@ -170,7 +170,7 @@ void ClusterManager::recover_orphans(common::SimTime now, Cluster& cluster) {
       }
     }
 
-    if (found && cluster.restart_vm(vm, target)) {
+    if (found && cluster.start_vm(vm, target)) {
       ++restarts_issued_;
       retry_.erase(vm);
       continue;

@@ -143,19 +143,10 @@ class ClusterManager {
   [[nodiscard]] const consolidation::HostBookStats& book_stats() const {
     return book_.stats();
   }
-  /// True once the book mirrors the fleet (the first planning tick has
-  /// run; never, with consolidate off).
-  [[nodiscard]] bool book_ready() const { return book_seeded_; }
   /// The planner book, read-only: last_plan() is the placement the last
   /// planning tick served, planned_vms()/planned_hosts() map its dense
   /// indices back to GlobalVmId/HostId.
   [[nodiscard]] const consolidation::HostBook& book() const { return book_; }
-  /// Aggregate of the book's live hosts / planned VMs — the per-shard
-  /// summary the federation's global planner balances. Only meaningful
-  /// when book_ready(); reflects the fleet as of the last reconcile (the
-  /// shard's planning cadence), which is exactly the staleness a real
-  /// cross-cluster tier would see.
-  [[nodiscard]] consolidation::BookTotals book_totals() const { return book_.totals(); }
 
   /// The planner's view of a host (its class, named "<class>-<id>", with
   /// the hypervisor agent's credit reserved) and of a VM (purchased credit

@@ -352,21 +352,6 @@ void HostBook::build_placement() {
   }
 }
 
-BookTotals HostBook::totals() const {
-  BookTotals t;
-  t.hosts = active_hosts_.size();
-  t.vms = active_vms_.size();
-  for (const std::size_t h : active_hosts_) {
-    t.host_memory_mb += host_mem_[h];
-    t.host_capacity_pct += host_cap_[h];
-  }
-  for (const std::size_t v : active_vms_) {
-    t.vm_memory_mb += vm_mem_[v];
-    t.vm_credit_pct += vm_credit_[v];
-  }
-  return t;
-}
-
 const Placement& HostBook::plan() {
   ++stats_.plans;
   if (have_plan_ && !dirty()) {

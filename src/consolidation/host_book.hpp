@@ -77,18 +77,6 @@ struct HostBookStats {
   std::size_t coalesced_marks = 0;///< dirty marks folded into a pending one
 };
 
-/// Aggregate view of a book's active entries — the per-shard summary the
-/// federation's global planner consumes (it balances shard totals, never
-/// individual placements; those stay the shard manager's business).
-struct BookTotals {
-  std::size_t hosts = 0;          ///< live (active) hosts
-  std::size_t vms = 0;            ///< planned (running) VMs
-  double host_memory_mb = 0.0;    ///< sum of live hosts' plannable memory
-  double host_capacity_pct = 0.0; ///< sum of live hosts' plannable credit
-  double vm_memory_mb = 0.0;      ///< sum of planned VMs' memory
-  double vm_credit_pct = 0.0;     ///< sum of planned VMs' credit
-};
-
 /// Persistent planner state. Ids are caller-chosen (the cluster uses
 /// GlobalVmId / HostId); they need not be dense, but plan() output is dense
 /// over the ACTIVE ids in ascending order — planned_vms()/planned_hosts()
@@ -114,11 +102,6 @@ class HostBook {
   [[nodiscard]] std::size_t vm_count() const { return active_vms_.size(); }
   /// True if plan() has pending work (mutations since the last plan).
   [[nodiscard]] bool dirty() const { return hosts_dirty_ || !dirty_vms_.empty(); }
-
-  /// Sums over the active arenas (ids ascending — deterministic FP order).
-  /// O(hosts + vms); reflects every mutation applied so far, planned yet or
-  /// not.
-  [[nodiscard]] BookTotals totals() const;
 
   /// Host ids in packing order: ascending packing_cost(), ties by
   /// ascending id (the documented deterministic tie-break). Independent of

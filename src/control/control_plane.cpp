@@ -72,6 +72,12 @@ void ControlPlane::apply(const Task& task, common::SimTime now) {
         supersede(vm_tag() + " orphaned by a crash");
       } else if (state == VmState::kStopped) {
         reject(vm_tag() + " is stopped");
+      } else if (state == VmState::kInbound) {
+        reject(vm_tag() + " is still inbound from another cluster");
+      } else if (state == VmState::kDeparted) {
+        reject(vm_tag() + " departed to another cluster");
+      } else if (cluster_->federation_locked(task.vm)) {
+        reject(vm_tag() + " is in a cross-cluster flight");
       } else if (cluster_->crashed(task.host)) {
         supersede(host_tag() + " crashed");
       } else if (cluster_->residence(task.vm) == task.host) {
@@ -107,7 +113,9 @@ void ControlPlane::apply(const Task& task, common::SimTime now) {
       } else if (cluster_->migrating(task.vm)) {
         reject(vm_tag() + " in flight");
       } else if (!cluster_->stop_vm(task.vm)) {
-        reject("stop refused");  // unreachable given the checks above
+        // Reached for a VM a federation flight owns: fed-locked, inbound
+        // or departed.
+        reject("stop refused");
       }
       break;
     }
@@ -122,7 +130,8 @@ void ControlPlane::apply(const Task& task, common::SimTime now) {
       } else if (cluster_->crashed(task.host)) {
         supersede(host_tag() + " crashed");
       } else if (!cluster_->start_vm(task.vm, task.host)) {
-        reject("start refused");  // unreachable given the checks above
+        // Reached for a VM a federation flight owns: inbound or departed.
+        reject("start refused");
       }
       break;
     }
@@ -130,7 +139,11 @@ void ControlPlane::apply(const Task& task, common::SimTime now) {
       if (cluster_->crashed(task.host)) {
         supersede(host_tag() + " already crashed");
       } else if (!cluster_->crash_host(task.host, task.restart)) {
-        reject(host_tag() + " is the last live host");
+        // crash_host's two refusals: the last live host, or an endpoint
+        // of a cross-cluster flight that has not resolved yet.
+        const bool last_live = cluster_->host_count() - cluster_->crashed_count() <= 1;
+        reject(host_tag() + (last_live ? " is the last live host"
+                                       : " is a cross-cluster flight endpoint"));
       }
       break;
     }
@@ -142,7 +155,7 @@ void ControlPlane::apply(const Task& task, common::SimTime now) {
         reject(vm_tag() + " not orphaned");
       } else if (cluster_->crashed(task.host)) {
         supersede(host_tag() + " crashed");
-      } else if (!cluster_->restart_vm(task.vm, task.host)) {
+      } else if (!cluster_->start_vm(task.vm, task.host)) {
         reject("restart refused");  // unreachable given the checks above
       }
       break;

@@ -14,19 +14,24 @@
 // result log; see task.hpp for TaskStatus):
 //   migrate            — superseded if the VM is orphaned/lost or the
 //                        destination crashed; rejected if the VM is stopped,
-//                        already resident, already in flight, the manager is
-//                        browned out, or the period's migration budget is
-//                        exhausted (external commands draw from the SAME
-//                        per-tick budget as planner-issued migrations —
-//                        ClusterManager::admit_external_migration).
+//                        owned by a federation flight (inbound, departed or
+//                        fed-locked), already resident, already in flight,
+//                        the manager is browned out, or the period's
+//                        migration budget is exhausted (external commands
+//                        draw from the SAME per-tick budget as planner-
+//                        issued migrations — ClusterManager::
+//                        admit_external_migration; only a VM that could
+//                        actually move draws from it).
 //   stop_vm / start_vm — administrative lifecycle: stop holds the workload
 //                        off-host (no SLA accrual — the customer asked),
 //                        start resumes it on a live host.
 //   crash_host         — drill traffic; superseded if already crashed,
-//                        rejected on the last live host.
-//   restart_vm         — an external recovery decision for an orphaned VM;
-//                        superseded if the VM was never orphaned (lost, or
-//                        the manager's own recovery won the race).
+//                        rejected on the last live host or on an endpoint
+//                        of an unresolved cross-cluster flight.
+//   restart_vm         — an external recovery decision for an orphaned VM
+//                        (Cluster::start_vm on the orphan); superseded if
+//                        the VM was lost, rejected if it is not orphaned
+//                        (e.g. the manager's own recovery won the race).
 //   set_link_bandwidth — applied unconditionally (validated at parse).
 //   annotate           — no-op; the note passes through to the result log.
 //

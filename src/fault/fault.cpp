@@ -113,8 +113,11 @@ void FaultInjector::arm(cluster::Cluster& cluster, sim::EventQueue& events) {
         });
         break;
       case FaultKind::kMigrationAbort:
+        // The longest-in-flight migration: in_flight_vms() is in
+        // flight-start order, so the choice is deterministic.
         events.schedule(ev.at, [this, c](common::SimTime) {
-          if (c->abort_oldest_migration()) ++aborts_fired_;
+          const auto vms = c->engine().in_flight_vms();
+          if (!vms.empty() && c->abort_migration(vms.front())) ++aborts_fired_;
         });
         break;
       case FaultKind::kLinkDegrade:

@@ -25,9 +25,12 @@
 // "Faults & recovery"):
 //   kHostCrash      — Cluster::crash_host: in-flight migrations touching
 //                     the host abort first, residents orphan (manager
-//                     recovery with bounded retry/backoff) or die.
-//   kMigrationAbort — Cluster::abort_oldest_migration: the longest-
-//                     in-flight migration cancels (pre-copy abandon or
+//                     recovery with bounded retry/backoff) or die. Not
+//                     fired (not counted) when crash_host refuses: the
+//                     last live host, or a federation flight endpoint.
+//   kMigrationAbort — Cluster::abort_migration on the front of
+//                     MigrationEngine::in_flight_vms(), the longest-
+//                     in-flight migration: it cancels (pre-copy abandon or
 //                     stop-and-copy rollback, whichever phase it is in).
 //                     A no-op if nothing is in flight at that instant.
 //   kLinkDegrade    — migration link drops to bandwidth_factor × base for
@@ -129,8 +132,8 @@ class FaultInjector {
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
-  // --- what actually happened (a drawn fault can be a no-op: a crash on
-  // the last live host, an abort with nothing in flight) ---
+  // --- what actually happened (a drawn fault can be a no-op: a crash
+  // crash_host refuses, an abort with nothing in flight) ---
   [[nodiscard]] std::size_t crashes_fired() const { return crashes_fired_; }
   [[nodiscard]] std::size_t aborts_fired() const { return aborts_fired_; }
   [[nodiscard]] std::size_t link_degrades_fired() const { return link_degrades_fired_; }

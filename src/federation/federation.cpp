@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cluster/cluster_manager.hpp"
 #include "common/divergence.hpp"
 
 namespace pas::fed {
@@ -128,7 +127,7 @@ bool Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm, ShardId to_
 
   // Fence the shard manager off the VM, then register the destination end
   // (slot parked, SLA registered, host powered, state kInbound).
-  src.set_federation_lock(vm, true);
+  src.set_federation_lock(vm);
   const cluster::GlobalVmId dst_vm = dst.admit_inbound(cfg, to_host);
   local_fed_[to_shard].resize(dst.vm_count(), 0);
   local_fed_[to_shard][dst_vm] = fed;
@@ -192,24 +191,15 @@ void Federation::set_link_bandwidth(ShardId a, ShardId b, double mb_per_s) {
 
 Federation::ShardLoad Federation::shard_load(ShardId s) const {
   const cluster::Cluster& c = *shards_.at(s);
+  // A direct deterministic scan of the live fleet, in id order — the one
+  // path that works for every shard, whether or not it runs a manager.
   ShardLoad load;
-  const cluster::ClusterManager* mgr = c.manager();
-  if (mgr != nullptr && mgr->book_ready()) {
-    // The shard's own planner book, summed — the aggregate is as fresh
-    // as the shard's last planning tick, exactly the staleness a real
-    // cross-cluster control plane would see.
-    const consolidation::BookTotals totals = mgr->book_totals();
-    load.capacity_mb = totals.host_memory_mb;
-    load.reserved_mb = totals.vm_memory_mb;
-  } else {
-    // Direct deterministic scan (no manager, or the book isn't seeded yet).
-    for (cluster::HostId h = 0; h < c.host_count(); ++h)
-      if (!c.crashed(h)) load.capacity_mb += c.host_memory_mb(h);
-    const auto nv = static_cast<cluster::GlobalVmId>(c.vm_count());
-    for (cluster::GlobalVmId g = 0; g < nv; ++g)
-      if (c.vm_state(g) == cluster::VmState::kRunning)
-        load.reserved_mb += c.vm_config(g).memory_mb;
-  }
+  for (cluster::HostId h = 0; h < c.host_count(); ++h)
+    if (!c.crashed(h)) load.capacity_mb += c.host_memory_mb(h);
+  const auto nv = static_cast<cluster::GlobalVmId>(c.vm_count());
+  for (cluster::GlobalVmId g = 0; g < nv; ++g)
+    if (c.vm_state(g) == cluster::VmState::kRunning)
+      load.reserved_mb += c.vm_config(g).memory_mb;
   load.reserved_mb += pending_in_mb_.at(s);
   return load;
 }

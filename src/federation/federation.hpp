@@ -32,13 +32,15 @@
 // delivering both into the destination — and the federation's callbacks
 // keep the shard bookkeeping honest: mark_departed at detach,
 // complete_inbound (with the SLA-charged pause) at attach. The source
-// shard's manager is fenced off the VM for the flight's duration via
-// Cluster::set_federation_lock.
+// shard's manager and control plane are fenced off the VM through
+// pre-copy via Cluster::set_federation_lock (mark_departed unlocks).
+// Neither endpoint host can crash while the flight is unresolved —
+// Cluster::crash_host refuses a host holding a fed-locked running VM or a
+// kInbound one, the same refusal contract as the last live host.
 //
-// Planner: each tick reads per-shard aggregate books — the manager's
-// consolidation::HostBook summed by HostBook::totals() when seeded, a
-// direct deterministic scan otherwise — and issues at most
-// max_cross_shard_per_tick moves from the most- to the least-utilized
+// Planner: each tick reads per-shard aggregates — one deterministic scan
+// of each shard's live hosts and running VMs (shard_load) — and issues at
+// most max_cross_shard_per_tick moves from the most- to the least-utilized
 // shard while their reserved-memory utilization gap exceeds the
 // threshold. The global tier balances shard AGGREGATES; placement inside
 // a shard stays the shard manager's delta-driven business.
@@ -157,10 +159,10 @@ class Federation {
   [[nodiscard]] std::size_t planner_ticks() const { return planner_ticks_; }
   [[nodiscard]] std::size_t moves_issued() const { return moves_issued_; }
 
-  /// Per-shard aggregate the planner balances: plannable capacity vs
-  /// reserved memory (from the shard manager's HostBook when seeded, a
-  /// direct scan otherwise), plus memory already in flight toward the
-  /// shard so concurrent planner ticks don't double-fill a destination.
+  /// Per-shard aggregate the planner balances: live hosts' memory vs the
+  /// memory of running VMs (a direct scan, ids ascending), plus memory
+  /// already in flight toward the shard so concurrent planner ticks don't
+  /// double-fill a destination.
   struct ShardLoad {
     double capacity_mb = 0.0;
     double reserved_mb = 0.0;

@@ -50,6 +50,10 @@ TEST(ControlDocExampleTest, MaintenanceSessionRunsAsDocumented) {
   EXPECT_EQ(cluster.control()->accepted(), 3u);
   EXPECT_EQ(cluster.control()->rejected(), 0u);
   EXPECT_EQ(cluster.control()->superseded(), 0u);
+  // start_vm resumes stopped VMs and orphans alike, but a requested stop
+  // is not an outage: no recovery record, no SLA charge for the 15 s away.
+  EXPECT_TRUE(cluster.recoveries().empty());
+  EXPECT_EQ(cluster.sla().violation_time(0), common::SimTime{});
 
   // And the published artifact is pinned byte for byte — the determinism
   // claim the doc makes is exactly this string on every engine.

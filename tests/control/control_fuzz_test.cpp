@@ -150,6 +150,7 @@ void compile_by_hand(Cluster& cluster, const ctl::Task& task, common::SimTime no
   switch (task.kind) {
     case ctl::TaskKind::kMigrate: {
       if (cluster.vm_state(task.vm) != VmState::kRunning) return;
+      if (cluster.federation_locked(task.vm)) return;
       if (cluster.crashed(task.host)) return;
       if (cluster.residence(task.vm) == task.host) return;
       if (cluster.migrating(task.vm)) return;
@@ -174,7 +175,7 @@ void compile_by_hand(Cluster& cluster, const ctl::Task& task, common::SimTime no
     case ctl::TaskKind::kRestartVm:
       if (cluster.vm_state(task.vm) != VmState::kOrphaned) return;
       if (cluster.crashed(task.host)) return;
-      (void)cluster.restart_vm(task.vm, task.host);
+      (void)cluster.start_vm(task.vm, task.host);
       return;
     case ctl::TaskKind::kSetLinkBandwidth:
       cluster.set_link_bandwidth(task.mb_per_s);

@@ -3,7 +3,9 @@
 // the class-aware surcharges only to cross-class flights, and keep a
 // runtime bandwidth change scoped to ONE link — each link owns its own
 // MigrationEngine, so a degraded WAN circuit must never re-plan a flight
-// on a different pair's link.
+// on a different pair's link. A flight's endpoint hosts cannot crash until
+// it resolves, and a shard's control plane rejects commands on a guest the
+// federation owns before they cost the manager's migration budget.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,8 +14,11 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/cluster_manager.hpp"
 #include "cluster/migration.hpp"
 #include "common/units.hpp"
+#include "control/control_plane.hpp"
+#include "control/task.hpp"
 #include "federation/federation.hpp"
 #include "federation/link_model.hpp"
 #include "platform/host_class.hpp"
@@ -61,10 +66,12 @@ TEST(LinkModelTest, ClassSurchargesApplyOnlyAcrossClasses) {
 
 // --- federation-level flight pricing -----------------------------------
 
-/// A minimal shard: two hosts of one class, one idle 512 MB guest homed on
-/// host 0, no manager — every flight below is scripted, so the recorded
-/// schedule is exactly the pure cost model's.
-std::unique_ptr<cluster::Cluster> mini_shard(const char* class_name) {
+/// A minimal shard: two hosts of one class, one 512 MB guest (idle unless
+/// given) homed on host 0, no manager — every flight below is scripted, so
+/// the recorded schedule is exactly the pure cost model's.
+std::unique_ptr<cluster::Cluster> mini_shard(
+    const char* class_name,
+    std::unique_ptr<wl::Workload> guest = std::make_unique<wl::IdleGuest>()) {
   cluster::ClusterConfig cc;
   platform::HostClass hc;
   hc.name = class_name;
@@ -77,7 +84,7 @@ std::unique_ptr<cluster::Cluster> mini_shard(const char* class_name) {
   vc.vm.credit = 10.0;
   vc.memory_mb = 512.0;
   vc.dirty_mb_per_s = 30.0;
-  shard->add_vm(std::move(vc), std::make_unique<wl::IdleGuest>(), 0);
+  shard->add_vm(std::move(vc), std::move(guest), 0);
   return shard;
 }
 
@@ -240,6 +247,160 @@ TEST(FederationLinkTest, FlightGuardsRefuseConflictingMoves) {
   fed.run_until(seconds(60));
   // Completed: the source-side id is departed — also not migratable.
   EXPECT_FALSE(fed.migrate(0, 0, 1, 0));
+}
+
+// --- crashes at flight endpoints ---------------------------------------
+//
+// A flight from shard 0 host 0 to shard 1 host 1 starts at t = 5 s; its
+// WAN pre-copy of 512 MB takes several seconds, so t = 6 s is mid pre-copy
+// on both ends. A crash of either endpoint is refused (like a crash of the
+// last live host) until the flight resolves, then succeeds.
+
+/// Starts the scripted flight and stops the clock one second into its
+/// pre-copy.
+void start_flight_and_enter_precopy(Federation& fed) {
+  fed.run_until(seconds(5));
+  ASSERT_TRUE(fed.migrate(0, 0, 1, 1));
+  fed.run_until(seconds(6));
+  ASSERT_GT(cluster::plan_migration(512.0, 30.0, wan_link().migration).precopy_duration,
+            seconds(1))
+      << "vacuous: the flight must still be in pre-copy at t = 6 s";
+  ASSERT_TRUE(fed.in_cross_shard_flight(0));
+}
+
+TEST(FederationLinkTest, SourceCrashMidPrecopyIsRefusedUntilTheFlightResolves) {
+  Federation fed = two_shard_fed("host", "host");
+  ASSERT_NO_FATAL_FAILURE(start_flight_and_enter_precopy(fed));
+
+  EXPECT_FALSE(fed.shard(0).crash_host(0, /*restart_orphans=*/false))
+      << "the source slot belongs to the link until detach";
+  EXPECT_FALSE(fed.shard(0).crashed(0));
+  EXPECT_EQ(fed.shard(0).vm_state(0), cluster::VmState::kRunning);
+
+  // The flight completes as if nothing happened: detach finds the guest
+  // it expects and departs it.
+  ASSERT_NO_THROW(fed.run_until(seconds(60)));
+  ASSERT_EQ(fed.cross_shard_records().size(), 1u);
+  EXPECT_EQ(fed.cross_shard_records().front().record.outcome,
+            cluster::MigrationOutcome::kCompleted);
+  EXPECT_EQ(fed.shard(0).vm_state(0), cluster::VmState::kDeparted);
+
+  // Resolved: host 0 is an ordinary host again.
+  EXPECT_TRUE(fed.shard(0).crash_host(0, /*restart_orphans=*/false));
+  EXPECT_TRUE(fed.shard(0).crashed(0));
+}
+
+TEST(FederationLinkTest, SourceCrashCannotOrphanAFlyingGuest) {
+  // A guest with real demand, so the test can tell it apart from the
+  // IdleGuest a drained slot parks.
+  std::vector<std::unique_ptr<cluster::Cluster>> shards;
+  shards.push_back(mini_shard("host", std::make_unique<wl::BusyLoop>()));
+  shards.push_back(mini_shard("host"));
+  Federation fed{FederationConfig{}, std::move(shards)};
+  ASSERT_NO_FATAL_FAILURE(start_flight_and_enter_precopy(fed));
+
+  EXPECT_FALSE(fed.shard(0).crash_host(0, /*restart_orphans=*/true));
+  EXPECT_TRUE(fed.shard(0).orphaned_vms().empty());
+  EXPECT_FALSE(fed.shard(0).start_vm(0, 1)) << "nothing held: the guest never orphaned";
+
+  ASSERT_NO_THROW(fed.run_until(seconds(60)));
+  // The guest itself landed on shard 1 and keeps working there; shard 0
+  // runs nothing.
+  const FedVmRef loc = fed.locate(0);
+  ASSERT_EQ(loc.shard, 1u);
+  EXPECT_EQ(fed.shard(1).vm_state(loc.vm), cluster::VmState::kRunning);
+  const common::Work landed = fed.shard(1).vm_stats(loc.vm).total_work;
+  fed.run_until(seconds(80));
+  EXPECT_GT(fed.shard(1).vm_stats(loc.vm).total_work, landed);
+  EXPECT_EQ(fed.shard(0).running_vm_count(), 0u);
+
+  EXPECT_TRUE(fed.shard(0).crash_host(0, /*restart_orphans=*/true));
+  EXPECT_TRUE(fed.shard(0).orphaned_vms().empty()) << "a departed ghost is not a resident";
+}
+
+TEST(FederationLinkTest, DestinationCrashMidPrecopyIsRefusedUntilTheGuestLands) {
+  Federation fed = two_shard_fed("host", "host");
+  ASSERT_NO_FATAL_FAILURE(start_flight_and_enter_precopy(fed));
+  const cluster::GlobalVmId inbound = 1;  // shard 1's own guest holds id 0
+  ASSERT_EQ(fed.shard(1).vm_state(inbound), cluster::VmState::kInbound);
+
+  EXPECT_FALSE(fed.shard(1).crash_host(1, /*restart_orphans=*/true))
+      << "the landing slot belongs to the link until attach";
+  EXPECT_FALSE(fed.shard(1).crashed(1));
+  EXPECT_TRUE(fed.shard(1).powered_on(1));
+
+  ASSERT_NO_THROW(fed.run_until(seconds(60)));
+  EXPECT_EQ(fed.shard(1).vm_state(inbound), cluster::VmState::kRunning);
+  EXPECT_EQ(fed.locate(0).vm, inbound);
+
+  // Landed: the guest is an ordinary resident, orphaned by a crash.
+  EXPECT_TRUE(fed.shard(1).crash_host(1, /*restart_orphans=*/true));
+  EXPECT_EQ(fed.shard(1).vm_state(inbound), cluster::VmState::kOrphaned);
+}
+
+// --- a shard's control plane next to a federation flight ----------------
+
+/// Two shards; shard 0 holds guest 0 (flown to shard 1 host 1 at t = 5 s)
+/// and guest 1 on host 0, a manager that only owns the budget (one
+/// migration per 20 s period, no consolidation, no VOVO) and the operator
+/// stream `tasks`. Runs to t = 40 s.
+std::unique_ptr<Federation> fed_with_control(const char* tasks) {
+  auto src = mini_shard("host");
+  cluster::ClusterVmConfig vc;
+  vc.vm.name = "stay";
+  vc.vm.credit = 10.0;
+  vc.memory_mb = 512.0;
+  src->add_vm(std::move(vc), std::make_unique<wl::IdleGuest>(), 0);
+  cluster::ClusterManagerConfig mc;
+  mc.period = seconds(20);
+  mc.max_migrations_per_tick = 1;
+  mc.consolidate = false;
+  mc.vovo = false;
+  src->install_manager(std::make_unique<cluster::ClusterManager>(mc));
+  src->install_control(std::make_unique<ctl::ControlPlane>(
+      ctl::parse_tasks(tasks, "ops.json", {src->host_count(), src->vm_count()})));
+  std::vector<std::unique_ptr<cluster::Cluster>> shards;
+  shards.push_back(std::move(src));
+  shards.push_back(mini_shard("host"));
+  auto fed = std::make_unique<Federation>(FederationConfig{}, std::move(shards));
+  fed->run_until(seconds(5));
+  EXPECT_TRUE(fed->migrate(0, 0, 1, 1));
+  fed->run_until(seconds(40));
+  return fed;
+}
+
+TEST(FederationLinkTest, ControlPlaneRejectsFederationOwnedGuestsBeforeAdmission) {
+  const auto fed = fed_with_control(R"([
+{"id": 1, "at_s": 6.0, "task": "migrate", "vm": 0, "host": 1},
+{"id": 2, "at_s": 30.0, "task": "migrate", "vm": 0, "host": 1},
+{"id": 3, "at_s": 31.0, "task": "migrate", "vm": 1, "host": 1}
+])");
+  // Task 1 fires mid pre-copy (guest 0 fed-locked) in the first budget
+  // period; tasks 2 and 3 share the second, after the flight resolved
+  // (guest 0 departed).
+  ASSERT_EQ(fed->shard(0).vm_state(0), cluster::VmState::kDeparted);
+  const std::vector<ctl::TaskResult>& results = fed->shard(0).control()->results();
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].status, ctl::TaskStatus::kRejected);
+  EXPECT_EQ(results[0].reason, "vm 0 is in a cross-cluster flight");
+  EXPECT_EQ(results[1].status, ctl::TaskStatus::kRejected);
+  EXPECT_EQ(results[1].reason, "vm 0 departed to another cluster");
+  // The rejected migrate did not draw the period's single budget unit.
+  EXPECT_EQ(results[2].status, ctl::TaskStatus::kOk) << results[2].reason;
+  EXPECT_EQ(fed->shard(0).residence(1), 1u);
+}
+
+TEST(FederationLinkTest, ControlPlaneNamesTheFlightWhenACrashIsRefused) {
+  const auto fed = fed_with_control(R"([
+{"id": 1, "at_s": 6.0, "task": "crash_host", "host": 0, "restart": true}
+])");
+  const std::vector<ctl::TaskResult>& results = fed->shard(0).control()->results();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, ctl::TaskStatus::kRejected);
+  EXPECT_EQ(results[0].reason, "host 0 is a cross-cluster flight endpoint")
+      << "not the last live host: host 1 is alive";
+  EXPECT_FALSE(fed->shard(0).crashed(0));
+  EXPECT_EQ(fed->shard(0).vm_state(0), cluster::VmState::kDeparted);
 }
 
 }  // namespace
