@@ -48,10 +48,9 @@ common::VmId Host::add_vm(VmConfig config, std::unique_ptr<wl::Workload> workloa
     // dangled on the push_back reallocations above.
     wl_runnable_.push_back(0);
     wl_hint_.push_back(common::SimTime{});
-    wl_ran_.push_back(1);
-    any_ran_ = true;
-    hint_floor_ = common::SimTime{};
-    active_dirty_ = true;
+    wl_ran_.push_back(0);
+    wl_advanced_.push_back(common::SimTime{});
+    note_ran(id);
     activity_dirty_ = true;
     trace_->grow_vm_count(vms_.size());
     view_ = HostView{&cpufreq_, &monitor_, scheduler_.get(), vm_ids_, initial_credits_};
@@ -83,8 +82,7 @@ void Host::notify_workload_changed(common::VmId id) {
   if (!tasks_installed_) return;  // the first quantum polls everything anyway
   // Treat the slot exactly like one that just ran: the cached runnable flag
   // and transition hint may be stale, so the next refresh re-polls it.
-  wl_ran_[id] = 1;
-  any_ran_ = true;
+  note_ran(id);
 }
 
 void Host::set_governor(std::unique_ptr<gov::Governor> governor) {
@@ -117,11 +115,11 @@ void Host::install_periodic_tasks() {
   wl_runnable_.assign(vms_.size(), 0);
   wl_hint_.assign(vms_.size(), common::SimTime{});
   wl_ran_.assign(vms_.size(), 0);
-  any_ran_ = true;  // conservative: the first refresh must scan everything
+  wl_advanced_.assign(vms_.size(), common::SimTime{});
   hint_floor_ = common::SimTime{};
   active_ids_.reserve(vms_.size());
+  ran_list_.reserve(vms_.size());
   runnable_scratch_.reserve(vms_.size());
-  active_dirty_ = true;
 
   trace_scratch_global_.reserve(vms_.size());
   trace_scratch_absolute_.reserve(vms_.size());
@@ -209,67 +207,72 @@ void Host::trace_tick(common::SimTime now) {
                  trace_scratch_saturated_);
 }
 
-void Host::refresh_workloads(bool advance_runnable) {
+void Host::refresh_workloads() {
   if (!cfg_.event_driven_fast_path) {
-    // Reference mode: poll every workload every quantum — the pre-refactor
-    // loop's cost model (and trivially its semantics).
+    // Reference mode: advance every workload every quantum — the
+    // pre-refactor loop's cost model (and trivially its semantics);
+    // run_quantum polls runnable() itself.
     for (auto& vm : vms_) {
       vm.workload->advance_to(now_);
-      const bool runnable = vm.workload->runnable();
-      if (runnable != static_cast<bool>(wl_runnable_[vm.id])) {
-        wl_runnable_[vm.id] = runnable ? 1 : 0;
-        active_dirty_ = true;
-      }
+      wl_advanced_[vm.id] = now_;
       vm.blocked_this_slice = false;
     }
-  } else if (!any_ran_ && hint_floor_ > now_) {
-    // Sparse refresh: no slot consumed a slice since the last full scan
-    // and no transition hint has expired, so the scan below would only
-    // deliver arrivals to still-runnable VMs — every other branch is
-    // provably dead (a set blocked_this_slice implies a set wl_ran_, so
-    // those flags are all clear too). Walk just the active list; the
-    // runnable set cannot move, so active_ids_ stays valid.
-    assert(!active_dirty_);
-    if (advance_runnable)
-      for (const common::VmId id : active_ids_) vms_[id].workload->advance_to(now_);
     return;
-  } else {
-    common::SimTime floor = wl::kNoTransition;
-    for (auto& vm : vms_) {
-      const auto id = vm.id;
-      if (wl_ran_[id] || wl_hint_[id] <= now_) {
-        // The VM was consumed last quantum, or its transition hint expired:
-        // re-poll runnable-ness and refresh the hint.
-        vm.workload->advance_to(now_);
-        const bool runnable = vm.workload->runnable();
-        if (runnable != static_cast<bool>(wl_runnable_[id])) {
-          wl_runnable_[id] = runnable ? 1 : 0;
-          active_dirty_ = true;
-        }
-        wl_hint_[id] = vm.workload->next_transition_time(now_);
-        wl_ran_[id] = 0;
-      } else if (advance_runnable && wl_runnable_[id]) {
-        // Still runnable (the hint guarantees no self-transition yet), but
-        // it may be scheduled this quantum, so arrivals must be delivered.
-        vm.workload->advance_to(now_);
-      }
-      // Idle VMs with an unexpired hint are left untouched entirely — the
-      // advance_to coarsening invariant (workload.hpp) makes the deferred
-      // catch-up call indistinguishable.
-      vm.blocked_this_slice = false;
-      floor = std::min(floor, wl_hint_[id]);
+  }
+  if (hint_floor_ <= now_) {
+    // Some transition hint may have expired: queue every expired slot for
+    // the re-poll below and recompute the floor over the others (the
+    // re-polled hints fold in as they are refreshed).
+    hint_floor_ = wl::kNoTransition;
+    for (const auto& vm : vms_) {
+      if (wl_ran_[vm.id]) continue;
+      if (wl_hint_[vm.id] <= now_)
+        note_ran(vm.id);
+      else
+        hint_floor_ = std::min(hint_floor_, wl_hint_[vm.id]);
     }
-    // The scan cleared every ran flag and re-polled every expired hint;
-    // the aggregates are exact again until the next consume/notify.
-    any_ran_ = false;
-    hint_floor_ = floor;
   }
-  if (active_dirty_) {
-    active_ids_.clear();
-    for (const auto& vm : vms_)
-      if (wl_runnable_[vm.id]) active_ids_.push_back(vm.id);
-    active_dirty_ = false;
+  // Re-poll the slots that were consumed, notified or expired. Every other
+  // slot keeps its cached state: an idle one cannot wake before its hint,
+  // and a runnable one can only gain work, which catch_up delivers before
+  // it is consumed (a set blocked_this_slice implies a set wl_ran_, so
+  // those flags need no clearing elsewhere).
+  for (const common::VmId id : ran_list_) {
+    poll_workload(id);
+    hint_floor_ = std::min(hint_floor_, wl_hint_[id]);
   }
+  ran_list_.clear();
+}
+
+void Host::poll_workload(common::VmId id) {
+  Vm& vm = vms_[id];
+  vm.workload->advance_to(now_);
+  wl_advanced_[id] = now_;
+  const bool runnable = vm.workload->runnable();
+  if (runnable != static_cast<bool>(wl_runnable_[id])) {
+    // Membership flip: keep active_ids_ sorted (the pick contract).
+    wl_runnable_[id] = runnable ? 1 : 0;
+    const auto pos = std::lower_bound(active_ids_.begin(), active_ids_.end(), id);
+    if (runnable)
+      active_ids_.insert(pos, id);
+    else
+      active_ids_.erase(pos);
+  }
+  wl_hint_[id] = vm.workload->next_transition_time(now_);
+  wl_ran_[id] = 0;
+  vm.blocked_this_slice = false;
+}
+
+void Host::note_ran(common::VmId id) {
+  if (wl_ran_[id]) return;
+  wl_ran_[id] = 1;
+  ran_list_.push_back(id);
+}
+
+void Host::catch_up(common::VmId id, common::SimTime t) {
+  if (wl_advanced_[id] >= t) return;
+  vms_[id].workload->advance_to(t);
+  wl_advanced_[id] = t;
 }
 
 common::SimTime Host::earliest_transition_hint() const {
@@ -287,6 +290,7 @@ common::SimTime Host::next_poll_boundary(common::SimTime hint) const {
 void Host::run_quantum(common::SimTime slice_end) {
   const double ratio = cpu_.current_ratio();
   refresh_workloads();
+  quantum_start_ = now_;
 
   idle_tail_ = IdleTail::kNone;
   bool any_blocked = false;
@@ -332,9 +336,9 @@ void Host::run_quantum(common::SimTime slice_end) {
     const double eff = scheduler_->work_efficiency(chosen);
     assert(eff > 0.0 && eff <= 1.0);
     const common::Work budget = cpu_.work_for(span) * eff;
+    catch_up(chosen, now_);  // the arrivals a lazy refresh left undelivered
     const common::Work done = v.workload->consume(t, budget);
-    wl_ran_[chosen] = 1;  // consume may have changed runnable-ness: re-poll
-    any_ran_ = true;
+    note_ran(chosen);  // consume may have changed runnable-ness: re-poll
     common::SimTime busy;
     if (done >= budget) {
       busy = span;
@@ -381,7 +385,7 @@ void Host::skip_idle_time(common::SimTime until) {
   // state — the pick idempotence contract, scheduler.hpp).
   if (idle_tail_ == IdleTail::kOverCap && !scheduler_->rejection_is_stable())
     return;  // the rejection may expire with bare time (SEDF period refill)
-  refresh_workloads(/*advance_runnable=*/false);
+  refresh_workloads();
   if (idle_tail_ == IdleTail::kNoRunnable) {
     if (!active_ids_.empty()) return;
   } else {
@@ -622,6 +626,11 @@ void Host::run_until(common::SimTime until) {
       skip_idle_time(until);
   }
   events_.run_until(now_);
+  // Deliver what the lazy refreshes withheld: between run_until calls each
+  // runnable workload stands at the last quantum's start, where delivery
+  // at every quantum would have left it. Slots re-polled by a later skip
+  // are already past that instant and stay untouched.
+  for (const common::VmId id : active_ids_) catch_up(id, quantum_start_);
 }
 
 std::optional<std::string> first_divergence(const Host& a, const Host& b) {

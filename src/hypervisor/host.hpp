@@ -13,11 +13,17 @@
 // time in one step to the next instant anything can change — the earliest
 // queue event, `until`, or the first quantum boundary at or after a
 // workload's self-transition hint (see Workload::next_transition_time) —
-// instead of idling quantum by quantum. The runnable set is maintained
-// incrementally from those hints rather than re-polled per quantum. Both
-// optimizations reproduce the slow-stepped loop exactly (same event order,
-// same traces); HostConfig::event_driven_fast_path turns them off for A/B
-// reference runs.
+// instead of idling quantum by quantum. On an active host a quantum costs
+// O(VMs that ran), not O(resident VMs): the runnable set is maintained
+// incrementally — only slots that were consumed or notified, plus slots
+// whose transition hint expired, are re-polled — and a still-runnable VM
+// receives its arrivals lazily (the advance_to coarsening contract,
+// workload.hpp): just before it is consumed, and at the end of run_until,
+// which leaves every runnable workload advanced to the start of the last
+// quantum, as delivery at every quantum would have. Both optimizations
+// reproduce the slow-stepped loop exactly (same event order, same traces);
+// HostConfig::event_driven_fast_path turns them off for A/B reference
+// runs.
 //
 // Determinism: given the same configuration and workload seeds, a run is
 // bit-for-bit reproducible.
@@ -201,12 +207,18 @@ class Host {
 
   void install_periodic_tasks();
   void run_quantum(common::SimTime slice_end);
-  /// Re-polls workloads whose transition hint expired (or that just ran)
-  /// and rebuilds `active_ids_` when membership changed. `advance_runnable`
-  /// additionally advances still-runnable workloads to now_ — required
-  /// before a quantum that may consume them, unnecessary for a pure
-  /// membership check (the skip validation).
-  void refresh_workloads(bool advance_runnable = true);
+  /// Re-polls the slots on `ran_list_` and, once `hint_floor_` has been
+  /// reached, every slot whose transition hint expired; `active_ids_`
+  /// follows each runnable flip. Still-runnable slots are left behind:
+  /// catch_up delivers their arrivals when they are consumed.
+  void refresh_workloads();
+  /// advance_to(now_), runnable() and the hint for one slot; a runnable
+  /// flip moves the slot into or out of `active_ids_`.
+  void poll_workload(common::VmId id);
+  /// Queues a consumed or externally changed slot for the next refresh.
+  void note_ran(common::VmId id);
+  /// Advances a slot's workload to `t` unless it is already there.
+  void catch_up(common::VmId id, common::SimTime t);
   /// Earliest instant any workload may change runnable-state on its own.
   [[nodiscard]] common::SimTime earliest_transition_hint() const;
   /// First quantum boundary on the grid anchored at now_ at or after
@@ -278,20 +290,24 @@ class Host {
   common::SimTime gov_last_cum_busy_{};
 
   // --- incremental runnable tracking (fast path) ---
-  // Cached runnable() per VM, the workload's next self-transition hint, and
-  // a "consumed last quantum" flag forcing a re-poll.
+  // Cached runnable() per VM, the workload's next self-transition hint, a
+  // "consumed or notified since the last refresh" flag forcing a re-poll,
+  // and the instant the workload was last advanced to.
   std::vector<std::uint8_t> wl_runnable_;
   std::vector<common::SimTime> wl_hint_;
   std::vector<std::uint8_t> wl_ran_;
+  std::vector<common::SimTime> wl_advanced_;
   std::vector<common::VmId> active_ids_;  // runnable VMs, ascending id
-  bool active_dirty_ = true;
-  // Aggregates over the per-VM flags, letting refresh_workloads prove the
-  // full scan a no-op in O(1): any_ran_ is true while some wl_ran_ flag is
-  // set, hint_floor_ is a lower bound on every wl_hint_. With no consumed
-  // slot and no expired hint the scan would only deliver arrivals to
-  // still-runnable VMs — so only the active list is walked.
-  bool any_ran_ = true;
+  // The slots whose wl_ran_ flag is set, each once: what the next refresh
+  // re-polls.
+  std::vector<common::VmId> ran_list_;
+  // A lower bound on every wl_hint_: while it lies ahead of now_ no hint
+  // can have expired, so a refresh never needs to look past ran_list_.
   common::SimTime hint_floor_{};
+  // Where the last quantum's refresh ran. The slow-stepped loop advanced
+  // every runnable workload there; run_until's closing catch-up brings the
+  // lazily skipped ones to the same instant.
+  common::SimTime quantum_start_{};
 
   // Set by run_quantum: how its scheduling loop ended, and — for an
   // over-cap tail — the exact runnable set the scheduler rejected (the

@@ -62,6 +62,9 @@ class Scheduler {
   /// common::kInvalidVm to leave the CPU idle (a fixed-credit scheduler
   /// idles when every runnable VM has exhausted its credit).
   ///
+  /// `runnable` ascends strictly by id (the host keeps its runnable set
+  /// sorted), so an implementation may search it instead of scanning it.
+  ///
   /// Idempotence contract (the host's fast path relies on it): repeating
   /// pick with the same runnable set at later instants, with no
   /// charge()/account()/set_cap() in between, must return the same choice

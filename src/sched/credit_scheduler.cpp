@@ -30,14 +30,20 @@ void CreditScheduler::rebuild_tiers() {
   tier_prios_.erase(std::unique(tier_prios_.begin(), tier_prios_.end()),
                     tier_prios_.end());
   under_per_tier_.assign(tier_prios_.size(), 0);
+  null_per_tier_.assign(tier_prios_.size(), 0);
   for (Entry& e : vms_) {
     e.tier = static_cast<std::size_t>(
         std::lower_bound(tier_prios_.begin(), tier_prios_.end(), e.priority,
                          std::greater<>()) -
         tier_prios_.begin());
-    e.counted_under = is_under(e);
-    if (e.counted_under) ++under_per_tier_[e.tier];
+    count_in_tier(e);
   }
+}
+
+void CreditScheduler::count_in_tier(Entry& e) {
+  e.counted_under = is_under(e);
+  if (e.counted_under) ++under_per_tier_[e.tier];
+  if (e.cap_pct <= 0.0) ++null_per_tier_[e.tier];
 }
 
 void CreditScheduler::update_under(Entry& e) {
@@ -61,31 +67,32 @@ void CreditScheduler::add_vm(common::VmId id, const hv::VmConfig& config) {
   recompute_refill(e);
   // Start with one refill so a VM can run before the first accounting tick.
   e.balance_us = e.refill_us;
+  const auto tier = std::lower_bound(tier_prios_.begin(), tier_prios_.end(), e.priority,
+                                     std::greater<>());
   vms_.push_back(e);
-  rebuild_tiers();
+  if (tier == tier_prios_.end() || *tier != e.priority) {
+    rebuild_tiers();  // a new priority renumbers every tier
+    return;
+  }
+  vms_.back().tier = static_cast<std::size_t>(tier - tier_prios_.begin());
+  count_in_tier(vms_.back());
 }
 
 common::VmId CreditScheduler::pick(common::SimTime /*now*/,
                                    std::span<const common::VmId> runnable) {
   assert(!runnable.empty());
+  assert(std::adjacent_find(runnable.begin(), runnable.end(), std::greater_equal<>()) ==
+         runnable.end());  // ascending by id: the Scheduler::pick contract
   const std::size_t cursor = rr_cursor_ % vms_.size();  // one modulo per pick
   // Pass 1 (UNDER): highest-priority VM holding positive balance,
-  // round-robin within a tier. The incrementally maintained per-tier
-  // under-credit counts let the pass skip exhausted tiers without touching
-  // the runnable list, so cost is O(tiers holding credit) scans instead of
-  // a full pass with modulo arithmetic per candidate.
-  common::VmId best = common::kInvalidVm;
-  for (std::size_t tier = 0; tier < tier_prios_.size(); ++tier) {
-    if (under_per_tier_[tier] == 0) continue;
-    best = scan_best(runnable, cursor,
-                     [tier](const Entry& e) { return e.tier == tier && is_under(e); });
-    if (best != common::kInvalidVm) break;  // higher tiers strictly preempt
-  }
-  // Pass 2 (OVER): only null-credit VMs may soak up slack.
-  if (best == common::kInvalidVm) {
-    best = scan_best(runnable, cursor,
-                     [](const Entry& e) { return e.cap_pct <= 0.0; });
-  }
+  // round-robin within a tier. Pass 2 (OVER): only null-credit VMs may
+  // soak up slack, again highest priority first. The incrementally
+  // maintained per-tier counts let each pass skip a search that cannot
+  // succeed and stop at the first VM of the best tier that can.
+  common::VmId best = nearest_eligible(runnable, cursor, under_per_tier_, is_under);
+  if (best == common::kInvalidVm)
+    best = nearest_eligible(runnable, cursor, null_per_tier_,
+                            [](const Entry& e) { return e.cap_pct <= 0.0; });
   if (best != common::kInvalidVm) rr_cursor_ = best + 1;
   return best;
 }
@@ -125,7 +132,9 @@ bool CreditScheduler::refill_settled() const {
 void CreditScheduler::set_cap(common::VmId vm, common::Percent cap_pct) {
   if (cap_pct < 0.0) throw std::invalid_argument("CreditScheduler: negative cap");
   Entry& e = vms_.at(vm);
+  if (e.cap_pct <= 0.0) --null_per_tier_[e.tier];
   e.cap_pct = cap_pct;
+  if (e.cap_pct <= 0.0) ++null_per_tier_[e.tier];
   recompute_refill(e);
   // Clamp an existing hoard to the new burst limit so a cap *reduction*
   // (frequency went up) takes effect within one accounting period.

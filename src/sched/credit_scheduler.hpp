@@ -14,6 +14,7 @@
 // round-robin.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -76,32 +77,46 @@ class CreditScheduler final : public hv::Scheduler {
   /// Recomputes the cached refill/burst amounts from the current cap.
   void recompute_refill(Entry& e) const;
 
-  /// Recomputes the priority-tier table and under-credit counts (add_vm).
+  /// Recomputes the priority-tier table and per-tier counts (add_vm of a
+  /// VM with a priority no earlier VM has).
   void rebuild_tiers();
+  /// Adds `e` to its tier's under-credit and null-credit counts.
+  void count_in_tier(Entry& e);
   /// Re-syncs `e`'s under-credit membership after a balance/cap change.
   void update_under(Entry& e);
 
-  /// The one rank scan shared by the UNDER and OVER passes: the eligible VM
-  /// with the highest priority, ties broken by round-robin distance from
-  /// `cursor` (already reduced modulo vm count).
+  /// The one search shared by the UNDER and OVER passes: among the
+  /// eligible VMs, the highest-priority one, ties broken by round-robin
+  /// distance from `cursor` (already reduced modulo vm count).
+  /// `per_tier[t]` counts tier t's eligible VMs, runnable or not. Because
+  /// `runnable` ascends by id, the walk goes in round-robin order (ids at
+  /// or after the cursor, then the ids before it), so the first eligible
+  /// VM met in a tier is that tier's nearest; the walk stops once it meets
+  /// one in the highest tier that has any eligible VM at all.
   template <typename Eligible>
-  [[nodiscard]] common::VmId scan_best(std::span<const common::VmId> runnable,
-                                       std::size_t cursor, Eligible&& eligible) const {
-    const std::size_t n = vms_.size();
+  [[nodiscard]] common::VmId nearest_eligible(std::span<const common::VmId> runnable,
+                                              std::size_t cursor,
+                                              const std::vector<std::uint32_t>& per_tier,
+                                              Eligible&& eligible) const {
+    const auto top = static_cast<std::size_t>(
+        std::find_if(per_tier.begin(), per_tier.end(), [](std::uint32_t c) { return c > 0; }) -
+        per_tier.begin());
+    if (top == per_tier.size()) return common::kInvalidVm;  // no eligible VM anywhere
     common::VmId best = common::kInvalidVm;
-    int best_prio = 0;
-    std::size_t best_rank = 0;
-    for (const common::VmId id : runnable) {
+    std::size_t best_tier = per_tier.size();
+    const auto visit = [&](common::VmId id) {
       const Entry& e = vms_[id];
-      if (!eligible(e)) continue;
-      const std::size_t rank = id >= cursor ? id - cursor : id + n - cursor;
-      if (best == common::kInvalidVm || e.priority > best_prio ||
-          (e.priority == best_prio && rank < best_rank)) {
+      if (e.tier < best_tier && eligible(e)) {
         best = id;
-        best_prio = e.priority;
-        best_rank = rank;
+        best_tier = e.tier;
       }
-    }
+      return best_tier == top;
+    };
+    const auto mid = std::lower_bound(runnable.begin(), runnable.end(), cursor);
+    for (auto it = mid; it != runnable.end(); ++it)
+      if (visit(*it)) return best;
+    for (auto it = runnable.begin(); it != mid; ++it)
+      if (visit(*it)) return best;
     return best;
   }
 
@@ -109,6 +124,7 @@ class CreditScheduler final : public hv::Scheduler {
   std::vector<Entry> vms_;
   std::vector<int> tier_prios_;                 // distinct priorities, descending
   std::vector<std::uint32_t> under_per_tier_;   // VMs holding credit, per tier
+  std::vector<std::uint32_t> null_per_tier_;    // null-credit VMs, per tier
   std::size_t rr_cursor_ = 0;  // rotates to break ties fairly
 };
 

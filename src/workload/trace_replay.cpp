@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -59,14 +60,11 @@ common::Work Trace::interval_work(std::size_t i) const {
 }
 
 double Trace::demand_pct_at(common::SimTime t) const {
-  double v = 0.0;
-  for (const TracePoint& p : points_) {
-    if (p.t <= t)
-      v = p.demand_pct;
-    else
-      break;
-  }
-  return v;
+  // The last point at or before t sets the step value.
+  const auto after = std::upper_bound(
+      points_.begin(), points_.end(), t,
+      [](common::SimTime at, const TracePoint& p) { return at < p.t; });
+  return after == points_.begin() ? 0.0 : std::prev(after)->demand_pct;
 }
 
 namespace {
@@ -190,13 +188,14 @@ common::Work TraceReplay::consume(common::SimTime /*now*/, common::Work budget) 
 common::SimTime TraceReplay::next_transition_time(common::SimTime /*now*/) {
   // Runnable-ness changes through advance_to alone only when a crossed
   // point delivers work; zero-demand points are skipped so an idle gap is
-  // one jump. (While runnable, pending can only grow — but a conservative
-  // early hint is always legal, and the host only consults the hint when
-  // the VM idles.)
-  const auto& points = trace_.points();
-  for (std::size_t i = next_idx_; i + 1 < points.size(); ++i)
-    if (trace_.interval_work(i) > common::Work{}) return points[i].t;
-  return kNoTransition;
+  // one jump. (While runnable, pending can only grow — the hint is early,
+  // which is always legal. The host re-polls it after every quantum the
+  // VM runs, so the search resumes from a cursor that only moves forward:
+  // amortized O(1) per call.)
+  hint_idx_ = std::max(hint_idx_, next_idx_);
+  while (hint_idx_ < work_end_idx_ && trace_.interval_work(hint_idx_) <= common::Work{})
+    ++hint_idx_;
+  return hint_idx_ < work_end_idx_ ? trace_.points()[hint_idx_].t : kNoTransition;
 }
 
 }  // namespace pas::wl

@@ -142,6 +142,7 @@ class TraceReplay final : public Workload {
   Trace trace_;
   std::size_t next_idx_ = 0;   // first point not yet delivered
   std::size_t work_end_idx_;   // 1 + index of the last work-delivering point
+  std::size_t hint_idx_ = 0;   // next_transition_time's search cursor
   common::Work pending_{};
   common::Work delivered_{};
   common::Work consumed_{};

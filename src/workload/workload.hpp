@@ -27,12 +27,15 @@ class Workload {
   virtual ~Workload() = default;
 
   /// Advances workload-internal state (request arrivals, phase boundaries)
-  /// to time `now`, with monotonically non-decreasing `now`. The host calls
-  /// this at quantum granularity while the VM is active, but may *coarsen*
-  /// the call pattern while the VM is provably idle — implementations must
-  /// make advance_to(a); advance_to(b) indistinguishable from advance_to(b)
-  /// (deliver the same arrivals with the same timestamps, draw the same RNG
-  /// sequence).
+  /// to time `now`, with monotonically non-decreasing `now`. The host's
+  /// slow-stepped reference loop calls this for every VM at every quantum.
+  /// The fast path *coarsens* the pattern: it advances a VM when re-polling
+  /// it (after the VM ran, was notified, or reached its transition hint),
+  /// advances a still-runnable VM only just before consuming it and at the
+  /// end of each run_until segment, and leaves a provably idle VM alone —
+  /// so implementations must make advance_to(a); advance_to(b)
+  /// indistinguishable from advance_to(b) (deliver the same arrivals with
+  /// the same timestamps, draw the same RNG sequence).
   virtual void advance_to(common::SimTime now) = 0;
 
   /// True if the VM has CPU work pending at the last advanced-to instant.

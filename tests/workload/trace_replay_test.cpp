@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -46,6 +47,38 @@ TEST(TraceTest, ValidatesShape) {
                std::invalid_argument);  // negative demand
   EXPECT_THROW(Trace({{seconds(0), 1.0, -4.0}, {seconds(1), 0.0, 0.0}}),
                std::invalid_argument);  // negative memory
+}
+
+/// demand_pct_at by its definition: the demand of the last point at or
+/// before `t`, 0 before the first point.
+double demand_by_scan(const Trace& trace, SimTime t) {
+  double v = 0.0;
+  for (const TracePoint& p : trace.points())
+    if (p.t <= t) v = p.demand_pct;
+  return v;
+}
+
+TEST(TraceTest, StepLookupAtPointsBeforeTheFirstAndAfterTheLast) {
+  // A trace whose first point lies after t = 0.
+  const Trace t{{{seconds(5), 30.0, 0.0},
+                 {seconds(8), 0.0, 0.0},
+                 {seconds(12), 70.0, 0.0},
+                 {seconds(20), 0.0, 0.0}}};
+  EXPECT_DOUBLE_EQ(t.demand_pct_at(SimTime{}), 0.0);
+  EXPECT_DOUBLE_EQ(t.demand_pct_at(seconds(5) - usec(1)), 0.0);
+  EXPECT_DOUBLE_EQ(t.demand_pct_at(seconds(5)), 30.0);  // exact point instants
+  EXPECT_DOUBLE_EQ(t.demand_pct_at(seconds(8)), 0.0);
+  EXPECT_DOUBLE_EQ(t.demand_pct_at(seconds(12)), 70.0);
+  EXPECT_DOUBLE_EQ(t.demand_pct_at(seconds(12) - usec(1)), 0.0);
+  EXPECT_DOUBLE_EQ(t.demand_pct_at(seconds(20) - usec(1)), 70.0);
+  EXPECT_DOUBLE_EQ(t.demand_pct_at(seconds(20)), 0.0);  // the closing point
+  EXPECT_DOUBLE_EQ(t.demand_pct_at(seconds(1'000'000)), 0.0);
+  for (const SimTime at : {SimTime{}, seconds(5), seconds(7), seconds(8), seconds(11),
+                           seconds(12), seconds(19), seconds(20), seconds(21)})
+    EXPECT_EQ(t.demand_pct_at(at), demand_by_scan(t, at)) << at.us();
+  const Trace single{{{seconds(3), 0.0, 0.0}}};
+  EXPECT_DOUBLE_EQ(single.demand_pct_at(SimTime{}), 0.0);
+  EXPECT_DOUBLE_EQ(single.demand_pct_at(seconds(3)), 0.0);
 }
 
 TEST(TraceTest, StepLookupAndIntervalWork) {
@@ -178,6 +211,77 @@ TEST(TraceReplayTest, TransitionHintSkipsZeroDemandGaps) {
   EXPECT_EQ(w.next_transition_time(seconds(10)), seconds(30));
   w.advance_to(seconds(30));
   EXPECT_EQ(w.next_transition_time(seconds(30)), kNoTransition);
+}
+
+/// next_transition_time by its definition: the first point not yet
+/// crossed by advance_to(now) (t > now) whose interval delivers work.
+SimTime hint_by_scan(const Trace& trace, SimTime now) {
+  const auto& points = trace.points();
+  for (std::size_t i = 0; i + 1 < points.size(); ++i)
+    if (points[i].t > now && trace.interval_work(i) > Work{}) return points[i].t;
+  return kNoTransition;
+}
+
+/// Steps a replay through `trace` and checks the hint against the scan
+/// after every advance_to: at each point's instant, just before it, and on
+/// an off-grid stride, asking twice per step (the hint may be re-polled
+/// without an advance in between). Returns how many steps had a
+/// work-delivering point ahead (the callers' vacuity guard).
+std::size_t expect_hint_matches_scan(const Trace& trace) {
+  std::vector<SimTime> steps;
+  for (const TracePoint& p : trace.points()) {
+    if (p.t > SimTime{}) steps.push_back(p.t - usec(1));
+    steps.push_back(p.t);
+  }
+  for (SimTime t{}; t <= trace.end_time() + seconds(20); t += common::msec(7'300))
+    steps.push_back(t);
+  std::sort(steps.begin(), steps.end());
+
+  TraceReplay w{trace};
+  EXPECT_EQ(w.next_transition_time(SimTime{}), hint_by_scan(trace, usec(-1)))
+      << trace.name() << " before the first advance";
+  std::size_t delivering_hints = 0;
+  for (const SimTime now : steps) {
+    w.advance_to(now);
+    const SimTime want = hint_by_scan(trace, now);
+    EXPECT_EQ(w.next_transition_time(now), want) << trace.name() << " at " << now.us();
+    EXPECT_EQ(w.next_transition_time(now), want) << trace.name() << " repeat at " << now.us();
+    if (want != kNoTransition) ++delivering_hints;
+  }
+  return delivering_hints;
+}
+
+TEST(TraceReplayTest, TransitionHintMatchesLinearScanOnBundledTraces) {
+  const auto traces = Trace::load_dir(std::string{PAS_SOURCE_DIR} + "/examples/traces");
+  ASSERT_EQ(traces.size(), 3u);
+  bool saw_zero_run = false;
+  for (const Trace& trace : traces) {
+    // batch_night opens with a long run of zero-demand points: the hint
+    // must jump the whole run in one answer.
+    for (std::size_t i = 0; i + 2 < trace.points().size(); ++i)
+      saw_zero_run |= trace.interval_work(i) == Work{} && trace.interval_work(i + 1) == Work{};
+    EXPECT_GT(expect_hint_matches_scan(trace), 0u) << trace.name();
+  }
+  EXPECT_TRUE(saw_zero_run);
+}
+
+TEST(TraceReplayTest, TransitionHintMatchesLinearScanWithAllZeroTail) {
+  // Work early, then a long tail of zero-demand points: once the last
+  // delivering point is crossed the hint is kNoTransition, although
+  // points remain.
+  std::vector<TracePoint> points{{seconds(0), 0.0, 0.0},
+                                 {seconds(10), 40.0, 0.0},
+                                 {seconds(20), 0.0, 0.0},
+                                 {seconds(30), 15.0, 0.0}};
+  for (int i = 4; i < 40; ++i) points.push_back({seconds(10 * i), 0.0, 0.0});
+  const Trace trace{points, "zero_tail"};
+  EXPECT_GT(expect_hint_matches_scan(trace), 0u);
+  TraceReplay w{trace};
+  w.advance_to(seconds(30));
+  EXPECT_EQ(w.next_transition_time(seconds(30)), kNoTransition);
+  // A trace that never delivers work: kNoTransition from the start.
+  const Trace idle{{{seconds(0), 0.0, 0.0}, {seconds(5), 0.0, 0.0}}, "idle"};
+  EXPECT_EQ(expect_hint_matches_scan(idle), 0u);
 }
 
 TEST(TraceReplayTest, UnservedDemandAccumulatesAsBacklog) {
