@@ -69,8 +69,9 @@
 // planner balancing per-shard aggregate books with bounded cross-shard WAN
 // migrations. With K = 1 the federation must additionally be identical to
 // the bench's own single-cluster fast run (it schedules no federation
-// events). Census per link kind and the rate land in `federation{...}`;
-// --require-federation-rate floors the rate.
+// events). Census per link kind, the rate and the executor split of the
+// --threads budget (federation pool x per-shard engine) land in
+// `federation{...}`; --require-federation-rate floors the rate.
 //
 // Usage: bench_cluster_consolidation [--smoke] [--horizon=SECONDS]
 //          [--hosts=8] [--vms=64] [--out=BENCH_cluster.json]
@@ -152,10 +153,12 @@ HostingClusterConfig& engine(FederationScenarioConfig& cfg) { return cfg.base; }
 
 // One tier's engine variants of the same scenario, each run to the
 // horizon: slow-stepped, fast, and (at threads > 1) fast on the parallel
-// engine. Only the fast run is kept for the tier's statistics.
+// engine. The fast run feeds the tier's statistics; the parallel run is
+// kept only so a tier can report how its engine was wired.
 template <class Config>
 struct Variants {
   decltype(build(std::declval<const Config&>())) fast;
+  decltype(build(std::declval<const Config&>())) par;  // null at threads <= 1
   double slow_wall = 0.0;
   double fast_wall = 0.0;
   double par_wall = 0.0;
@@ -181,9 +184,9 @@ Variants<Config> run_variants(Config cfg, SimTime horizon, std::size_t threads) 
   v.slow_vs_fast = first_divergence(*slow, *v.fast);
   if (threads > 1) {
     engine(cfg).threads = threads;
-    auto par = build(cfg);
-    v.par_wall = run_timed(*par, horizon);
-    v.par_vs_serial = first_divergence(*v.fast, *par);
+    v.par = build(cfg);
+    v.par_wall = run_timed(*v.par, horizon);
+    v.par_vs_serial = first_divergence(*v.fast, *v.par);
   }
   return v;
 }
@@ -658,6 +661,11 @@ int main(int argc, char** argv) {
       else
         ++cross_rack_moves;
     }
+    // The executor split build_federation made of the --threads budget
+    // (the serial run's 1/1 when --threads is 1).
+    const pas::fed::Federation& split = fd.par ? *fd.par : *fd_fast;
+    const std::size_t fed_executors = split.execution_threads();
+    const std::size_t shard_executors = split.shard(0).execution_threads();
     std::size_t intra_moves = 0;
     std::size_t fed_vms = 0;
     for (pas::fed::ShardId s = 0; s < fd_fast->shard_count(); ++s) {
@@ -670,6 +678,8 @@ int main(int argc, char** argv) {
     std::printf("  federated run     : %8.2f wall ms   %10.0f sim-s/wall-s   "
                 "%.2fx vs slow\n",
                 fd.fast_wall * 1e3, fed_rate, fd.slow_wall / fd.fast_wall);
+    std::printf("  executors: %zu advancing shards x %zu per shard engine\n", fed_executors,
+                shard_executors);
     std::printf("  migrations: %zu intra-rack (shard-internal), %zu cross-rack, "
                 "%zu wan   planner ticks %zu   identical: %s\n",
                 intra_moves, cross_rack_moves, wan_moves, fd_fast->planner_ticks(),
@@ -684,12 +694,15 @@ int main(int argc, char** argv) {
                   "    \"cross_shard_migrations\": %zu,\n"
                   "    \"links\": {\"intra_rack\": %zu, \"cross_rack\": %zu, "
                   "\"wan\": %zu},\n"
+                  "    \"executors\": %zu,\n"
+                  "    \"shard_executors\": %zu,\n"
                   "    \"wall_seconds\": %.6f,\n"
                   "    \"sim_per_wall\": %.1f,\n"
                   "    \"federation_identical\": %s\n  },\n",
                   fed_shards, fed_vms, fd_fast->planner_ticks(),
                   fd_fast->cross_shard_records().size(), intra_moves, cross_rack_moves,
-                  wan_moves, fd.fast_wall, fed_rate, json_verdict(federation_identical));
+                  wan_moves, fed_executors, shard_executors, fd.fast_wall, fed_rate,
+                  json_verdict(federation_identical));
     federation_json = buf;
   }
 

@@ -1,5 +1,6 @@
 #include "federation/federation.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -16,6 +17,9 @@ Federation::Federation(FederationConfig config,
     throw std::invalid_argument("Federation: racks must map every shard");
 
   const auto n = static_cast<ShardId>(shards_.size());
+  const std::size_t executors =
+      cfg_.threads == 0 ? common::ThreadPool::hardware_threads() : cfg_.threads;
+  pool_ = std::make_unique<common::ThreadPool>(std::min<std::size_t>(executors, n));
   host_base_.resize(n);
   local_fed_.resize(n);
   pending_in_mb_.assign(n, 0.0);
@@ -63,10 +67,17 @@ std::uint32_t Federation::global_host_id(ShardId shard, cluster::HostId host) co
 }
 
 void Federation::advance_shards(common::SimTime target) {
-  // Serially, in shard-id order; each shard may fan out internally on its
-  // own pool. Shards share no mutable state between federation events, so
-  // the order is a wall-clock choice only — kept fixed for clarity.
-  for (auto& shard : shards_) shard->run_until(target);
+  // One fork-join over the shards, one shard per index (grain 1: a shard
+  // is a whole segment's worth of work). Shards share no mutable state
+  // between federation events, so each index computes exactly what the
+  // serial loop would; the barrier restores the synchronized picture
+  // before any federation event looks. A shard's own pool is driven by
+  // one executor at a time and successive drivers are separated by this
+  // barrier — the ThreadPool one-coordinator rule still holds. If shards
+  // throw, every shard still reaches `target` and the lowest shard's
+  // exception surfaces, whatever the thread count.
+  pool_->parallel_for(
+      shards_.size(), [this, target](std::size_t s) { shards_[s]->run_until(target); }, 1);
 }
 
 void Federation::run_until(common::SimTime until) {

@@ -11,11 +11,16 @@
 //
 //     advance every shard to the next federation event -> fire the event
 //
-// with shards advanced serially in shard-id order (each shard may use its
-// own parallel engine internally). A shard's own events at time t fire
-// inside its run_until(t), i.e. BEFORE any federation event at t — a
-// fixed, engine-independent order, so a federation run is byte-identical
-// across fast/slow paths and thread counts exactly like a single cluster.
+// with the shards advanced concurrently: one fork-join over the K shards
+// per federation event, on the federation's own pool (FederationConfig::
+// threads; each shard may still fan out on its own engine inside). Shards
+// share no mutable state between federation events, so which executor
+// advances which shard is a wall-clock choice only, and the events
+// themselves fire serially on the coordinating thread after the barrier.
+// A shard's own events at time t fire inside its run_until(t), i.e. BEFORE
+// any federation event at t — a fixed, engine-independent order, so a
+// federation run is byte-identical across fast/slow paths and thread
+// counts exactly like a single cluster.
 // With K = 1 the federation schedules NO events at all (nothing to
 // balance, no links), so its run loop degenerates to one run_until per
 // call — byte-exact to driving the bare Cluster, FP summation order
@@ -55,6 +60,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/thread_pool.hpp"
 #include "federation/link_model.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/periodic.hpp"
@@ -85,6 +91,11 @@ struct FederationConfig {
   std::vector<std::uint32_t> racks;
   LinkModel cross_rack = cross_rack_link();
   LinkModel wan = wan_link();
+  /// Executors advancing shards between federation events, with the
+  /// meaning of cluster::ExecutionPolicy::threads (0 = one per hardware
+  /// thread). The pool is capped at the shard count: a shard is the unit
+  /// of work, so executors beyond K would only idle.
+  std::size_t threads = 1;
 };
 
 /// Where a federation VM currently lives.
@@ -158,6 +169,8 @@ class Federation {
   }
   [[nodiscard]] std::size_t planner_ticks() const { return planner_ticks_; }
   [[nodiscard]] std::size_t moves_issued() const { return moves_issued_; }
+  /// Executors of the shard fork-join (min(threads, K)); 1 = a plain loop.
+  [[nodiscard]] std::size_t execution_threads() const { return pool_->thread_count(); }
 
   /// Per-shard aggregate the planner balances: live hosts' memory vs the
   /// memory of running VMs (a direct scan, ids ascending), plus memory
@@ -212,6 +225,7 @@ class Federation {
   /// attached) — counted into shard_load so the planner sees it.
   std::vector<double> pending_in_mb_;
 
+  std::unique_ptr<common::ThreadPool> pool_;  // one executor spawns nothing
   sim::EventQueue events_;
   std::unique_ptr<sim::PeriodicTask> planner_task_;
   std::vector<FedMigrationRecord> records_;

@@ -9,6 +9,11 @@
 // shard 0, handing the global planner a reserved-memory imbalance above
 // its threshold — a federation bench that never crosses a link measures
 // nothing.
+//
+// `base.threads` is the run's ONE executor budget, split across the two
+// parallel tiers: the federation advances min(threads, K) shards at once,
+// and each shard's engine gets max(1, threads / that). K = 1 hands the
+// shard the whole budget, exactly as the bare cluster would have it.
 #pragma once
 
 #include <cstddef>
@@ -20,13 +25,15 @@
 namespace pas::scenario {
 
 struct FederationScenarioConfig {
-  /// Per-shard template; shard 0 uses it verbatim, shard s re-seeds with
-  /// seed + s·1000 (and fleet_seed + s when a fleet seed is set).
+  /// Per-shard template; shard 0 uses it verbatim (bar its share of the
+  /// thread budget), shard s re-seeds with seed + s·1000 (and
+  /// fleet_seed + s when a fleet seed is set).
   HostingClusterConfig base;
   std::size_t shards = 2;
   /// Move base.vms/4 tenants from the last shard to shard 0 (shards > 1
   /// only) so the planner has an imbalance to work on.
   bool skew = true;
+  /// Federation knobs; `threads` is overwritten from base.threads.
   fed::FederationConfig federation;
 };
 

@@ -1,19 +1,24 @@
 // Federation determinism suite: the cluster's byte-identity contract,
 // lifted to the sharded tier. A federated run must be byte-identical
-// across the fast/slow host paths and every executor thread count (the
-// coordinator serializes all cross-shard state; threads are wall-clock
-// only), and a single-shard federation must degrade to EXACTLY the bare
-// hosting cluster — same trace rows, same energy bits — because it
-// schedules no federation events at all.
+// across the fast/slow host paths and every executor thread count (shards
+// advance concurrently between federation events, but share no mutable
+// state and every cross-shard event fires serially after the barrier;
+// threads are wall-clock only), and a single-shard federation must degrade
+// to EXACTLY the bare hosting cluster — same trace rows, same energy bits
+// — because it schedules no federation events at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "../cluster/cluster_fuzz_common.hpp"
 #include "cluster/cluster.hpp"
+#include "common/thread_pool.hpp"
 #include "common/units.hpp"
+#include "fault/fault.hpp"
 #include "federation/federation.hpp"
 #include "scenario/federation_scenario.hpp"
 #include "scenario/hosting_cluster.hpp"
@@ -23,8 +28,9 @@ namespace {
 
 using common::seconds;
 
+// With `chaos`, hosts crash inside shards that advance concurrently.
 scenario::FederationScenarioConfig fed_config(std::size_t shards, bool fast_path,
-                                              std::size_t threads) {
+                                              std::size_t threads, bool chaos = false) {
   scenario::FederationScenarioConfig cfg;
   // 24 VMs: the quarter-skew (6 tenants) opens a ~0.2 reserved-memory
   // utilization gap — comfortably above the planner's 0.10 threshold, so
@@ -37,6 +43,10 @@ scenario::FederationScenarioConfig fed_config(std::size_t shards, bool fast_path
   cfg.base.fast_path = fast_path;
   cfg.base.threads = threads;
   cfg.shards = shards;
+  if (chaos) {
+    cfg.base.chaos_seed = 7;
+    cfg.base.chaos.max_crashes = 2;
+  }
   return cfg;
 }
 
@@ -54,24 +64,84 @@ TEST(FederationDeterminismTest, SingleShardDegradesToBareCluster) {
 }
 
 TEST(FederationDeterminismTest, ByteIdenticalAcrossPathsAndThreads) {
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    std::unique_ptr<Federation> ref =
-        scenario::build_federation(fed_config(shards, true, 1));
-    ref->run_until(seconds(600));
-    struct Variant {
-      bool fast_path;
-      std::size_t threads;
-      const char* name;
-    };
-    for (const Variant v : {Variant{false, 1, "slow-path"}, Variant{true, 2, "2-thread"},
-                            Variant{true, 4, "4-thread"}}) {
-      std::unique_ptr<Federation> run =
-          scenario::build_federation(fed_config(shards, v.fast_path, v.threads));
-      run->run_until(seconds(600));
-      ASSERT_EQ(first_divergence(*ref, *run), std::nullopt)
-          << "K=" << shards << " " << v.name;
+  // Every shard count, with and without chaos: the slow path, and the
+  // shard-parallel engine at every executor budget (0 = hardware) — each
+  // K > 1 budget splits differently between the federation pool and the
+  // shard engines. Each run must match the serial fast-path reference.
+  for (const bool chaos : {false, true}) {
+    for (const std::size_t shards :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+      std::unique_ptr<Federation> ref =
+          scenario::build_federation(fed_config(shards, true, 1, chaos));
+      ref->run_until(seconds(600));
+      if (chaos) {
+        std::size_t crashes = 0;
+        for (ShardId s = 0; s < ref->shard_count(); ++s)
+          crashes += ref->shard(s).faults()->crashes_fired();
+        ASSERT_GE(crashes, 1u) << "K=" << shards << ": chaos variant crashed nothing";
+      }
+      struct Variant {
+        bool fast_path;
+        std::size_t threads;
+      };
+      for (const Variant v : {Variant{false, 1}, Variant{true, 1}, Variant{true, 2},
+                              Variant{true, 3}, Variant{true, 4}, Variant{true, 0}}) {
+        std::unique_ptr<Federation> run =
+            scenario::build_federation(fed_config(shards, v.fast_path, v.threads, chaos));
+        run->run_until(seconds(600));
+        ASSERT_EQ(first_divergence(*ref, *run), std::nullopt)
+            << "K=" << shards << (v.fast_path ? " fast" : " slow")
+            << " threads=" << v.threads << (chaos ? " chaos" : "");
+      }
     }
   }
+}
+
+TEST(FederationDeterminismTest, LowestShardExceptionSurfacesAtEveryThreadCount) {
+  // Shards 1 and 3 throw at the same instant, possibly on different
+  // executors at once: the federation must surface shard 1's exception
+  // whatever the interleaving, exactly as the serial loop would.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    std::unique_ptr<Federation> fed =
+        scenario::build_federation(fed_config(4, true, threads));
+    for (const ShardId s : {ShardId{1}, ShardId{3}})
+      fed->shard(s).schedule_at(seconds(50), [s](common::SimTime) {
+        throw std::runtime_error("shard " + std::to_string(s));
+      });
+    try {
+      fed->run_until(seconds(100));
+      FAIL() << "threads=" << threads << ": no exception surfaced";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 1") << "threads=" << threads;
+    }
+  }
+}
+
+TEST(FederationDeterminismTest, ThreadBudgetSplitsAcrossTiers) {
+  // build_federation splits base.threads: the federation advances
+  // min(threads, K) shards at once, each shard's engine gets the rest.
+  struct Split {
+    std::size_t shards;
+    std::size_t threads;
+    std::size_t federation;
+    std::size_t per_shard;
+  };
+  for (const Split x : {Split{4, 2, 2, 1}, Split{2, 4, 2, 2}, Split{1, 4, 1, 4},
+                        Split{4, 1, 1, 1}, Split{3, 4, 3, 1}}) {
+    std::unique_ptr<Federation> fed =
+        scenario::build_federation(fed_config(x.shards, true, x.threads));
+    EXPECT_EQ(fed->execution_threads(), x.federation)
+        << "K=" << x.shards << " t=" << x.threads;
+    for (ShardId s = 0; s < fed->shard_count(); ++s)
+      EXPECT_EQ(fed->shard(s).execution_threads(), x.per_shard)
+          << "K=" << x.shards << " t=" << x.threads << " shard " << s;
+  }
+  // 0 = hardware: the federation never holds more executors than shards.
+  const std::size_t hw = common::ThreadPool::hardware_threads();
+  std::unique_ptr<Federation> fed = scenario::build_federation(fed_config(4, true, 0));
+  EXPECT_EQ(fed->execution_threads(), std::min<std::size_t>(hw, 4));
+  EXPECT_EQ(fed->shard(0).execution_threads(),
+            std::max<std::size_t>(1, hw / fed->execution_threads()));
 }
 
 TEST(FederationDeterminismTest, FirstDivergenceNamesTheSlowedLink) {
