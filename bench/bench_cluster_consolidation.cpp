@@ -14,83 +14,20 @@
 // before CPU (§2.3), now demonstrated on a running fleet with migration
 // overhead and downtime included rather than on a frozen placement.
 //
-// Identity: the 8x64 scenario and every optional tier below (trace,
-// chaos, control, federation) run through run_variants — slow-stepped,
-// fast, and at --threads > 1 the parallel engine — and each verdict is the
-// tier's first_divergence (cluster::, or fed:: for the federation). The
-// identity gates are always on, --smoke included; a failing one prints the
-// first field that differs. Verdicts are tri-state: a `*_identical` JSON
-// field is null when its comparison never ran (e.g. `parallel_identical`
-// at --threads=1), never a vacuous true.
-//
-// Throughput: simulated-seconds-per-wall-second of the fast run, with an
-// optional CI floor (--require-rate=2000); --threads=N records
-// serial-vs-parallel wall as `parallel_speedup`, and
-// --require-parallel-speedup=X floors it. Timing and saving gates are
-// full-run only: --smoke is exempt, identity is not.
-//
-// --trace=DIR replays a recorded-demand scenario: the same fleet, every
-// tenant a wl::TraceReplay over a trace from DIR
-// (scenario::WorkloadPreset::kTrace, assignment seeded by --fleet-seed);
-// results land in `trace{...}`.
-//
-// --fleet=mixed swaps the uniform 8-GB fleet for the heterogeneous
-// platform catalog (scenario::FleetPreset::kMixed: xeon / optiplex / elite
-// round-robin, hungriest class first). A fourth policy — the manager with
-// efficient-first packing turned OFF (naive index-order FFD) — prices the
-// heterogeneity-aware cost term; per-class host counts and energy land in
-// `hetero{...}`, and --require-hetero-saving floors the gap.
-//
-// --chaos-seed=N reruns the scenario under a seeded fault schedule
-// (fault::draw_fault_plan: host crashes, migration aborts, link
-// degradation, planner brownouts), separate from the fault-free policy
-// runs; survived-VM and recovery-latency stats land in `chaos{...}`.
-//
-// --commands=FILE runs the scenario under an external command stream
-// (ctl::parse_tasks over a JSON task log; see src/control/task.hpp). On
-// top of identity (which includes the result log), a fresh re-record must
-// match, and the result log re-injected as a no-op annotation stream must
-// re-record itself verbatim. Counts land in `control{...}`.
-//
-// --scale-hosts=N (with --scale-vms, --scale-horizon) adds the SCALE tier:
-// the same recipe at fleet size (CI: 1000 hosts x 10000 VMs), run once on
-// the fast path at --threads. Planner time is metered inside the manager
-// and lands in `scale{...}`; --require-scale-rate floors the rate and
-// --require-scale-planner-ns caps planner ns per manager tick. The
-// planner's equivalence to from-scratch FFD is pinned per tick by
-// tests/cluster/cluster_incremental_test.cpp.
-//
-// Every invocation also reports the sparse driver's dispatch counters in
-// `engine{...}` (from the scale run when present, else the 8x64 fast run);
-// --require-active-fraction=X caps the active fraction on the scale tier.
-//
-// --federation=K adds K hosting-cluster shards (shard 0 skew-loaded with a
-// quarter of the last shard's tenants) under one fed::Federation — a global
-// planner balancing per-shard aggregate books with bounded cross-shard WAN
-// migrations. With K = 1 the federation must additionally be identical to
-// the bench's own single-cluster fast run (it schedules no federation
-// events). Census per link kind, the rate and the executor split of the
-// --threads budget (federation pool x per-shard engine) land in
-// `federation{...}`; --require-federation-rate floors the rate.
-//
-// Usage: bench_cluster_consolidation [--smoke] [--horizon=SECONDS]
-//          [--hosts=8] [--vms=64] [--out=BENCH_cluster.json]
-//          [--require-rate=RATE] [--threads=N]
-//          [--require-parallel-speedup=X]
-//          [--fleet=uniform|mixed] [--fleet-seed=N] [--require-hetero-saving]
-//          [--trace=DIR] [--chaos-seed=N] [--commands=FILE]
-//          [--scale-hosts=N] [--scale-vms=N] [--scale-horizon=SECONDS]
-//          [--require-scale-rate=RATE]
-//          [--require-scale-planner-ns=NS] [--require-active-fraction=X]
-//          [--federation=K] [--require-federation-rate=RATE]
+// Each optional tier (hetero, trace, chaos, control, scale, federation)
+// is one row of kTiers; every tier with an identity verdict runs through
+// run_variants — slow-stepped, fast, and at --threads > 1 the parallel
+// engine. Identity gates are always on, --smoke included. Every flag, JSON
+// field and threshold gate (one per row of kGates, with its smoke-exempt
+// column) is documented in docs/BENCHMARKS.md.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,42 +42,17 @@
 #include "platform/host_class.hpp"
 #include "scenario/federation_scenario.hpp"
 #include "scenario/hosting_cluster.hpp"
+#include "throughput_common.hpp"
 #include "workload/trace_replay.hpp"
 
 namespace {
 
+using pas::bench::Json;
+using pas::bench::run_timed;
 using pas::common::seconds;
 using pas::common::SimTime;
 using pas::scenario::FederationScenarioConfig;
 using pas::scenario::HostingClusterConfig;
-
-// Minimal JSON string escaping for user-supplied values (the --trace
-// path): quotes, backslashes and control characters.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-template <class Sim>
-double run_timed(Sim& sim, SimTime horizon) {
-  const auto start = std::chrono::steady_clock::now();
-  sim.run_until(horizon);
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(stop - start).count();
-}
 
 std::unique_ptr<pas::cluster::Cluster> build(const HostingClusterConfig& cfg) {
   return pas::scenario::build_hosting_cluster(cfg);
@@ -191,701 +103,510 @@ Variants<Config> run_variants(Config cfg, SimTime horizon, std::size_t threads) 
   return v;
 }
 
-// Tri-state identity verdict for JSON: a comparison that never ran is
-// null, never a vacuous true.
-const char* json_verdict(const std::optional<bool>& v) {
-  return v.has_value() ? (*v ? "true" : "false") : "null";
+struct Gate;
+
+// Everything the flags ask for, parsed before any simulation runs: the
+// --trace and --commands files included, so bad input costs no run.
+struct Options {
+  bool smoke = false;
+  long horizon_s = 0;
+  std::string fleet;
+  std::size_t threads = 1;
+  std::string trace_dir;
+  std::string commands_file;
+  std::string out;
+  // The 8x64 scenario, and each optional tier's variant of it; a tier the
+  // flags leave off has none.
+  HostingClusterConfig base;
+  std::optional<HostingClusterConfig> trace, chaos, control, scale;
+  std::optional<FederationScenarioConfig> federation;
+  std::vector<std::pair<const Gate*, double>> gates;  // the ones turned on, with limits
+};
+
+// What switches a tier on; a gate names the one that produces its field.
+struct Need {
+  const char* what;
+  bool (*on)(const Options&);
+};
+const Need kParallel{"--threads > 1", [](const Options& o) { return o.threads > 1; }};
+const Need kMixed{"--fleet=mixed", [](const Options& o) { return o.fleet == "mixed"; }};
+const Need kTrace{"--trace", [](const Options& o) { return o.trace.has_value(); }};
+const Need kChaos{"--chaos-seed", [](const Options& o) { return o.chaos.has_value(); }};
+const Need kControl{"--commands", [](const Options& o) { return o.control.has_value(); }};
+const Need kScale{"--scale-hosts > 0", [](const Options& o) { return o.scale.has_value(); }};
+const Need kFederation{"--federation > 0",
+                       [](const Options& o) { return o.federation.has_value(); }};
+
+// A threshold gate over one number of the JSON document.
+enum class Bound { kFloor, kCeiling, kPositive };
+struct Gate {
+  const char* flag;   // nullptr: always on; a kPositive flag is a bare switch
+  const char* path;
+  Bound bound;        // >= the flag's value, <= it, or > 0
+  const Need* needs;  // the tier that produces `path`; nullptr: always runs
+  bool smoke_exempt;  // a --smoke horizon is too short to measure it honestly
+};
+const Gate kGates[] = {
+    {nullptr, "dvfs_saving_watts", Bound::kPositive, nullptr, false},
+    {"require-rate", "fast.sim_per_wall", Bound::kFloor, nullptr, false},
+    {"require-parallel-speedup", "parallel_speedup", Bound::kFloor, &kParallel, true},
+    {"require-hetero-saving", "hetero.efficient_first_saving_watts", Bound::kPositive,
+     &kMixed, true},
+    {"require-scale-planner-ns", "scale.planner_ns_per_tick", Bound::kCeiling, &kScale, true},
+    {"require-scale-rate", "scale.sim_per_wall", Bound::kFloor, &kScale, true},
+    {"require-active-fraction", "engine.active_fraction", Bound::kCeiling, &kScale, true},
+    {"require-federation-rate", "federation.sim_per_wall", Bound::kFloor, &kFederation, true},
+};
+
+// Throws std::runtime_error (origin:line first where there is one) on a
+// malformed flag, an unreadable input file or a gate whose tier is off.
+Options parse(const pas::common::Flags& flags) {
+  Options o;
+  o.smoke = flags.has("smoke");
+  o.horizon_s = flags.get_int("horizon", o.smoke ? 400 : 4000);
+  if (o.horizon_s < 64) throw std::runtime_error("--horizon must be >= 64");
+  o.base.hosts = flags.get_count("hosts", 8);
+  o.base.vms = flags.get_count("vms", 64);
+  o.base.horizon = seconds(o.horizon_s);
+  o.out = flags.get_or("out", "BENCH_cluster.json");
+  o.fleet = flags.get_or("fleet", "uniform");
+  if (o.fleet != "uniform" && o.fleet != "mixed")
+    throw std::runtime_error("--fleet must be uniform or mixed");
+  if (kMixed.on(o)) {
+    o.base.fleet = pas::scenario::FleetPreset::kMixed;
+    o.base.fleet_seed = static_cast<std::uint64_t>(flags.get_int("fleet-seed", 0));
+  }
+  // --threads follows ExecutionPolicy semantics: 1 (the default) = serial
+  // only, no parallel measurement; 0 = hardware concurrency; N > 1 = N.
+  o.threads = flags.get_count("threads", 1);
+  if (o.threads == 0) o.threads = pas::common::ThreadPool::hardware_threads();
+  o.trace_dir = flags.get_or("trace", "");
+  if (!o.trace_dir.empty()) {
+    o.trace = o.base;
+    o.trace->workload = pas::scenario::WorkloadPreset::kTrace;
+    o.trace->traces = pas::wl::Trace::load_dir(o.trace_dir);
+  }
+  if (const long seed = flags.get_int("chaos-seed", 0); seed != 0) {
+    o.chaos = o.base;
+    o.chaos->chaos_seed = static_cast<std::uint64_t>(seed);
+  }
+  o.commands_file = flags.get_or("commands", "");
+  if (!o.commands_file.empty()) {
+    std::ifstream in(o.commands_file, std::ios::binary);
+    if (!in) throw std::runtime_error("cannot open " + o.commands_file);
+    std::ostringstream text;
+    text << in.rdbuf();
+    o.control = o.base;
+    o.control->commands =
+        pas::ctl::parse_tasks(text.str(), o.commands_file, {o.base.hosts, o.base.vms});
+  }
+  if (const std::size_t hosts = flags.get_count("scale-hosts", 0); hosts > 0) {
+    // The same recipe at fleet size, run once on the fast path with the
+    // full engine: sparse partition on the coordinating thread, pooled
+    // dispatch of the active remainder at --threads.
+    o.scale = o.base;
+    o.scale->hosts = hosts;
+    o.scale->vms = flags.get_count("scale-vms", hosts * 10);
+    o.scale->horizon = seconds(flags.get_int("scale-horizon", o.smoke ? 120 : 600));
+    o.scale->fast_path = true;
+    o.scale->threads = o.threads;
+  }
+  if (const std::size_t shards = flags.get_count("federation", 0); shards > 0) {
+    o.federation.emplace();
+    o.federation->base = o.base;
+    o.federation->shards = shards;
+  }
+  for (const Gate& g : kGates) {
+    // A floor or ceiling is on when its flag's value is > 0, a kPositive
+    // flag when it is present, a flagless row always.
+    const bool has_limit = g.flag && g.bound != Bound::kPositive;
+    const double limit = has_limit ? flags.get_double(g.flag, 0.0) : 0.0;
+    if (g.flag && !(has_limit ? limit > 0.0 : flags.has(g.flag))) continue;
+    if (g.needs && !g.needs->on(o))
+      throw std::runtime_error(std::string{"--"} + g.flag + " needs " + g.needs->what);
+    o.gates.emplace_back(&g, limit);
+  }
+  return o;
 }
+
+// What the tiers share: the parsed flags and the main runs (the K = 1
+// federation and the engine block read them).
+struct Context {
+  explicit Context(const Options& o) : opt(o) {}
+
+  const Options& opt;
+  Variants<HostingClusterConfig> main;
+  // Sparse-driver telemetry comes from the most representative fleet this
+  // invocation runs: the scale tier when present (consolidation parks most
+  // of a big fleet, which is what the active-fraction gate is about),
+  // otherwise the 8x64 fast run.
+  pas::cluster::EngineStats engine_stats;
+  std::size_t engine_grain = 0;
+  // First divergences of failed identity verdicts, printed with the gates.
+  std::vector<std::string> divergences;
+
+  template <class Runs>
+  bool verdict(const char* tier, const Runs& runs) {
+    if (!runs.identical()) divergences.push_back(std::string{tier} + " " + runs.divergence());
+    return runs.identical();
+  }
+  [[nodiscard]] double rate(double wall) const {
+    return static_cast<double>(opt.horizon_s) / wall;
+  }
+};
+
+// --- throughput + exactness: fast path vs reference loop (and the parallel
+// --- engine at --threads > 1), manager on ---
+Json run_main(Context& c) {
+  const Options& o = c.opt;
+  c.main = run_variants(o.base, o.base.horizon, o.threads);
+  const auto& m = c.main;
+  c.verdict("hosting cluster", m);
+  c.engine_stats = m.fast->engine_stats();
+  c.engine_grain = m.fast->config().execution.pool_grain;
+
+  Json j;
+  j.str("bench", "cluster_consolidation")
+      .str("scenario", "hosting_cluster_" + std::to_string(o.base.hosts) + "x" +
+                           std::to_string(o.base.vms))
+      .str("fleet", o.fleet)
+      .integer("hosts", o.base.hosts)
+      .integer("vms", o.base.vms)
+      .integer("simulated_seconds", o.horizon_s)
+      .obj("slow", Json::one_line()
+                       .num("wall_seconds", m.slow_wall, 6)
+                       .num("sim_per_wall", c.rate(m.slow_wall), 1))
+      .obj("fast", Json::one_line()
+                       .num("wall_seconds", m.fast_wall, 6)
+                       .num("sim_per_wall", c.rate(m.fast_wall), 1))
+      .num("speedup", m.slow_wall / m.fast_wall, 3)
+      .verdict("traces_identical", !m.slow_vs_fast);
+  // The parallel A/B only exists at --threads > 1: without it the whole
+  // block is null — numbers from a run that never happened are as vacuous
+  // as a defaulted identity verdict.
+  if (!kParallel.on(o))
+    return j.null("parallel").null("parallel_speedup").null("parallel_identical");
+  return j
+      .obj("parallel", Json::one_line()
+                           .integer("threads", o.threads)
+                           .num("wall_seconds", m.par_wall, 6)
+                           .num("sim_per_wall", c.rate(m.par_wall), 1))
+      .num("parallel_speedup", m.fast_wall / m.par_wall, 3)
+      .verdict("parallel_identical", !m.par_vs_serial);
+}
+
+// --- the dynamic §2.3 figure ---
+// (c) consolidation + PAS is the main fast run; (a) and (b) rerun the same
+// tenants under the other policies.
+Json run_policies(Context& c) {
+  const Options& o = c.opt;
+  auto cfg_spread = o.base;
+  cfg_spread.install_manager = false;
+  auto spread = pas::scenario::build_hosting_cluster(cfg_spread);
+  spread->run_until(o.base.horizon);
+
+  auto cfg_consol = o.base;
+  cfg_consol.manager.dvfs = pas::cluster::ClusterManagerConfig::Dvfs::kPinnedMax;
+  auto consol = pas::scenario::build_hosting_cluster(cfg_consol);
+  consol->run_until(o.base.horizon);
+
+  const double watts_spread = spread->average_watts();
+  const double watts_consol = consol->average_watts();
+  const double watts_pas = c.main.fast->average_watts();
+  return Json{}
+      .num("watts_static_spread", watts_spread, 3)
+      .num("watts_consolidation_only", watts_consol, 3)
+      .num("watts_consolidation_pas", watts_pas, 3)
+      .num("consolidation_saving_watts", watts_spread - watts_consol, 3)
+      .num("dvfs_saving_watts", watts_consol - watts_pas, 3);
+}
+
+// --- heterogeneity: per-class split + the efficient-first A/B ---
+// The naive baseline reruns the PAS policy with the planner's
+// heterogeneity-aware host ordering disabled (index-order FFD): the watt
+// gap prices the cost term on the mixed fleet.
+Json run_hetero(Context& c) {
+  const Options& o = c.opt;
+  auto cfg_naive = o.base;
+  cfg_naive.manager.efficient_first = false;
+  auto naive = pas::scenario::build_hosting_cluster(cfg_naive);
+  naive->run_until(o.base.horizon);
+  const auto& fast = *c.main.fast;
+  const double watts_naive_order = naive->average_watts();
+  const double hetero_saving = watts_naive_order - fast.average_watts();
+
+  // Per-class host count and energy, ordered by name for a stable JSON.
+  std::map<std::string, std::pair<std::size_t, double>> classes;
+  for (pas::cluster::HostId h = 0; h < fast.host_count(); ++h) {
+    auto& [hosts, joules] = classes[fast.host_class(h).name];
+    ++hosts;
+    joules += fast.host_energy_joules(h);
+  }
+  Json by_class;
+  for (const auto& [name, stat] : classes)
+    by_class.obj(name, Json::one_line()
+                           .integer("hosts", stat.first)
+                           .num("energy_joules", stat.second, 3));
+  return Json{}
+      .obj("classes", std::move(by_class))
+      .num("watts_naive_order", watts_naive_order, 3)
+      .num("efficient_first_saving_watts", hetero_saving, 3);
+}
+
+// --- trace replay: recorded-demand tenants on the same fleet ---
+Json run_trace(Context& c) {
+  const Options& o = c.opt;
+  const auto tr = run_variants(*o.trace, o.base.horizon, o.threads);
+  const auto& tr_fast = *tr.fast;
+  const bool identical = c.verdict("trace replay", tr);
+
+  return Json{}
+      .str("dir", o.trace_dir)
+      .integer("files", o.trace->traces.size())
+      .verdict("replay_identical", identical)
+      .num("sim_per_wall", c.rate(tr.fast_wall), 1)
+      .num("speedup", tr.slow_wall / tr.fast_wall, 3)
+      .num("watts", tr_fast.average_watts(), 3)
+      .integer("migrations", tr_fast.migrations().size());
+}
+
+// --- chaos: the same scenario under a seeded fault schedule ---
+// Separate runs, so the policy numbers stay fault-free.
+Json run_chaos(Context& c) {
+  const Options& o = c.opt;
+  const auto ch = run_variants(*o.chaos, o.base.horizon, o.threads);
+  const auto& ch_fast = *ch.fast;
+  const bool identical = c.verdict("chaos", ch);
+
+  const pas::fault::FaultInjector& inj = *ch_fast.faults();
+  const pas::cluster::ClusterManager& mgr = *ch_fast.manager();
+  // Recovery-latency SLO stats (orphan → running again): p50/mean/max
+  // over the run's VmRecovery records.
+  const pas::cluster::RecoveryStats rec =
+      pas::cluster::summarize_recoveries(ch_fast.recoveries());
+
+  return Json{}
+      .integer("seed", o.chaos->chaos_seed)
+      .integer("faults_drawn", inj.plan().events.size())
+      .integer("crashes", inj.crashes_fired())
+      .integer("migration_aborts", inj.aborts_fired())
+      .integer("link_degrades", inj.link_degrades_fired())
+      .integer("brownout_ticks_skipped", mgr.ticks_skipped())
+      .integer("vms", ch_fast.vm_count())
+      .integer("vms_survived", ch_fast.running_vm_count())
+      .integer("vms_lost", ch_fast.lost_vm_count())
+      .integer("recovery_restarts", rec.count)
+      .integer("recovery_abandoned", mgr.restarts_abandoned())
+      .num("recovery_latency_p50_s", rec.p50.sec(), 6)
+      .num("recovery_latency_mean_s", rec.mean_s, 3)
+      .num("recovery_latency_max_s", rec.max.sec(), 6)
+      .integer("restarts_issued", mgr.restarts_issued())
+      .verdict("chaos_identical", identical);
+}
+
+// --- control plane: an external command stream over the same fleet ---
+// `control.replay_identical` combines the engine variants, a fresh
+// re-record and the annotation round trip.
+Json run_control(Context& c) {
+  const Options& o = c.opt;
+  const auto ct = run_variants(*o.control, o.base.horizon, o.threads);
+  const auto& ct_fast = ct.fast;
+  bool identical = c.verdict("control", ct);
+
+  // Re-record: the same file through a fresh cluster must reproduce the
+  // run, result log included.
+  {
+    auto ct_re = pas::scenario::build_hosting_cluster(*o.control);
+    ct_re->run_until(o.base.horizon);
+    if (auto d = first_divergence(*ct_fast, *ct_re)) {
+      identical = false;
+      c.divergences.push_back("control re-record: " + *d);
+    }
+  }
+
+  // Close the loop: the result log re-injected as a no-op annotation
+  // stream must re-record itself verbatim (annotation streams are a
+  // fixed point of record→re-inject — ctl::results_to_annotations).
+  {
+    const std::string notes =
+        pas::ctl::results_to_annotations(ct_fast->control()->results());
+    auto cfg_notes = o.base;
+    cfg_notes.commands = pas::ctl::parse_tasks(notes, "<annotations>", {o.base.hosts, o.base.vms});
+    auto ct_notes = pas::scenario::build_hosting_cluster(cfg_notes);
+    ct_notes->run_until(o.base.horizon);
+    if (pas::ctl::results_to_annotations(ct_notes->control()->results()) != notes) {
+      identical = false;
+      c.divergences.push_back("control annotation round trip: re-recorded stream differs");
+    }
+  }
+
+  const pas::ctl::ControlPlane& plane = *ct_fast->control();
+  return Json{}
+      .str("file", o.commands_file)
+      .integer("tasks", o.control->commands.size())
+      .integer("fired", plane.results().size())
+      .integer("accepted", plane.accepted())
+      .integer("rejected", plane.rejected())
+      .integer("superseded", plane.superseded())
+      .verdict("replay_identical", identical);
+}
+
+// --- scale: the delta-driven planner at fleet size ---
+// Same scenario recipe at --scale-hosts x --scale-vms, run once on the
+// fast path. The planner's equivalence to from-scratch FFD is pinned per
+// tick by tests/cluster/cluster_incremental_test.cpp.
+Json run_scale(Context& c) {
+  const HostingClusterConfig& cfg = *c.opt.scale;
+  auto sc = pas::scenario::build_hosting_cluster(cfg);
+  const double sc_wall = run_timed(*sc, cfg.horizon);
+  const double scale_rate = cfg.horizon.sec() / sc_wall;
+  c.engine_stats = sc->engine_stats();
+  c.engine_grain = sc->config().execution.pool_grain;
+
+  const pas::cluster::ClusterManager& mgr = *sc->manager();
+  const pas::consolidation::HostBookStats& bk = mgr.book_stats();
+  // Amortized planner cost per manager tick: skipped ticks count — the
+  // early-out is exactly what buys the amortization.
+  const std::size_t ticks = mgr.planning_ticks() + mgr.plans_skipped();
+  const double ns_per_tick =
+      ticks > 0 ? static_cast<double>(mgr.planner_ns()) / static_cast<double>(ticks) : 0.0;
+
+  return Json{}
+      .integer("hosts", cfg.hosts)
+      .integer("vms", cfg.vms)
+      .integer("simulated_seconds", cfg.horizon.us() / 1'000'000)
+      .num("wall_seconds", sc_wall, 6)
+      .num("sim_per_wall", scale_rate, 1)
+      .integer("planner_ns", mgr.planner_ns())
+      .integer("planning_ticks", mgr.planning_ticks())
+      .integer("plans_skipped", mgr.plans_skipped())
+      .num("planner_ns_per_tick", ns_per_tick, 1)
+      .integer("events_coalesced", mgr.events_coalesced())
+      .obj("book", Json::one_line()
+                       .integer("plans", bk.plans)
+                       .integer("cached", bk.cached_plans)
+                       .integer("delta", bk.delta_plans)
+                       .integer("full_rebuilds", bk.full_rebuilds)
+                       .integer("vms_walked", bk.vms_walked)
+                       .integer("vms_scanned", bk.vms_scanned)
+                       .integer("coalesced_marks", bk.coalesced_marks));
+}
+
+// --- federation: K shards under the global planner, per-link WAN moves ---
+Json run_federation(Context& c) {
+  const Options& o = c.opt;
+  const auto fd = run_variants(*o.federation, o.base.horizon, o.threads);
+  const auto& fd_fast = fd.fast;
+  bool identical = c.verdict("federation", fd);
+  // K = 1 degradation: byte-exact to the single-cluster fast run (same
+  // config, same seed, no skew, no federation events).
+  if (o.federation->shards == 1) {
+    if (auto d = first_divergence(*c.main.fast, fd_fast->shard(0))) {
+      identical = false;
+      c.divergences.push_back("federation K=1 vs bare cluster: " + *d);
+    }
+  }
+
+  // Cross-shard census by link kind; the intra-rack tier is the shards'
+  // own internal migrations.
+  const auto& flights = fd_fast->cross_shard_records();
+  const auto wan_moves = static_cast<std::size_t>(
+      std::count_if(flights.begin(), flights.end(),
+                    [](const auto& r) { return r.link == pas::fed::LinkKind::kWan; }));
+  std::size_t intra_moves = 0;
+  std::size_t fed_vms = 0;
+  for (pas::fed::ShardId s = 0; s < fd_fast->shard_count(); ++s) {
+    intra_moves += fd_fast->shard(s).migrations().size();
+    fed_vms += fd_fast->shard(s).vm_count();
+  }
+  // The executor split build_federation made of the --threads budget
+  // (the serial run's 1/1 when --threads is 1).
+  const pas::fed::Federation& split = fd.par ? *fd.par : *fd_fast;
+  return Json{}
+      .integer("shards", o.federation->shards)
+      .integer("vms", fed_vms)
+      .integer("planner_ticks", fd_fast->planner_ticks())
+      .integer("cross_shard_migrations", flights.size())
+      .obj("links", Json::one_line()
+                        .integer("intra_rack", intra_moves)
+                        .integer("cross_rack", flights.size() - wan_moves)
+                        .integer("wan", wan_moves))
+      .integer("executors", split.execution_threads())
+      .integer("shard_executors", split.shard(0).execution_threads())
+      .num("wall_seconds", fd.fast_wall, 6)
+      .num("sim_per_wall", c.rate(fd.fast_wall), 1)
+      .verdict("federation_identical", identical);
+}
+
+// --- engine telemetry: the sparse driver's dispatch counters ---
+// active_fraction = dispatches / (dispatches + bulk_skips): how much of
+// the fleet the engine really had to step.
+Json run_engine(Context& c) {
+  const pas::cluster::EngineStats& e = c.engine_stats;
+  return Json{}
+      .integer("segments", e.segments)
+      .integer("dispatches", e.dispatches)
+      .integer("bulk_skips", e.bulk_skips)
+      .num("active_fraction", e.active_fraction(), 6)
+      .integer("pool_grain", c.engine_grain);
+}
+
+// The tiers in run, print and JSON order. A keyless tier's fields go to
+// the top level of the document.
+struct Tier {
+  const char* key;
+  const Need* needs;  // nullptr: always runs
+  Json (*run)(Context&);
+};
+const Tier kTiers[] = {
+    {nullptr, nullptr, run_main},           {nullptr, nullptr, run_policies},
+    {"hetero", &kMixed, run_hetero},        {"trace", &kTrace, run_trace},
+    {"chaos", &kChaos, run_chaos},          {"control", &kControl, run_control},
+    {"scale", &kScale, run_scale},          {"federation", &kFederation, run_federation},
+    {"engine", nullptr, run_engine},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const pas::common::Flags flags{argc, argv};
-  const long horizon_s = flags.get_int("horizon", flags.has("smoke") ? 400 : 4000);
-  if (horizon_s < 64) {
-    std::fprintf(stderr, "bench_cluster_consolidation: --horizon must be >= 64\n");
+  Options opt;
+  try {
+    opt = parse(pas::common::Flags{argc, argv});
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_cluster_consolidation: %s\n", e.what());
     return 2;
   }
-  const std::size_t hosts = flags.get_count("hosts", 8);
-  const std::size_t vms = flags.get_count("vms", 64);
-  const std::string out = flags.get_or("out", "BENCH_cluster.json");
-  const std::string fleet = flags.get_or("fleet", "uniform");
-  if (fleet != "uniform" && fleet != "mixed") {
-    std::fprintf(stderr, "bench_cluster_consolidation: --fleet must be uniform or mixed\n");
-    return 2;
-  }
-  const bool mixed = fleet == "mixed";
-  const SimTime horizon = seconds(horizon_s);
-
-  HostingClusterConfig base;
-  base.hosts = hosts;
-  base.vms = vms;
-  base.horizon = horizon;
-  if (mixed) {
-    base.fleet = pas::scenario::FleetPreset::kMixed;
-    base.fleet_seed = static_cast<std::uint64_t>(flags.get_int("fleet-seed", 0));
-  }
-
   std::printf("=== cluster consolidation: %zu hosts x %zu VMs, %ld simulated s, %s fleet ===\n",
-              hosts, vms, horizon_s, fleet.c_str());
+              opt.base.hosts, opt.base.vms, opt.horizon_s, opt.fleet.c_str());
 
-  // --threads follows ExecutionPolicy semantics: 1 (the default) = serial
-  // only, no parallel measurement; 0 = hardware concurrency; N > 1 = N.
-  std::size_t threads = flags.get_count("threads", 1);
-  if (threads == 0) threads = pas::common::ThreadPool::hardware_threads();
-
-  // --- throughput + exactness: fast path vs reference loop (and the
-  // --- parallel engine at --threads > 1), manager on ---
-  auto main_runs = run_variants(base, horizon, threads);
-  const auto& fast = main_runs.fast;
-  const double slow_wall = main_runs.slow_wall;
-  const double slow_rate = static_cast<double>(horizon_s) / slow_wall;
-  std::printf("  slow-stepped loop : %8.2f wall ms   %10.0f sim-s/wall-s\n",
-              slow_wall * 1e3, slow_rate);
-  const double fast_wall = main_runs.fast_wall;
-  const double fast_rate = static_cast<double>(horizon_s) / fast_wall;
-  std::printf("  event-driven loop : %8.2f wall ms   %10.0f sim-s/wall-s\n",
-              fast_wall * 1e3, fast_rate);
-
-  // First divergences of failed identity verdicts, printed with the gates.
-  std::vector<std::string> divergences;
-  const auto verdict = [&divergences](const char* tier, const auto& runs) {
-    if (!runs.identical()) divergences.push_back(std::string{tier} + " " + runs.divergence());
-    return runs.identical();
-  };
-  verdict("hosting cluster", main_runs);
-  const bool identical = !main_runs.slow_vs_fast;
-  const double speedup = slow_wall / fast_wall;
-  std::printf("  speedup: %.2fx   traces identical: %s\n", speedup,
-              identical ? "yes" : "NO — BUG");
-
-  // Sparse-driver telemetry comes from the most representative fleet this
-  // invocation runs: the scale tier when present (consolidation parks most
-  // of a big fleet, which is what the active-fraction gate is about),
-  // otherwise the 8x64 fast run. Overwritten in the scale block below.
-  pas::cluster::EngineStats engine_stats = fast->engine_stats();
-  std::size_t engine_grain = fast->config().execution.pool_grain;
-
-  // No parallel run, no verdict: with --threads=1 this stays nullopt and
-  // the JSON says null.
-  const double par_wall = main_runs.par_wall;
-  double par_rate = 0.0;
-  double parallel_speedup = 0.0;
-  std::optional<bool> parallel_identical;
-  if (threads > 1) {
-    par_rate = static_cast<double>(horizon_s) / par_wall;
-    parallel_speedup = fast_wall / par_wall;
-    parallel_identical = !main_runs.par_vs_serial;
-    std::printf("  parallel (%zu thr)  : %8.2f wall ms   %10.0f sim-s/wall-s   "
-                "%.2fx vs serial   identical: %s\n",
-                threads, par_wall * 1e3, par_rate, parallel_speedup,
-                *parallel_identical ? "yes" : "NO — BUG");
+  Context ctx{opt};
+  Json doc;
+  for (const Tier& t : kTiers) {
+    if (t.needs && !t.needs->on(opt)) continue;
+    Json fields = t.run(ctx);
+    if (t.key) fields = Json{}.obj(t.key, std::move(fields));
+    std::fputs(fields.lines().c_str(), stdout);
+    doc.merge(std::move(fields));
   }
+  doc.integer("migrations", ctx.main.fast->migrations().size())
+      .integer("hosts_on_final", ctx.main.fast->powered_on_count());
 
-  // --- the dynamic §2.3 figure ---
-  // (c) consolidation + PAS is the fast run above; (a) and (b) rerun the
-  // same tenants under the other policies.
-  auto cfg_spread = base;
-  cfg_spread.install_manager = false;
-  auto spread = pas::scenario::build_hosting_cluster(cfg_spread);
-  spread->run_until(horizon);
-
-  auto cfg_consol = base;
-  cfg_consol.manager.dvfs = pas::cluster::ClusterManagerConfig::Dvfs::kPinnedMax;
-  auto consol = pas::scenario::build_hosting_cluster(cfg_consol);
-  consol->run_until(horizon);
-
-  const double watts_spread = spread->average_watts();
-  const double watts_consol = consol->average_watts();
-  const double watts_pas = fast->average_watts();
-  const double consolidation_saving = watts_spread - watts_consol;
-  const double dvfs_saving = watts_consol - watts_pas;
-
-  std::printf("\n  policy                      mean W   hosts on   migrations\n");
-  std::printf("  static spread             %8.1f   %8zu   %10zu\n", watts_spread,
-              spread->powered_on_count(), spread->migrations().size());
-  std::printf("  consolidation only        %8.1f   %8zu   %10zu\n", watts_consol,
-              consol->powered_on_count(), consol->migrations().size());
-  std::printf("  consolidation + PAS DVFS  %8.1f   %8zu   %10zu\n", watts_pas,
-              fast->powered_on_count(), fast->migrations().size());
-  std::printf("  consolidation saves %.1f W; DVFS reclaims another %.1f W on top (§2.3)\n",
-              consolidation_saving, dvfs_saving);
-
-  // --- heterogeneity: per-class split + the efficient-first A/B ---
-  // The naive baseline reruns the PAS policy with the planner's
-  // heterogeneity-aware host ordering disabled (index-order FFD): the watt
-  // gap prices the cost term on the mixed fleet.
-  double watts_naive_order = 0.0;
-  double hetero_saving = 0.0;
-  std::string hetero_json;
-  if (mixed) {
-    auto cfg_naive = base;
-    cfg_naive.manager.efficient_first = false;
-    auto naive = pas::scenario::build_hosting_cluster(cfg_naive);
-    naive->run_until(horizon);
-    watts_naive_order = naive->average_watts();
-    hetero_saving = watts_naive_order - watts_pas;
-
-    struct ClassStat {
-      std::size_t hosts = 0;
-      double energy_joules = 0.0;
-    };
-    std::map<std::string, ClassStat> classes;  // ordered -> stable JSON
-    for (pas::cluster::HostId h = 0; h < fast->host_count(); ++h) {
-      ClassStat& s = classes[fast->host_class(h).name];
-      ++s.hosts;
-      s.energy_joules += fast->host_energy_joules(h);
-    }
-
-    std::printf("\n  heterogeneous fleet (efficient-first vs naive index order):\n");
-    std::printf("  naive-order manager       %8.1f W   efficient-first saves %.1f W\n",
-                watts_naive_order, hetero_saving);
-    hetero_json = "  \"hetero\": {\n    \"classes\": {";
-    bool first = true;
-    char buf[256];
-    for (const auto& [name, s] : classes) {
-      std::printf("    class %-16s %zu host(s)   %.0f J\n", name.c_str(), s.hosts,
-                  s.energy_joules);
-      std::snprintf(buf, sizeof(buf), "%s\n      \"%s\": {\"hosts\": %zu, \"energy_joules\": %.3f}",
-                    first ? "" : ",", name.c_str(), s.hosts, s.energy_joules);
-      hetero_json += buf;
-      first = false;
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "\n    },\n    \"watts_naive_order\": %.3f,\n"
-                  "    \"efficient_first_saving_watts\": %.3f\n  },\n",
-                  watts_naive_order, hetero_saving);
-    hetero_json += buf;
-  }
-
-  // --- trace replay: recorded-demand tenants on the same fleet ---
-  const std::string trace_dir = flags.get_or("trace", "");
-  std::optional<bool> replay_identical;  // nullopt until the replay A/B runs
-  std::string trace_json;
-  if (!trace_dir.empty()) {
-    const std::vector<pas::wl::Trace> traces = pas::wl::Trace::load_dir(trace_dir);
-    auto cfg_trace = base;
-    cfg_trace.workload = pas::scenario::WorkloadPreset::kTrace;
-    cfg_trace.traces = traces;
-
-    const auto tr = run_variants(cfg_trace, horizon, threads);
-    const auto& tr_fast = tr.fast;
-    const double tr_rate = static_cast<double>(horizon_s) / tr.fast_wall;
-    replay_identical = verdict("trace replay", tr);
-
-    std::printf("\n  trace replay (%zu trace(s) from %s):\n", traces.size(),
-                trace_dir.c_str());
-    std::printf("  replay fast path  : %8.2f wall ms   %10.0f sim-s/wall-s   "
-                "%.2fx vs slow   identical: %s\n",
-                tr.fast_wall * 1e3, tr_rate, tr.slow_wall / tr.fast_wall,
-                *replay_identical ? "yes" : "NO — BUG");
-    std::printf("  replay fleet      : %8.1f mean W   %zu migrations\n",
-                tr_fast->average_watts(), tr_fast->migrations().size());
-
-    // The dir is user-supplied and unbounded: compose around it with
-    // std::string so a long path cannot truncate the JSON.
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    \"files\": %zu,\n"
-                  "    \"replay_identical\": %s,\n"
-                  "    \"sim_per_wall\": %.1f,\n"
-                  "    \"speedup\": %.3f,\n"
-                  "    \"watts\": %.3f,\n"
-                  "    \"migrations\": %zu\n  },\n",
-                  traces.size(), json_verdict(replay_identical), tr_rate,
-                  tr.slow_wall / tr.fast_wall, tr_fast->average_watts(),
-                  tr_fast->migrations().size());
-    trace_json = "  \"trace\": {\n    \"dir\": \"" + json_escape(trace_dir) + "\",\n" + buf;
-  }
-
-  // --- chaos: the same scenario under a seeded fault schedule ---
-  // Separate runs, so the policy numbers above stay fault-free.
-  const auto chaos_seed = static_cast<std::uint64_t>(flags.get_int("chaos-seed", 0));
-  std::optional<bool> chaos_identical;  // nullopt until the chaos A/B runs
-  std::string chaos_json;
-  if (chaos_seed != 0) {
-    auto cfg_chaos = base;
-    cfg_chaos.chaos_seed = chaos_seed;
-
-    const auto ch = run_variants(cfg_chaos, horizon, threads);
-    const auto& ch_fast = ch.fast;
-    chaos_identical = verdict("chaos", ch);
-
-    const pas::fault::FaultInjector& inj = *ch_fast->faults();
-    std::size_t brownout_skipped = 0;
-    std::size_t restarts = 0;
-    std::size_t abandoned = 0;
-    if (auto* mgr = ch_fast->manager()) {
-      brownout_skipped = mgr->ticks_skipped();
-      restarts = mgr->restarts_issued();
-      abandoned = mgr->restarts_abandoned();
-    }
-    // Recovery-latency SLO stats (orphan → running again): p50/mean/max
-    // over the run's VmRecovery records.
-    const pas::cluster::RecoveryStats rec =
-        pas::cluster::summarize_recoveries(ch_fast->recoveries());
-
-    std::printf("\n  chaos (seed %llu): %zu fault(s) drawn — %zu crash(es), "
-                "%zu abort(s), %zu degrade(s), %zu brownout(s)\n",
-                static_cast<unsigned long long>(chaos_seed), inj.plan().events.size(),
-                inj.plan().count(pas::fault::FaultKind::kHostCrash),
-                inj.plan().count(pas::fault::FaultKind::kMigrationAbort),
-                inj.plan().count(pas::fault::FaultKind::kLinkDegrade),
-                inj.plan().count(pas::fault::FaultKind::kBrownout));
-    std::printf("  fired: %zu crash(es), %zu abort(s), %zu degrade(s); "
-                "%zu tick(s) browned out\n",
-                inj.crashes_fired(), inj.aborts_fired(), inj.link_degrades_fired(),
-                brownout_skipped);
-    std::printf("  VMs: %zu/%zu survived, %zu lost; %zu recovery restart(s) "
-                "(p50 %.1f s, mean %.1f s, max %.1f s), %zu abandoned\n",
-                ch_fast->running_vm_count(), static_cast<std::size_t>(ch_fast->vm_count()),
-                ch_fast->lost_vm_count(), rec.count, rec.p50.sec(), rec.mean_s,
-                rec.max.sec(), abandoned);
-    std::printf("  identity under faults (fast/slow%s): %s\n",
-                threads > 1 ? "/parallel" : "",
-                *chaos_identical ? "yes" : "NO — BUG");
-
-    char buf[1024];
-    std::snprintf(buf, sizeof(buf),
-                  "  \"chaos\": {\n"
-                  "    \"seed\": %llu,\n"
-                  "    \"faults_drawn\": %zu,\n"
-                  "    \"crashes\": %zu,\n"
-                  "    \"migration_aborts\": %zu,\n"
-                  "    \"link_degrades\": %zu,\n"
-                  "    \"brownout_ticks_skipped\": %zu,\n"
-                  "    \"vms\": %zu,\n"
-                  "    \"vms_survived\": %zu,\n"
-                  "    \"vms_lost\": %zu,\n"
-                  "    \"recovery_restarts\": %zu,\n"
-                  "    \"recovery_abandoned\": %zu,\n"
-                  "    \"recovery_latency_p50_s\": %.6f,\n"
-                  "    \"recovery_latency_mean_s\": %.3f,\n"
-                  "    \"recovery_latency_max_s\": %.6f,\n"
-                  "    \"restarts_issued\": %zu,\n"
-                  "    \"chaos_identical\": %s\n  },\n",
-                  static_cast<unsigned long long>(chaos_seed), inj.plan().events.size(),
-                  inj.crashes_fired(), inj.aborts_fired(), inj.link_degrades_fired(),
-                  brownout_skipped, static_cast<std::size_t>(ch_fast->vm_count()),
-                  ch_fast->running_vm_count(), ch_fast->lost_vm_count(), rec.count,
-                  abandoned, rec.p50.sec(), rec.mean_s, rec.max.sec(), restarts,
-                  json_verdict(chaos_identical));
-    chaos_json = buf;
-  }
-
-  // --- control plane: an external command stream over the same fleet ---
-  // `control.replay_identical` combines the engine variants, the re-record
-  // and the annotation round trip (see the file header).
-  const std::string commands_file = flags.get_or("commands", "");
-  std::optional<bool> control_replay_identical;  // nullopt until the A/B runs
-  std::string control_json;
-  if (!commands_file.empty()) {
-    std::ifstream cmd_in(commands_file, std::ios::binary);
-    if (!cmd_in) {
-      std::fprintf(stderr, "bench_cluster_consolidation: cannot open %s\n",
-                   commands_file.c_str());
-      return 2;
-    }
-    std::ostringstream cmd_text;
-    cmd_text << cmd_in.rdbuf();
-    const std::vector<pas::ctl::Task> tasks =
-        pas::ctl::parse_tasks(cmd_text.str(), commands_file, {hosts, vms});
-
-    auto cfg_ctl = base;
-    cfg_ctl.commands = tasks;
-
-    const auto ct = run_variants(cfg_ctl, horizon, threads);
-    const auto& ct_fast = ct.fast;
-    control_replay_identical = verdict("control", ct);
-
-    // Re-record: the same file through a fresh cluster must reproduce the
-    // run, result log included.
-    {
-      auto ct_re = pas::scenario::build_hosting_cluster(cfg_ctl);
-      ct_re->run_until(horizon);
-      if (auto d = first_divergence(*ct_fast, *ct_re)) {
-        control_replay_identical = false;
-        divergences.push_back("control re-record: " + *d);
-      }
-    }
-
-    // Close the loop: the result log re-injected as a no-op annotation
-    // stream must re-record itself verbatim (annotation streams are a
-    // fixed point of record→re-inject — ctl::results_to_annotations).
-    {
-      const std::string notes =
-          pas::ctl::results_to_annotations(ct_fast->control()->results());
-      auto cfg_notes = base;
-      cfg_notes.commands = pas::ctl::parse_tasks(notes, "<annotations>", {hosts, vms});
-      auto ct_notes = pas::scenario::build_hosting_cluster(cfg_notes);
-      ct_notes->run_until(horizon);
-      if (pas::ctl::results_to_annotations(ct_notes->control()->results()) != notes) {
-        control_replay_identical = false;
-        divergences.push_back("control annotation round trip: re-recorded stream differs");
-      }
-    }
-
-    const pas::ctl::ControlPlane& plane = *ct_fast->control();
-    std::printf("\n  control plane (%zu task(s) from %s):\n", tasks.size(),
-                commands_file.c_str());
-    std::printf("  fired %zu: %zu ok, %zu rejected, %zu superseded   "
-                "replay identical: %s\n",
-                plane.results().size(), plane.accepted(), plane.rejected(),
-                plane.superseded(),
-                *control_replay_identical ? "yes" : "NO — BUG");
-
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "    \"tasks\": %zu,\n"
-                  "    \"fired\": %zu,\n"
-                  "    \"accepted\": %zu,\n"
-                  "    \"rejected\": %zu,\n"
-                  "    \"superseded\": %zu,\n"
-                  "    \"replay_identical\": %s\n  },\n",
-                  tasks.size(), plane.results().size(), plane.accepted(),
-                  plane.rejected(), plane.superseded(),
-                  json_verdict(control_replay_identical));
-    control_json =
-        "  \"control\": {\n    \"file\": \"" + json_escape(commands_file) + "\",\n" + buf;
-  }
-
-  // --- scale: the delta-driven planner at fleet size ---
-  // Same scenario recipe at --scale-hosts x --scale-vms, run once. The
-  // planner-time and rate floors/ceilings only bind on full runs: a smoke
-  // horizon barely plans at all.
-  const std::size_t scale_hosts = flags.get_count("scale-hosts", 0);
-  double scale_rate = 0.0;
-  double ns_per_tick = 0.0;
-  std::string scale_json;
-  if (scale_hosts > 0) {
-    const std::size_t scale_vms = flags.get_count("scale-vms", scale_hosts * 10);
-    const long scale_horizon_s =
-        flags.get_int("scale-horizon", flags.has("smoke") ? 120 : 600);
-    const SimTime scale_horizon = seconds(scale_horizon_s);
-
-    auto cfg_scale = base;
-    cfg_scale.hosts = scale_hosts;
-    cfg_scale.vms = scale_vms;
-    cfg_scale.horizon = scale_horizon;
-    cfg_scale.fast_path = true;
-    // The scale tier exercises the full engine: sparse partition on the
-    // coordinating thread, pooled dispatch of the active remainder at
-    // --threads.
-    cfg_scale.threads = threads;
-
-    std::printf("\n  scale tier: %zu hosts x %zu VMs, %ld simulated s\n",
-                scale_hosts, scale_vms, scale_horizon_s);
-
-    auto sc = pas::scenario::build_hosting_cluster(cfg_scale);
-    const double sc_wall = run_timed(*sc, scale_horizon);
-    scale_rate = static_cast<double>(scale_horizon_s) / sc_wall;
-    engine_stats = sc->engine_stats();
-    engine_grain = sc->config().execution.pool_grain;
-
-    const pas::cluster::ClusterManager& mgr = *sc->manager();
-    const pas::consolidation::HostBookStats& bk = mgr.book_stats();
-    // Amortized planner cost per manager tick: skipped ticks count — the
-    // early-out is exactly what buys the amortization.
-    const std::size_t ticks = mgr.planning_ticks() + mgr.plans_skipped();
-    ns_per_tick = ticks > 0 ? static_cast<double>(mgr.planner_ns()) /
-                                  static_cast<double>(ticks)
-                            : 0.0;
-
-    std::printf("  run               : %8.2f wall s   planner %8.1f ms over %zu tick(s), "
-                "%zu skipped\n",
-                sc_wall, static_cast<double>(mgr.planner_ns()) * 1e-6,
-                mgr.planning_ticks(), mgr.plans_skipped());
-    std::printf("  planner %.0f ns/tick amortized   sim rate %.0f sim-s/wall-s\n",
-                ns_per_tick, scale_rate);
-    std::printf("  book: %zu plan(s) = %zu cached + %zu delta + %zu rebuild; "
-                "%zu rank(s) walked, %zu scan(s), %zu mark(s)+%zu event(s) coalesced\n",
-                bk.plans, bk.cached_plans, bk.delta_plans, bk.full_rebuilds,
-                bk.vms_walked, bk.vms_scanned, bk.coalesced_marks,
-                mgr.events_coalesced());
-
-    char buf[1024];
-    std::snprintf(buf, sizeof(buf),
-                  "  \"scale\": {\n"
-                  "    \"hosts\": %zu,\n"
-                  "    \"vms\": %zu,\n"
-                  "    \"simulated_seconds\": %ld,\n"
-                  "    \"wall_seconds\": %.6f,\n"
-                  "    \"sim_per_wall\": %.1f,\n"
-                  "    \"planner_ns\": %llu,\n"
-                  "    \"planning_ticks\": %zu,\n"
-                  "    \"plans_skipped\": %zu,\n"
-                  "    \"planner_ns_per_tick\": %.1f,\n"
-                  "    \"events_coalesced\": %zu,\n"
-                  "    \"book\": {\"plans\": %zu, \"cached\": %zu, \"delta\": %zu, "
-                  "\"full_rebuilds\": %zu,\n"
-                  "      \"vms_walked\": %zu, \"vms_scanned\": %zu, "
-                  "\"coalesced_marks\": %zu}\n  },\n",
-                  scale_hosts, scale_vms, scale_horizon_s, sc_wall, scale_rate,
-                  static_cast<unsigned long long>(mgr.planner_ns()), mgr.planning_ticks(),
-                  mgr.plans_skipped(), ns_per_tick, mgr.events_coalesced(), bk.plans,
-                  bk.cached_plans, bk.delta_plans, bk.full_rebuilds, bk.vms_walked,
-                  bk.vms_scanned, bk.coalesced_marks);
-    scale_json = buf;
-  }
-
-  // --- federation: K shards under the global planner, per-link WAN moves ---
-  const std::size_t fed_shards = flags.get_count("federation", 0);
-  std::optional<bool> federation_identical;  // nullopt until the tier runs
-  double fed_rate = 0.0;
-  std::string federation_json;
-  if (fed_shards > 0) {
-    FederationScenarioConfig fc;
-    fc.base = base;
-    fc.shards = fed_shards;
-
-    const auto fd = run_variants(fc, horizon, threads);
-    const auto& fd_fast = fd.fast;
-    fed_rate = static_cast<double>(horizon_s) / fd.fast_wall;
-    federation_identical = verdict("federation", fd);
-    // K = 1 degradation: byte-exact to the single-cluster fast run above
-    // (same config, same seed, no skew, no federation events).
-    if (fed_shards == 1) {
-      if (auto d = first_divergence(*fast, fd_fast->shard(0))) {
-        federation_identical = false;
-        divergences.push_back("federation K=1 vs bare cluster: " + *d);
-      }
-    }
-
-    // Cross-shard census by link kind; the intra-rack tier is the shards'
-    // own internal migrations.
-    std::size_t wan_moves = 0;
-    std::size_t cross_rack_moves = 0;
-    for (const pas::fed::FedMigrationRecord& r : fd_fast->cross_shard_records()) {
-      if (r.link == pas::fed::LinkKind::kWan)
-        ++wan_moves;
-      else
-        ++cross_rack_moves;
-    }
-    // The executor split build_federation made of the --threads budget
-    // (the serial run's 1/1 when --threads is 1).
-    const pas::fed::Federation& split = fd.par ? *fd.par : *fd_fast;
-    const std::size_t fed_executors = split.execution_threads();
-    const std::size_t shard_executors = split.shard(0).execution_threads();
-    std::size_t intra_moves = 0;
-    std::size_t fed_vms = 0;
-    for (pas::fed::ShardId s = 0; s < fd_fast->shard_count(); ++s) {
-      intra_moves += fd_fast->shard(s).migrations().size();
-      fed_vms += fd_fast->shard(s).vm_count();
-    }
-
-    std::printf("\n  federation tier: %zu shard(s) x %zu hosts, %zu VMs total\n",
-                fed_shards, hosts, fed_vms);
-    std::printf("  federated run     : %8.2f wall ms   %10.0f sim-s/wall-s   "
-                "%.2fx vs slow\n",
-                fd.fast_wall * 1e3, fed_rate, fd.slow_wall / fd.fast_wall);
-    std::printf("  executors: %zu advancing shards x %zu per shard engine\n", fed_executors,
-                shard_executors);
-    std::printf("  migrations: %zu intra-rack (shard-internal), %zu cross-rack, "
-                "%zu wan   planner ticks %zu   identical: %s\n",
-                intra_moves, cross_rack_moves, wan_moves, fd_fast->planner_ticks(),
-                *federation_identical ? "yes" : "NO — BUG");
-
-    char buf[1024];
-    std::snprintf(buf, sizeof(buf),
-                  "  \"federation\": {\n"
-                  "    \"shards\": %zu,\n"
-                  "    \"vms\": %zu,\n"
-                  "    \"planner_ticks\": %zu,\n"
-                  "    \"cross_shard_migrations\": %zu,\n"
-                  "    \"links\": {\"intra_rack\": %zu, \"cross_rack\": %zu, "
-                  "\"wan\": %zu},\n"
-                  "    \"executors\": %zu,\n"
-                  "    \"shard_executors\": %zu,\n"
-                  "    \"wall_seconds\": %.6f,\n"
-                  "    \"sim_per_wall\": %.1f,\n"
-                  "    \"federation_identical\": %s\n  },\n",
-                  fed_shards, fed_vms, fd_fast->planner_ticks(),
-                  fd_fast->cross_shard_records().size(), intra_moves, cross_rack_moves,
-                  wan_moves, fed_executors, shard_executors, fd.fast_wall, fed_rate,
-                  json_verdict(federation_identical));
-    federation_json = buf;
-  }
-
-  // --- engine telemetry: the sparse driver's dispatch counters ---
-  // active_fraction = dispatches / (dispatches + bulk_skips): how much of
-  // the fleet the engine really had to step. On a consolidated scale fleet
-  // it should sit well below 1 — --require-active-fraction turns that into
-  // a CI ceiling (scale tier only; --smoke exempt, a short horizon barely
-  // consolidates).
-  std::string engine_json;
-  {
-    std::printf("\n  engine: %llu segment(s), %llu dispatch(es), %llu bulk skip(s)   "
-                "active fraction %.3f   pool grain %zu\n",
-                static_cast<unsigned long long>(engine_stats.segments),
-                static_cast<unsigned long long>(engine_stats.dispatches),
-                static_cast<unsigned long long>(engine_stats.bulk_skips),
-                engine_stats.active_fraction(), engine_grain);
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "  \"engine\": {\n"
-                  "    \"segments\": %llu,\n"
-                  "    \"dispatches\": %llu,\n"
-                  "    \"bulk_skips\": %llu,\n"
-                  "    \"active_fraction\": %.6f,\n"
-                  "    \"pool_grain\": %zu\n  },\n",
-                  static_cast<unsigned long long>(engine_stats.segments),
-                  static_cast<unsigned long long>(engine_stats.dispatches),
-                  static_cast<unsigned long long>(engine_stats.bulk_skips),
-                  engine_stats.active_fraction(), engine_grain);
-    engine_json = buf;
-  }
-
-  // The parallel A/B only exists at --threads > 1: without it the whole
-  // block is null — numbers from a run that never happened are as vacuous
-  // as a defaulted identity verdict.
-  std::string parallel_json;
-  if (threads > 1) {
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "  \"parallel\": {\"threads\": %zu, \"wall_seconds\": %.6f, "
-                  "\"sim_per_wall\": %.1f},\n"
-                  "  \"parallel_speedup\": %.3f,\n"
-                  "  \"parallel_identical\": %s,\n",
-                  threads, par_wall, par_rate, parallel_speedup,
-                  json_verdict(parallel_identical));
-    parallel_json = buf;
-  } else {
-    parallel_json =
-        "  \"parallel\": null,\n"
-        "  \"parallel_speedup\": null,\n"
-        "  \"parallel_identical\": null,\n";
-  }
-
-  {
-    std::ofstream js{out};
-    if (!js) {
-      std::fprintf(stderr, "bench_cluster_consolidation: cannot write %s\n", out.c_str());
-      return 2;
-    }
-    char buf[4096];
-    std::snprintf(buf, sizeof(buf),
-                  "{\n"
-                  "  \"bench\": \"cluster_consolidation\",\n"
-                  "  \"scenario\": \"hosting_cluster_%zux%zu\",\n"
-                  "  \"fleet\": \"%s\",\n"
-                  "  \"hosts\": %zu,\n"
-                  "  \"vms\": %zu,\n"
-                  "  \"simulated_seconds\": %ld,\n"
-                  "  \"slow\": {\"wall_seconds\": %.6f, \"sim_per_wall\": %.1f},\n"
-                  "  \"fast\": {\"wall_seconds\": %.6f, \"sim_per_wall\": %.1f},\n"
-                  "  \"speedup\": %.3f,\n"
-                  "  \"traces_identical\": %s,\n",
-                  hosts, vms, fleet.c_str(), hosts, vms, horizon_s, slow_wall, slow_rate,
-                  fast_wall, fast_rate, speedup, identical ? "true" : "false");
-    js << buf;
-    js << parallel_json;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"watts_static_spread\": %.3f,\n"
-                  "  \"watts_consolidation_only\": %.3f,\n"
-                  "  \"watts_consolidation_pas\": %.3f,\n"
-                  "  \"consolidation_saving_watts\": %.3f,\n"
-                  "  \"dvfs_saving_watts\": %.3f,\n",
-                  watts_spread, watts_consol, watts_pas, consolidation_saving,
-                  dvfs_saving);
-    js << buf;
-    // The optional blocks embed unbounded strings (class names, the
-    // --trace path): streamed, not snprintf'd, so they cannot truncate.
-    js << hetero_json << trace_json << chaos_json << control_json << scale_json
-       << federation_json << engine_json;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"migrations\": %zu,\n"
-                  "  \"hosts_on_final\": %zu\n"
-                  "}\n",
-                  fast->migrations().size(), fast->powered_on_count());
-    js << buf;
-    std::printf("  written to %s\n", out.c_str());
-  }
+  if (!doc.write(opt.out, "bench_cluster_consolidation")) return 2;
 
   // Identity gates: every verdict that came back false left its first
-  // divergence here; a tier that never ran (a null verdict) left nothing —
-  // failing it would be as wrong as the old vacuous pass.
-  for (const std::string& d : divergences) std::printf("  FAIL: %s\n", d.c_str());
-  if (!divergences.empty()) return 1;
-  const double fed_floor = flags.get_double("require-federation-rate", 0.0);
-  if (fed_floor > 0.0 && !flags.has("smoke")) {
-    if (fed_shards == 0) {
-      std::printf("  FAIL: --require-federation-rate needs --federation > 0\n");
-      return 1;
-    }
-    if (fed_rate < fed_floor) {
-      std::printf("  FAIL: federated rate %.0f sim-s/wall-s below the %.0f floor\n",
-                  fed_rate, fed_floor);
-      return 1;
-    }
+  // divergence; a tier that never ran (a null verdict) left nothing.
+  for (const std::string& d : ctx.divergences) std::printf("  FAIL: %s\n", d.c_str());
+  bool failed = !ctx.divergences.empty();
+  for (const auto& [g, limit] : opt.gates) {
+    if (g->smoke_exempt && opt.smoke) continue;
+    const double v = doc.number(g->path).value_or(0.0);
+    const char* broken = g->bound == Bound::kFloor     ? (v < limit ? "<" : nullptr)
+                         : g->bound == Bound::kCeiling ? (v > limit ? ">" : nullptr)
+                                                       : (v <= 0.0 ? "<=" : nullptr);
+    if (!broken) continue;
+    failed = true;
+    const std::string by = g->flag ? std::string{" (--"} + g->flag + ")" : "";
+    std::printf("  FAIL: %s = %g %s %g%s\n", g->path, v, broken, limit, by.c_str());
   }
-  const double scale_floor = flags.get_double("require-scale-rate", 0.0);
-  if (scale_floor > 0.0 && !flags.has("smoke")) {
-    if (scale_hosts == 0) {
-      std::printf("  FAIL: --require-scale-rate needs --scale-hosts > 0\n");
-      return 1;
-    }
-    if (scale_rate < scale_floor) {
-      std::printf("  FAIL: scale rate %.0f sim-s/wall-s below the %.0f floor\n",
-                  scale_rate, scale_floor);
-      return 1;
-    }
-  }
-  const double ns_ceiling = flags.get_double("require-scale-planner-ns", 0.0);
-  if (ns_ceiling > 0.0 && !flags.has("smoke")) {
-    if (scale_hosts == 0) {
-      std::printf("  FAIL: --require-scale-planner-ns needs --scale-hosts > 0\n");
-      return 1;
-    }
-    if (ns_per_tick > ns_ceiling) {
-      std::printf("  FAIL: planner %.0f ns/tick above the %.0f ceiling\n",
-                  ns_per_tick, ns_ceiling);
-      return 1;
-    }
-  }
-  const double af_ceiling = flags.get_double("require-active-fraction", 0.0);
-  if (af_ceiling > 0.0 && !flags.has("smoke")) {
-    if (scale_hosts == 0) {
-      std::printf("  FAIL: --require-active-fraction needs --scale-hosts > 0\n");
-      return 1;
-    }
-    if (engine_stats.active_fraction() > af_ceiling) {
-      std::printf("  FAIL: engine active fraction %.3f above the %.3f ceiling\n",
-                  engine_stats.active_fraction(), af_ceiling);
-      return 1;
-    }
-  }
-  const double par_floor = flags.get_double("require-parallel-speedup", 0.0);
-  if (par_floor > 0.0 && !flags.has("smoke")) {
-    if (threads <= 1) {
-      std::printf("  FAIL: --require-parallel-speedup needs --threads > 1\n");
-      return 1;
-    }
-    if (parallel_speedup < par_floor) {
-      std::printf("  FAIL: parallel speedup %.2fx below the %.2fx floor\n",
-                  parallel_speedup, par_floor);
-      return 1;
-    }
-  }
-  if (dvfs_saving <= 0.0) {
-    std::printf("  FAIL: DVFS reclaimed nothing on top of consolidation\n");
-    return 1;
-  }
-  if (flags.has("require-hetero-saving") && !flags.has("smoke")) {
-    if (!mixed) {
-      std::printf("  FAIL: --require-hetero-saving needs --fleet=mixed\n");
-      return 1;
-    }
-    if (hetero_saving <= 0.0) {
-      std::printf("  FAIL: efficient-first packing saved nothing (%.2f W) vs naive order\n",
-                  hetero_saving);
-      return 1;
-    }
-  }
-  const double floor = flags.get_double("require-rate", 0.0);
-  if (floor > 0.0 && fast_rate < floor) {
-    std::printf("  FAIL: fast rate %.0f sim-s/wall-s below the %.0f floor\n", fast_rate,
-                floor);
-    return 1;
-  }
-  return 0;
+  return failed ? 1 : 0;
 }

@@ -11,9 +11,7 @@
 //
 // Usage: bench_core_throughput [--smoke] [--horizon=SECONDS]
 //                              [--out=BENCH_core.json]
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,6 +20,7 @@
 #include "governor/governors.hpp"
 #include "hypervisor/host.hpp"
 #include "sched/credit_scheduler.hpp"
+#include "throughput_common.hpp"
 #include "workload/load_profile.hpp"
 #include "workload/pi_app.hpp"
 #include "workload/synthetic.hpp"
@@ -29,6 +28,8 @@
 
 namespace {
 
+using pas::bench::Json;
+using pas::bench::run_timed;
 using pas::common::mf_seconds;
 using pas::common::seconds;
 using pas::common::SimTime;
@@ -95,13 +96,6 @@ std::unique_ptr<pas::hv::Host> build_host(bool fast_path, SimTime horizon) {
   return host;
 }
 
-double run_timed(pas::hv::Host& host, SimTime horizon) {
-  const auto start = std::chrono::steady_clock::now();
-  host.run_until(horizon);
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(stop - start).count();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -134,49 +128,30 @@ int main(int argc, char** argv) {
 
   auto slow_host = build_host(/*fast_path=*/false, horizon);
   const double slow_wall = run_timed(*slow_host, horizon);
-  const double slow_rate = static_cast<double>(horizon_s) / slow_wall;
-  std::printf("  slow-stepped loop : %8.2f wall ms   %10.0f sim-s/wall-s\n",
-              slow_wall * 1e3, slow_rate);
-
   auto fast_host = build_host(/*fast_path=*/true, horizon);
   const double fast_wall = run_timed(*fast_host, horizon);
-  const double fast_rate = static_cast<double>(horizon_s) / fast_wall;
-  std::printf("  event-driven loop : %8.2f wall ms   %10.0f sim-s/wall-s\n",
-              fast_wall * 1e3, fast_rate);
-
   const std::optional<std::string> divergence =
       pas::hv::first_divergence(*slow_host, *fast_host);
-  const bool identical = !divergence;
   const double speedup = slow_wall / fast_wall;
-  std::printf("  speedup: %.2fx   traces identical: %s\n", speedup,
-              identical ? "yes" : "NO — BUG");
+
+  const Json doc = Json{}
+                       .str("bench", "core_throughput")
+                       .str("scenario", "hosting_center_32vm")
+                       .integer("vms", kVmCount)
+                       .integer("simulated_seconds", horizon_s)
+                       .obj("slow", Json::one_line()
+                                        .num("wall_seconds", slow_wall, 6)
+                                        .num("sim_per_wall", horizon_s / slow_wall, 1))
+                       .obj("fast", Json::one_line()
+                                        .num("wall_seconds", fast_wall, 6)
+                                        .num("sim_per_wall", horizon_s / fast_wall, 1))
+                       .num("speedup", speedup, 3)
+                       .verdict("traces_identical", !divergence);
+  std::fputs(doc.lines().c_str(), stdout);
   if (divergence) std::printf("  first divergence: %s\n", divergence->c_str());
+  if (!doc.write(out, "bench_core_throughput")) return 2;
 
-  {
-    std::ofstream js{out};
-    if (!js) {
-      std::fprintf(stderr, "bench_core_throughput: cannot write %s\n", out.c_str());
-      return 2;
-    }
-    char buf[1024];
-    std::snprintf(buf, sizeof(buf),
-                  "{\n"
-                  "  \"bench\": \"core_throughput\",\n"
-                  "  \"scenario\": \"hosting_center_32vm\",\n"
-                  "  \"vms\": %zu,\n"
-                  "  \"simulated_seconds\": %ld,\n"
-                  "  \"slow\": {\"wall_seconds\": %.6f, \"sim_per_wall\": %.1f},\n"
-                  "  \"fast\": {\"wall_seconds\": %.6f, \"sim_per_wall\": %.1f},\n"
-                  "  \"speedup\": %.3f,\n"
-                  "  \"traces_identical\": %s\n"
-                  "}\n",
-                  kVmCount, horizon_s, slow_wall, slow_rate, fast_wall, fast_rate,
-                  speedup, identical ? "true" : "false");
-    js << buf;
-    std::printf("  written to %s\n", out.c_str());
-  }
-
-  if (!identical) return 1;
+  if (divergence) return 1;
   if (flags.has("require-speedup") && speedup < 3.0) {
     std::printf("  FAIL: speedup %.2fx below the 3x bar\n", speedup);
     return 1;

@@ -5,8 +5,10 @@ Checks every `[text](target)` link in *.md files (excluding build/ and
 .git/): a relative target must exist on disk, resolved against the file
 that references it. External schemes (http/https/mailto) and pure in-page
 anchors (#...) are skipped; a `path#anchor` target is checked for the path
-part only. Other reference styles (<autolinks>, reference-style
-definitions) are not parsed — use inline links for intra-repo paths.
+part only. Text inside inline code spans and fenced code blocks is not
+Markdown, so it is never read as a link. Other reference styles
+(<autolinks>, reference-style definitions) are not parsed — use inline
+links for intra-repo paths.
 
 Usage: python3 tools/check_md_links.py [repo_root]
 Exit status: 0 = all links resolve, 1 = at least one broken link.
@@ -16,6 +18,8 @@ import sys
 from pathlib import Path
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+CODE_SPAN_RE = re.compile(r"(`+).*?\1")
+FENCE_RE = re.compile(r"^ {0,3}(`{3,}|~{3,})")
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 SKIP_DIRS = {"build", ".git", ".claude"}
 
@@ -29,8 +33,17 @@ def md_files(root: Path):
 def check_text(text: str, md: Path, root: Path):
     broken = []
     links = 0
+    fence = None  # the opening fence while inside a fenced block
     for lineno, line in enumerate(text.splitlines(), 1):
-        for target in LINK_RE.findall(line):
+        m = FENCE_RE.match(line)
+        if fence is None and m:
+            fence = m.group(1)
+            continue
+        if fence is not None:
+            if m and m.group(1)[0] == fence[0] and len(m.group(1)) >= len(fence):
+                fence = None
+            continue
+        for target in LINK_RE.findall(CODE_SPAN_RE.sub("", line)):
             links += 1
             if target.startswith(SKIP_SCHEMES) or target.startswith("#"):
                 continue
