@@ -451,7 +451,7 @@ Json run_control(Context& c) {
       .verdict("replay_identical", identical);
 }
 
-// --- scale: the delta-driven planner at fleet size ---
+// --- scale: the persistent planner at fleet size ---
 // Same scenario recipe at --scale-hosts x --scale-vms, run once on the
 // fast path. The planner's equivalence to from-scratch FFD is pinned per
 // tick by tests/cluster/cluster_incremental_test.cpp.
@@ -487,9 +487,8 @@ Json run_scale(Context& c) {
                        .integer("cached", bk.cached_plans)
                        .integer("delta", bk.delta_plans)
                        .integer("full_rebuilds", bk.full_rebuilds)
-                       .integer("vms_walked", bk.vms_walked)
                        .integer("vms_scanned", bk.vms_scanned)
-                       .integer("coalesced_marks", bk.coalesced_marks));
+                       .integer("hosts_visited", bk.hosts_visited));
 }
 
 // --- federation: K shards under the global planner, per-link WAN moves ---

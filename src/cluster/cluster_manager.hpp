@@ -20,15 +20,15 @@
 // between ticks: once the fleet matches it, the manager issues no further
 // migrations until demand moves the DVFS step.
 //
-// Planning is DELTA-DRIVEN: the manager keeps a persistent
+// Planning is EVENT-FED: the manager keeps a persistent
 // consolidation::HostBook mirroring the live fleet and feeds it a dirty set
 // from cluster events — crash sweeps, recoveries, losses — delivered
 // through note_vm_event/note_host_crashed and coalesced per id until the
-// next tick. The book replays only what changed (falling back to a full
-// rebuild on host-set changes), and its plan is byte-identical to a
-// from-scratch place_ffd over the live fleet — the equivalence
-// tests/cluster/cluster_incremental_test.cpp checks at every tick through
-// book(). On ticks where nothing changed at all — the topology version is
+// next tick. The book serves its last plan when nothing changed and
+// otherwise replays FFD through a first-fit max-index, and its plan is
+// byte-identical to a from-scratch place_ffd over the live fleet — the
+// equivalence tests/cluster/cluster_incremental_test.cpp checks at every
+// tick through book(). On ticks where nothing changed at all — the topology version is
 // stable, no events are pending, and the fleet already matches the plan —
 // the consolidation pass is skipped outright (plans_skipped()); VOVO and
 // DVFS still run, as they track live load.

@@ -48,7 +48,7 @@
 // most max_cross_shard_per_tick moves from the most- to the least-utilized
 // shard while their reserved-memory utilization gap exceeds the
 // threshold. The global tier balances shard AGGREGATES; placement inside
-// a shard stays the shard manager's delta-driven business.
+// a shard stays the shard manager's own business.
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,10 @@
-// Equivalence suite for delta-driven planning: at every manager tick, the
+// Equivalence suite for event-fed planning: at every manager tick, the
 // plan the manager served from its persistent HostBook must equal a
 // from-scratch place_ffd over the live fleet (running VMs onto non-crashed
 // hosts), and on ticks the unchanged-tick early-out skipped, every planned
 // VM must already sit on its target — so skipping is invisible. The
-// diagnostics prove the cheap paths actually ran (plans skipped, delta
-// plans served, full rebuilds confined to host-set changes).
+// diagnostics prove each plan path actually ran (plans skipped, VM-only
+// replays served, host-triggered replays confined to host-set changes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -122,15 +122,15 @@ TEST(ClusterIncrementalTest, ServedPlanIsFromScratchFfdAtEveryTick) {
 }
 
 TEST(ClusterIncrementalTest, CrashAndRecoveryDriveFallbackAndDeltaPaths) {
-  // A host crash must fall the book back to a full rebuild (the host set
-  // changed); a later successful restart is a pure VM-membership change
-  // and must be served by the delta merge walk. Timeline engineering: the
-  // tick-5 plan consolidates midB onto host 1 over a slow link (100 MB/s →
-  // ~6 s in flight), host 0 crashes at t=7, so at the tick-10 crash
-  // fallback no host has 1800 MB free (midB still counts on host 2 until
-  // its attach at ~11 s) and the orphan's first restart attempt fails. The
-  // backoff retry at t=15 lands on the now-empty host 2 — a VM-only
-  // mutation on a tick with no host changes, i.e. the delta path.
+  // A host crash must count as a host-triggered replay (full_rebuilds: the
+  // host set changed); a later successful restart is a pure VM-membership
+  // change and must count as a VM-only replay (delta_plans). Timeline
+  // engineering: the tick-5 plan consolidates midB onto host 1 over a slow
+  // link (100 MB/s → ~6 s in flight), host 0 crashes at t=7, so at the
+  // tick-10 crash replay no host has 1800 MB free (midB still counts on
+  // host 2 until its attach at ~11 s) and the orphan's first restart
+  // attempt fails. The backoff retry at t=15 lands on the now-empty host 2
+  // — a VM-only mutation on a tick with no host changes.
   platform::HostClass small = platform::optiplex_755();
   small.memory_mb = 2048.0;
 
@@ -165,7 +165,7 @@ TEST(ClusterIncrementalTest, CrashAndRecoveryDriveFallbackAndDeltaPaths) {
   EXPECT_EQ(cluster.vm_state(0), VmState::kRunning);
 
   const consolidation::HostBookStats& st = cluster.manager()->book_stats();
-  EXPECT_GE(st.full_rebuilds, 2u) << "seed plan + the crash fallback";
+  EXPECT_GE(st.full_rebuilds, 2u) << "seed plan + the crash replay";
   EXPECT_GE(st.delta_plans, 1u) << "the restart tick must delta-plan";
   EXPECT_GT(cluster.manager()->plans_skipped(), 0u) << "quiet tail must skip";
 }

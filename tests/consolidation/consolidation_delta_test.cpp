@@ -1,14 +1,17 @@
-// Differential-equivalence suite for the delta-driven planner.
+// Differential-equivalence suite for the persistent planner.
 //
 // The HostBook's contract is structural: plan() must be BYTE-identical to a
-// from-scratch place_ffd over the same dense inputs, whichever internal
-// path (cached / delta merge-walk / full-rebuild fallback) served it. This
-// suite replays seeded mutation sequences — add/remove/resize VM, crash and
-// restore host, class flips — against a HostBook and a shadow spec map,
-// asserting exact equality with the oracle after EVERY step, over uniform
-// and heterogeneous fleets and with efficient-first packing both on and
-// off. The corpus is 120 sequences (≥100 per the issue), plus targeted
-// tests for the cached path, the fallback triggers and validation.
+// from-scratch place_ffd over the same dense inputs, whether the cache or a
+// replay through the first-fit max-index served it. This suite replays
+// seeded mutation sequences — add/remove/resize VM, crash and restore host,
+// class flips — against a HostBook and a shadow spec map, asserting exact
+// equality with the oracle after EVERY step, over uniform and heterogeneous
+// fleets and with efficient-first packing both on and off. Uniform fleets
+// tie on packing_cost everywhere, and restored hosts come back under their
+// old ids, so the corpus also pins the scan order's id tie-break. The corpus
+// is 120 sequences, plus index edge cases, a bound on the index's work, and
+// targeted tests for the cached path, the plan-path counters and
+// validation.
 
 #include "consolidation/host_book.hpp"
 
@@ -74,6 +77,30 @@ struct SequenceTally {
   std::size_t cached_plans = 0;
 };
 
+/// Loads dense spec lists into `book` under ids equal to their indices and
+/// checks its plan against place_ffd.
+void load_and_match(HostBook& book, const std::vector<VmSpec>& vms,
+                    const std::vector<HostSpec>& hosts, const FfdOptions& opt) {
+  std::map<std::size_t, VmSpec> vm_map;
+  std::map<std::size_t, HostSpec> host_map;
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    book.add_host(i, hosts[i]);
+    host_map.emplace(i, hosts[i]);
+  }
+  for (std::size_t i = 0; i < vms.size(); ++i) {
+    book.add_vm(i, vms[i]);
+    vm_map.emplace(i, vms[i]);
+  }
+  expect_matches_full(book, vm_map, host_map, opt);
+}
+
+VmSpec vm_of(double memory_mb, double credit) {
+  VmSpec v;
+  v.memory_mb = memory_mb;
+  v.credit = credit;
+  return v;
+}
+
 SequenceTally run_sequence(std::uint32_t seed, bool hetero, bool efficient_first) {
   std::mt19937 rng(seed);
   FfdOptions opt;
@@ -119,10 +146,12 @@ SequenceTally run_sequence(std::uint32_t seed, bool hetero, bool efficient_first
       book.remove_vm(id);
     } else {
       const std::size_t id = random_live(vms);
-      // Resize; occasionally to the identical spec (dirty but unchanged).
+      // Resize (remove + re-add under the same id); occasionally to the
+      // identical spec (dirty but unchanged).
       const VmSpec spec = (rng() % 5 == 0) ? vms.at(id) : make_vm(rng);
       vms.at(id) = spec;
-      book.update_vm(id, spec);
+      book.remove_vm(id);
+      book.add_vm(id, spec);
     }
   };
 
@@ -131,8 +160,7 @@ SequenceTally run_sequence(std::uint32_t seed, bool hetero, bool efficient_first
     if (roll < 55) {
       mutate_vm_once();
     } else if (roll < 70) {
-      // A burst of VM churn between plans: dirty marks must coalesce and
-      // the single delta walk must absorb them all.
+      // A burst of VM churn between plans: one replay absorbs it all.
       const std::size_t burst = 2 + rng() % 3;
       for (std::size_t k = 0; k < burst; ++k) mutate_vm_once();
     } else if (roll < 78) {
@@ -157,11 +185,12 @@ SequenceTally run_sequence(std::uint32_t seed, bool hetero, bool efficient_first
         ++next_host;
       }
     } else if (roll < 92) {
-      // Class flip: re-spec a live host in place.
+      // Class flip: re-spec a live host under the same id.
       const std::size_t id = random_live(hosts);
       const HostSpec spec = make_host(rng, hetero);
       hosts.at(id) = spec;
-      book.update_host(id, spec);
+      book.remove_host(id);
+      book.add_host(id, spec);
     }
     // else: no mutation — the plan below must come from the cache.
     expect_matches_full(book, vms, hosts, opt);
@@ -202,6 +231,108 @@ TEST(ConsolidationDeltaTest, HeteroCorpus) {
   EXPECT_GT(total.cached_plans, 0u);
 }
 
+TEST(ConsolidationDeltaTest, IndexWithNoLiveHosts) {
+  const std::vector<VmSpec> vms = {vm_of(512, 10), vm_of(1024, 20), vm_of(0, 0)};
+  HostBook book;
+  load_and_match(book, vms, {}, FfdOptions{});
+  EXPECT_EQ(book.last_plan().unplaced, vms.size());
+
+  // A fleet that existed and is gone again: stale arenas, no live leaf.
+  book.add_host(4, platform::to_host_spec(platform::optiplex_755()));
+  ASSERT_EQ(book.plan().unplaced, 0u);
+  book.remove_host(4);
+  const Placement want = place_ffd(vms, {});
+  const Placement& got = book.plan();
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(got.hosts_used, 0u);
+  EXPECT_EQ(got.unplaced, vms.size());
+  EXPECT_TRUE(book.planned_hosts().empty());
+}
+
+TEST(ConsolidationDeltaTest, IndexOverNonPowerOfTwoFleets) {
+  for (const std::size_t n : {1u, 5u, 7u}) {
+    for (const bool hetero : {false, true}) {
+      for (const bool efficient_first : {true, false}) {
+        SCOPED_TRACE(testing::Message() << n << " hosts, hetero " << hetero
+                                        << ", efficient_first " << efficient_first);
+        std::mt19937 rng(static_cast<std::uint32_t>(n));
+        std::vector<HostSpec> hosts;
+        for (std::size_t i = 0; i < n; ++i) hosts.push_back(make_host(rng, hetero));
+        std::vector<VmSpec> vms;
+        for (std::size_t i = 0; i < 4 * n + 3; ++i) vms.push_back(make_vm(rng));
+        FfdOptions opt;
+        opt.efficient_first = efficient_first;
+        HostBook book(opt);
+        load_and_match(book, vms, hosts, opt);
+      }
+    }
+  }
+}
+
+TEST(ConsolidationDeltaTest, OnlyLastHostInScanOrderFits) {
+  // Identical power and memory tie every packing_cost, so the scan order
+  // is ascending id; only the last host has the credit the VM needs.
+  std::vector<HostSpec> hosts(7, platform::to_host_spec(platform::optiplex_755()));
+  for (std::size_t i = 0; i + 1 < hosts.size(); ++i) hosts[i].cpu_capacity_pct = 10;
+  HostBook book;
+  load_and_match(book, {vm_of(512, 50)}, hosts, FfdOptions{});
+  EXPECT_EQ(book.last_plan().assignment[0], 6u);
+}
+
+TEST(ConsolidationDeltaTest, SpillingVmFailsLeafButFitsLaterHost) {
+  // Host 0 has two NUMA nodes: the 3000 MB VM spills there and needs
+  // 80 * 1.5 = 120 credit, more than its 100, although the raw 80 passes
+  // every max-credit bound above it. Host 1 is UMA and takes the VM at 80.
+  // The small VM fits host 0 node-locally.
+  HostSpec numa = platform::to_host_spec(platform::optiplex_755());
+  numa.numa_nodes = 2;
+  numa.numa_spill_penalty = 0.5;
+  const std::vector<HostSpec> hosts = {numa,
+                                       platform::to_host_spec(platform::optiplex_755())};
+  HostBook book;
+  load_and_match(book, {vm_of(3000, 80), vm_of(1024, 10)}, hosts, FfdOptions{});
+  EXPECT_EQ(book.last_plan().assignment, (std::vector<std::size_t>{1, 0}));
+}
+
+TEST(ConsolidationDeltaTest, EveryVmUnplacedBacktracksToRoot) {
+  // Memory-rich hosts lack credit and credit-rich hosts lack memory: the
+  // root bounds pass on both resources, yet no leaf fits, so each descent
+  // explores below the root and returns kUnplaced from it.
+  HostSpec mem_rich = platform::to_host_spec(platform::optiplex_755());
+  mem_rich.memory_mb = 8192;
+  mem_rich.cpu_capacity_pct = 10;
+  HostSpec cpu_rich = platform::to_host_spec(platform::optiplex_755());
+  cpu_rich.memory_mb = 256;
+  std::vector<HostSpec> hosts;
+  for (std::size_t i = 0; i < 6; ++i) hosts.push_back(i % 2 == 0 ? mem_rich : cpu_rich);
+  const std::vector<VmSpec> vms(5, vm_of(1024, 50));
+  for (const bool efficient_first : {true, false}) {
+    SCOPED_TRACE(efficient_first);
+    FfdOptions opt;
+    opt.efficient_first = efficient_first;
+    HostBook book(opt);
+    load_and_match(book, vms, hosts, opt);
+    EXPECT_EQ(book.last_plan().unplaced, vms.size());
+    EXPECT_EQ(book.last_plan().hosts_used, 0u);
+    EXPECT_GT(book.stats().hosts_visited, book.stats().vms_scanned);
+  }
+}
+
+TEST(ConsolidationDeltaTest, IndexWorkIsLogarithmic) {
+  // Each first-fit query may visit at most two nodes per tree level plus
+  // the root and a little slack, or the index has degraded to a scan.
+  constexpr std::size_t kHosts = 4096;  // log2 = 12
+  const std::vector<HostSpec> hosts(kHosts, platform::to_host_spec(platform::optiplex_755()));
+  std::mt19937 rng(7);
+  std::vector<VmSpec> vms;
+  for (std::size_t i = 0; i < 2 * kHosts; ++i) vms.push_back(make_vm(rng));
+  HostBook book;
+  load_and_match(book, vms, hosts, FfdOptions{});
+  const HostBookStats& st = book.stats();
+  EXPECT_EQ(st.vms_scanned, vms.size());
+  EXPECT_LE(st.hosts_visited, st.vms_scanned * (2 * 12 + 2));
+}
+
 TEST(ConsolidationDeltaTest, CachedPlanIsVerbatim) {
   HostBook book;
   book.add_host(0, platform::to_host_spec(platform::optiplex_755()));
@@ -230,26 +361,12 @@ TEST(ConsolidationDeltaTest, HostMutationFallsBackToFullRebuild) {
 
   book.add_vm(1, v);
   (void)book.plan();
-  EXPECT_EQ(book.stats().delta_plans, 1u);  // VM-only change: delta path
+  EXPECT_EQ(book.stats().delta_plans, 1u);  // VM-only change
 
-  book.update_host(1, platform::to_host_spec(platform::xeon_e5_2620()));
+  book.remove_host(1);
+  book.add_host(1, platform::to_host_spec(platform::xeon_e5_2620()));
   (void)book.plan();
-  EXPECT_EQ(book.stats().full_rebuilds, 2u);  // class flip: fallback
-}
-
-TEST(ConsolidationDeltaTest, BurstOfMarksCoalesces) {
-  HostBook book;
-  book.add_host(0, platform::to_host_spec(platform::optiplex_755()));
-  VmSpec v;
-  v.credit = 10;
-  v.memory_mb = 512;
-  book.add_vm(0, v);
-  (void)book.plan();
-  v.memory_mb = 640;
-  book.update_vm(0, v);
-  v.memory_mb = 768;
-  book.update_vm(0, v);  // second mark on the same pending VM
-  EXPECT_EQ(book.stats().coalesced_marks, 1u);
+  EXPECT_EQ(book.stats().full_rebuilds, 2u);  // class flip: host change
 }
 
 TEST(ConsolidationDeltaTest, ValidationMirrorsPlaceFfd) {
