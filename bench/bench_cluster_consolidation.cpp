@@ -241,7 +241,6 @@ struct Context {
   // of a big fleet, which is what the active-fraction gate is about),
   // otherwise the 8x64 fast run.
   pas::cluster::EngineStats engine_stats;
-  std::size_t engine_grain = 0;
   // First divergences of failed identity verdicts, printed with the gates.
   std::vector<std::string> divergences;
 
@@ -263,7 +262,6 @@ Json run_main(Context& c) {
   const auto& m = c.main;
   c.verdict("hosting cluster", m);
   c.engine_stats = m.fast->engine_stats();
-  c.engine_grain = m.fast->config().execution.pool_grain;
 
   Json j;
   j.str("bench", "cluster_consolidation")
@@ -461,7 +459,6 @@ Json run_scale(Context& c) {
   const double sc_wall = run_timed(*sc, cfg.horizon);
   const double scale_rate = cfg.horizon.sec() / sc_wall;
   c.engine_stats = sc->engine_stats();
-  c.engine_grain = sc->config().execution.pool_grain;
 
   const pas::cluster::ClusterManager& mgr = *sc->manager();
   const pas::consolidation::HostBookStats& bk = mgr.book_stats();
@@ -481,7 +478,6 @@ Json run_scale(Context& c) {
       .integer("planning_ticks", mgr.planning_ticks())
       .integer("plans_skipped", mgr.plans_skipped())
       .num("planner_ns_per_tick", ns_per_tick, 1)
-      .integer("events_coalesced", mgr.events_coalesced())
       .obj("book", Json::one_line()
                        .integer("plans", bk.plans)
                        .integer("cached", bk.cached_plans)
@@ -547,7 +543,7 @@ Json run_engine(Context& c) {
       .integer("dispatches", e.dispatches)
       .integer("bulk_skips", e.bulk_skips)
       .num("active_fraction", e.active_fraction(), 6)
-      .integer("pool_grain", c.engine_grain);
+      .integer("pool_grain", pas::common::ThreadPool::kDefaultGrain);
 }
 
 // The tiers in run, print and JSON order. A keyless tier's fields go to

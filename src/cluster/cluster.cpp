@@ -17,38 +17,20 @@ namespace pas::cluster {
 
 namespace {
 
-/// One platform class per host: the configured list verbatim, or
-/// host_count clones synthesized from the template. The uniform scalars
-/// are 0-defaulted ("unset"), so a scalar that was actually set alongside
-/// a class list is detectable — and rejected — rather than silently losing
-/// to it.
-std::vector<platform::HostClass> resolve_classes(const ClusterConfig& cfg) {
-  if (!cfg.host_classes.empty()) {
-    if (cfg.host_count != 0 && cfg.host_count != cfg.host_classes.size())
-      throw std::invalid_argument("Cluster: host_count contradicts host_classes");
-    if (cfg.host_memory_mb != 0.0)
-      throw std::invalid_argument(
-          "Cluster: host_memory_mb contradicts host_classes; set memory per class");
-    for (const auto& c : cfg.host_classes) {
-      if (c.memory_mb <= 0.0)
-        throw std::invalid_argument("Cluster: class memory must be positive");
-      if (c.numa_nodes == 0)
-        throw std::invalid_argument("Cluster: class needs at least one NUMA node");
-      if (c.numa_spill_penalty < 0.0)
-        throw std::invalid_argument("Cluster: negative NUMA spill penalty");
-    }
-    return cfg.host_classes;
+/// The fleet is the class list, one host per entry: non-empty, and every
+/// class a machine that can exist.
+ClusterConfig validated(ClusterConfig cfg) {
+  if (cfg.host_classes.empty())
+    throw std::invalid_argument("Cluster: host_classes must name at least one host");
+  for (const auto& c : cfg.host_classes) {
+    if (c.memory_mb <= 0.0)
+      throw std::invalid_argument("Cluster: class memory must be positive");
+    if (c.numa_nodes == 0)
+      throw std::invalid_argument("Cluster: class needs at least one NUMA node");
+    if (c.numa_spill_penalty < 0.0)
+      throw std::invalid_argument("Cluster: negative NUMA spill penalty");
   }
-  if (cfg.host_count == 0)
-    throw std::invalid_argument("Cluster: need at least one host (or host_classes)");
-  if (cfg.host_memory_mb < 0.0)
-    throw std::invalid_argument("Cluster: host memory must be positive");
-  platform::HostClass c;
-  c.name = "host";
-  c.ladder = cfg.host.ladder;
-  c.power = cfg.host.power;
-  c.memory_mb = cfg.host_memory_mb == 0.0 ? 4096.0 : cfg.host_memory_mb;
-  return std::vector<platform::HostClass>(cfg.host_count, c);
+  return cfg;
 }
 
 /// The lifecycle graph documented on VmState, which set_state enforces.
@@ -93,26 +75,24 @@ RecoveryStats summarize_recoveries(const std::vector<VmRecovery>& recoveries) {
 }
 
 Cluster::Cluster(ClusterConfig config)
-    : cfg_(std::move(config)), classes_(resolve_classes(cfg_)), meter_(classes_.size()) {
+    : cfg_(validated(std::move(config))),
+      pool_(cfg_.execution.threads),
+      meter_(cfg_.host_classes.size()) {
+  const std::vector<platform::HostClass>& classes = cfg_.host_classes;
   engine_ = std::make_unique<MigrationEngine>(cfg_.migration, events_);
-  crashed_.assign(classes_.size(), 0);
-  host_slots_.resize(classes_.size());
+  crashed_.assign(classes.size(), 0);
+  host_slots_.resize(classes.size());
 
-  const std::size_t executors = cfg_.execution.threads == 0
-                                    ? common::ThreadPool::hardware_threads()
-                                    : cfg_.execution.threads;
-  if (executors > 1) pool_ = std::make_unique<common::ThreadPool>(executors);
-
-  hosts_.reserve(classes_.size());
-  agents_.reserve(classes_.size());
-  for (std::size_t h = 0; h < classes_.size(); ++h) {
+  hosts_.reserve(classes.size());
+  agents_.reserve(classes.size());
+  for (std::size_t h = 0; h < classes.size(); ++h) {
     auto scheduler = cfg_.make_scheduler ? cfg_.make_scheduler()
                                          : std::make_unique<sched::CreditScheduler>();
     // Each host is built from its class: the shared template supplies the
     // timing knobs, the class supplies the machine (ladder + power model).
     hv::HostConfig hc = cfg_.host;
-    hc.ladder = classes_[h].ladder;
-    hc.power = classes_[h].power;
+    hc.ladder = classes[h].ladder;
+    hc.power = classes[h].power;
     auto host = std::make_unique<hv::Host>(std::move(hc), std::move(scheduler));
     hv::VmConfig agent_cfg;
     agent_cfg.name = "hv-agent-" + std::to_string(h);
@@ -177,7 +157,6 @@ void Cluster::set_state(GlobalVmId vm, VmState to) {
   assert(legal_transition(vm_state_[vm], to) && "illegal VM lifecycle transition");
   vm_state_[vm] = to;
   ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
 }
 
 std::unique_ptr<wl::Workload> Cluster::drain(GlobalVmId vm) {
@@ -428,7 +407,6 @@ bool Cluster::crash_host(HostId host, bool restart_orphans) {
   hv::Host& h = *hosts_[host];
   h.scheduler().set_cap(0, 0.0);
   h.scheduler().import_credit(0, common::SimTime{});
-  if (manager_) manager_->note_host_crashed(host);
   ++topology_version_;
   const bool off = set_powered(host, false);
   (void)off;
@@ -493,7 +471,7 @@ bool Cluster::abort_migration(GlobalVmId vm) {
 }
 
 void Cluster::set_link_bandwidth(double mb_per_s) {
-  engine_->set_link_bandwidth(mb_per_s, now_);
+  engine_->set_link_bandwidth(mb_per_s);
 }
 
 std::size_t Cluster::crashed_count() const {
@@ -580,20 +558,15 @@ void Cluster::advance_hosts(common::SimTime target) {
     }
   }
   engine_stats_.dispatches += active_hosts_.size();
-  if (!pool_) {  // serial driver
-    for (const std::size_t h : active_hosts_) hosts_[h]->run_until(target);
-    return;
-  }
-  // Pooled driver: each index touches exactly one host and hosts share no
-  // mutable state between cluster events (the hv::Host contract), so the
-  // fork-join computes precisely what the serial loop does — in whatever
-  // thread interleaving — and the barrier restores the synchronized-fleet
-  // picture before any cluster event can look. Only active hosts pay the
-  // dispatch; the grain batches them per shared-counter hit.
-  pool_->parallel_for(
-      active_hosts_.size(),
-      [this, target](std::size_t k) { hosts_[active_hosts_[k]]->run_until(target); },
-      cfg_.execution.pool_grain);
+  // Each index touches exactly one host and hosts share no mutable state
+  // between cluster events (the hv::Host contract), so the fork-join
+  // computes the same host states in whatever thread interleaving — with
+  // one executor it is a plain loop — and the barrier restores the
+  // synchronized-fleet picture before any cluster event can look. Only
+  // active hosts pay the dispatch.
+  pool_.parallel_for(active_hosts_.size(), [this, target](std::size_t k) {
+    hosts_[active_hosts_[k]]->run_until(target);
+  });
 }
 
 void Cluster::run_until(common::SimTime until) {

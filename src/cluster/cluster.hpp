@@ -20,15 +20,16 @@
 //
 // Because hosts share no mutable state within a segment (the contract
 // hv::Host documents and enforces), the "advance every host" half of the
-// loop is embarrassingly parallel: ExecutionPolicy::threads > 1 steps the
-// hosts on a fixed-size common::ThreadPool, barriers, and then fires the
+// loop is embarrassingly parallel: the cluster always steps its hosts on a
+// common::ThreadPool of ExecutionPolicy::threads executors (one executor
+// spawns no thread and runs a plain loop), barriers, and then fires the
 // cluster events serially on the coordinating thread in the queue's
-// (time, insertion-sequence) order — the same order the serial driver
-// uses. Each host's computation is a pure function of its own state and
-// the segment bound, so every observable (traces, migration records, SLA
-// counters, energy totals) is byte-identical to the serial engine at any
-// thread count; tests/cluster/cluster_parallel_test.cpp sweeps
-// threads ∈ {1, 2, 4, hardware} over the fuzz scenarios to pin this.
+// (time, insertion-sequence) order. Each host's computation is a pure
+// function of its own state and the segment bound, so every observable
+// (traces, migration records, SLA counters, energy totals) is
+// byte-identical at any thread count;
+// tests/cluster/cluster_parallel_test.cpp sweeps threads ∈ {1, 2, 4,
+// hardware} over the fuzz scenarios to pin this.
 //
 // Topology: slots are LAZY. A cluster VM owns a slot only on hosts it has
 // actually touched — its home at add_vm, plus each migration/recovery
@@ -91,17 +92,13 @@ struct ClusterVmConfig {
 };
 
 /// How the "advance every host to the next cluster event" half of the run
-/// loop executes. Purely a wall-clock knob: the parallel driver is
-/// byte-identical to the serial one (see the file header).
+/// loop executes. Purely a wall-clock knob: every thread count computes
+/// byte-identical results (see the file header).
 struct ExecutionPolicy {
-  /// Total executor threads stepping host segments: 1 = the serial driver
-  /// (no pool, no worker threads); 0 = one executor per hardware thread;
-  /// N > 1 = a pool of N-1 workers plus the coordinating thread.
+  /// Total executors stepping host segments (common::ThreadPool): 1 = the
+  /// calling thread alone, no worker threads; 0 = one executor per
+  /// hardware thread; N > 1 = N-1 workers plus the coordinating thread.
   std::size_t threads = 1;
-  /// Consecutive active-host indices each pool executor claims per shared-
-  /// counter hit (common::ThreadPool::parallel_for grain). Scheduling only
-  /// — which hosts advance, and to what state, never depends on it.
-  std::size_t pool_grain = common::ThreadPool::kDefaultGrain;
 };
 
 /// Sparse-driver telemetry: of the host-segments each run_until cut, how
@@ -120,24 +117,17 @@ struct EngineStats {
 };
 
 struct ClusterConfig {
-  /// Template applied to every host (quantum, monitor window, trace stride,
-  /// event_driven_fast_path, ...). With a uniform fleet it also supplies
-  /// the ladder and power model; with `host_classes` those come per host
-  /// from each class.
+  /// Template applied to every host: quantum, monitor window, trace
+  /// stride, event_driven_fast_path, ... Its ladder and power model are
+  /// ignored — each host takes those from its class.
   hv::HostConfig host;
   ExecutionPolicy execution;
-  /// Per-host platform classes: entry h defines host h's frequency ladder,
-  /// power model, memory, planner capacity and NUMA layout. Non-empty
-  /// defines the fleet — the constructor throws if host_count (other than
-  /// host_classes.size()) or host_memory_mb is ALSO set: a lone scalar
-  /// must not silently contradict mixed classes.
+  /// The fleet, one entry per host: entry h defines host h's frequency
+  /// ladder, power model, memory, planner capacity and NUMA layout. Must be
+  /// non-empty. A uniform fleet is N copies of one class
+  /// (platform::uniform_fleet_classes); HostClass{} is the paper's ladder
+  /// and desktop_2008 power model with 4096 MB.
   std::vector<platform::HostClass> host_classes;
-  /// Uniform-fleet shape, used when host_classes is empty: host_count
-  /// clones of the `host` template with host_memory_mb of memory each.
-  /// 0 = unset (host_count is then required only without classes;
-  /// host_memory_mb falls back to 4096).
-  std::size_t host_count = 0;
-  double host_memory_mb = 0.0;
   MigrationConfig migration;
   /// Factory for each host's scheduler; defaults to the paper's credit
   /// scheduler when empty.
@@ -160,7 +150,7 @@ struct ClusterConfig {
 ///     kInbound  -> kRunning
 ///
 /// (kLost and kDeparted are terminal), and each one bumps
-/// topology_version() and tells the manager.
+/// topology_version(), which the manager watches.
 enum class VmState : std::uint8_t {
   kRunning = 0,
   /// Its host crashed but the VM is restartable: the cluster holds its
@@ -366,17 +356,14 @@ class Cluster {
   [[nodiscard]] hv::Host& host(HostId id) { return *hosts_.at(id); }
   [[nodiscard]] const hv::Host& host(HostId id) const { return *hosts_.at(id); }
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
-  /// The platform class host `id` was built from. Always populated: a
-  /// uniform fleet synthesizes one class per host from the template, so
-  /// planners can consume per-host classes without caring how the fleet
-  /// was configured.
+  /// The platform class host `id` was built from.
   [[nodiscard]] const platform::HostClass& host_class(HostId id) const {
-    return classes_.at(id);
+    return cfg_.host_classes.at(id);
   }
   /// Physical memory of host `id` (its class's) — the planner's binding
   /// resource.
   [[nodiscard]] double host_memory_mb(HostId id) const {
-    return classes_.at(id).memory_mb;
+    return cfg_.host_classes.at(id).memory_mb;
   }
   [[nodiscard]] const ClusterVmConfig& vm_config(GlobalVmId vm) const {
     return vm_cfgs_.at(vm);
@@ -441,18 +428,17 @@ class Cluster {
   /// window (a paused VM delivers nothing, whatever it bought).
   [[nodiscard]] const metrics::SlaChecker& sla() const { return sla_; }
 
-  /// Executors actually stepping host segments (1 = serial driver).
-  [[nodiscard]] std::size_t execution_threads() const {
-    return pool_ ? pool_->thread_count() : 1;
-  }
+  /// Executors stepping host segments: ExecutionPolicy::threads, with 0
+  /// resolved to the hardware thread count.
+  [[nodiscard]] std::size_t execution_threads() const { return pool_.thread_count(); }
 
   /// Sparse-driver dispatch counters for the run so far.
   [[nodiscard]] const EngineStats& engine_stats() const { return engine_stats_; }
 
  private:
   void install_periodic_tasks();
-  /// Advances every host to `target` — the serial loop or the pooled
-  /// fork-join, per ExecutionPolicy. Both leave identical host states.
+  /// Advances every host to `target`: bulk-skips the quiescent ones and
+  /// fork-joins the rest on the pool.
   void advance_hosts(common::SimTime target);
   void sample_sla(common::SimTime now);
   void on_migration_done(const MigrationRecord& record);
@@ -461,8 +447,7 @@ class Cluster {
   GlobalVmId register_vm(ClusterVmConfig config, std::unique_ptr<wl::Workload> workload,
                          HostId home, VmState state);
   /// The only writer of vm_state_ after registration: asserts the change
-  /// is a legal lifecycle edge, bumps the topology version and feeds the
-  /// manager's dirty set.
+  /// is a legal lifecycle edge and bumps the topology version.
   void set_state(GlobalVmId vm, VmState to);
   /// Takes a running VM's guest off its residence slot (stop, crash):
   /// parks an IdleGuest there, zeroes the cap and the balance, and returns
@@ -474,12 +459,9 @@ class Cluster {
   void record_slot(HostId host, GlobalVmId vm, common::VmId slot);
 
   ClusterConfig cfg_;
-  /// One class per host — cfg_.host_classes verbatim, or synthesized from
-  /// the uniform template.
-  std::vector<platform::HostClass> classes_;
   std::vector<std::unique_ptr<hv::Host>> hosts_;
   std::vector<HypervisorAgent*> agents_;  // slot 0 of each host, owned there
-  std::unique_ptr<common::ThreadPool> pool_;  // null for the serial driver
+  common::ThreadPool pool_;
 
   std::vector<ClusterVmConfig> vm_cfgs_;
   std::vector<HostId> home_;

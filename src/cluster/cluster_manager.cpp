@@ -51,14 +51,6 @@ void ClusterManager::add_brownout(common::SimTime from, common::SimTime until) {
   brownouts_.emplace_back(from, until);
 }
 
-void ClusterManager::note_vm_event(GlobalVmId vm) {
-  if (!pending_vms_.insert(vm).second) ++events_coalesced_;
-}
-
-void ClusterManager::note_host_crashed(HostId host) {
-  if (!pending_crashes_.insert(host).second) ++events_coalesced_;
-}
-
 consolidation::HostSpec ClusterManager::plan_host_spec(const Cluster& cluster,
                                                        HostId host) {
   // Host specs come from each host's *actual* platform class — ladder,
@@ -86,44 +78,26 @@ consolidation::VmSpec ClusterManager::plan_vm_spec(const Cluster& cluster,
 }
 
 void ClusterManager::sync_book(const Cluster& cluster) {
-  if (!book_seeded_) {
-    // First planning tick: mirror the live fleet into the book wholesale.
-    for (HostId h = 0; h < cluster.host_count(); ++h) {
-      if (cluster.crashed(h)) continue;
+  // Membership: live hosts and running VMs are planned; crashed hosts and
+  // orphaned, lost, stopped, inbound or departed VMs are not. Specs are
+  // static (class, purchased credit, memory), so a member already on the
+  // right side of that line needs nothing — a residency change is worked
+  // off by the issuance pass against the (unchanged) plan. On an empty
+  // book this pass is the seeding.
+  for (HostId h = 0; h < cluster.host_count(); ++h) {
+    const bool live = !cluster.crashed(h);
+    if (live && !book_.has_host(h))
       book_.add_host(h, plan_host_spec(cluster, h));
-    }
-    in_book_.assign(cluster.vm_count(), 0);
-    for (GlobalVmId gid = 0; gid < cluster.vm_count(); ++gid) {
-      if (cluster.vm_state(gid) != VmState::kRunning) continue;
-      book_.add_vm(gid, plan_vm_spec(cluster, gid));
-      in_book_[gid] = 1;
-    }
-    book_seeded_ = true;
-    pending_vms_.clear();
-    pending_crashes_.clear();
-    return;
+    else if (!live && book_.has_host(h))
+      book_.remove_host(h);
   }
-
-  if (in_book_.size() < cluster.vm_count()) in_book_.resize(cluster.vm_count(), 0);
-  for (const HostId h : pending_crashes_)
-    if (book_.has_host(h)) book_.remove_host(h);
-  pending_crashes_.clear();
-  for (const GlobalVmId vm : pending_vms_) {
-    // Membership: running VMs are planned, orphaned/lost ones are not.
-    // Specs themselves are static (purchased credit + memory), so a VM
-    // already on the right side of that line needs nothing — the event was
-    // a residency change, which the issuance pass below reconciles against
-    // the (unchanged) plan.
+  for (GlobalVmId vm = 0; vm < cluster.vm_count(); ++vm) {
     const bool live = cluster.vm_state(vm) == VmState::kRunning;
-    if (live && !in_book_[vm]) {
+    if (live && !book_.has_vm(vm))
       book_.add_vm(vm, plan_vm_spec(cluster, vm));
-      in_book_[vm] = 1;
-    } else if (!live && in_book_[vm]) {
+    else if (!live && book_.has_vm(vm))
       book_.remove_vm(vm);
-      in_book_[vm] = 0;
-    }
   }
-  pending_vms_.clear();
 }
 
 void ClusterManager::recover_orphans(common::SimTime now, Cluster& cluster) {
@@ -157,7 +131,6 @@ void ClusterManager::recover_orphans(common::SimTime now, Cluster& cluster) {
       // restricted to residents, so the sums are bit-identical.
       for (const auto& entry : cluster.host_slots(h)) {
         const GlobalVmId other = entry.first;
-        if (other == vm) continue;
         if (cluster.vm_state(other) != VmState::kRunning) continue;
         if (cluster.residence(other) != h) continue;
         free_mem -= cluster.vm_config(other).memory_mb;
@@ -210,15 +183,15 @@ void ClusterManager::on_tick(common::SimTime now, Cluster& cluster) {
 
   if (cfg_.consolidate) {
     const std::uint64_t version = cluster.topology_version();
-    const bool can_skip = book_seeded_ && have_version_ && version == last_version_ &&
-                          pending_vms_.empty() && pending_crashes_.empty() && converged_;
+    const bool can_skip = have_version_ && version == last_version_ && converged_;
     if (can_skip) {
       // Provably unchanged tick: no residency/power/lifecycle change since
-      // the last pass (the topology version is stable), no pending events,
-      // and the last plan was fully worked off. The planner's inputs are
-      // static, so a re-plan would recompute the identical placement and
-      // the issuance loop would find every VM already on target — skipping
-      // the whole pass is observationally identical and O(1).
+      // the last pass (the topology version is stable — every membership
+      // change bumps it), and the last plan was fully worked off. The
+      // planner's inputs are static, so a re-plan would recompute the
+      // identical placement and the issuance loop would find every VM
+      // already on target — skipping the whole pass is observationally
+      // identical and O(1).
       ++plans_skipped_;
     } else {
       const auto wall0 = std::chrono::steady_clock::now();
@@ -231,8 +204,9 @@ void ClusterManager::on_tick(common::SimTime now, Cluster& cluster) {
       // Observed load enters below, in the DVFS step.
       // Plan over the *live* fleet only: running VMs (orphaned/lost ones
       // have no slot to pack) onto non-crashed hosts. The book reconciles
-      // pending events and replays only what changed; its plan is dense
-      // over the survivors — planned_vms/planned_hosts map it back.
+      // its membership with the fleet and serves its cached plan when that
+      // changed nothing; its plan is dense over the survivors —
+      // planned_vms/planned_hosts map it back.
       sync_book(cluster);
       const consolidation::Placement& plan = book_.plan();
       const std::vector<std::size_t>& plan_vms = book_.planned_vms();

@@ -20,25 +20,24 @@
 // between ticks: once the fleet matches it, the manager issues no further
 // migrations until demand moves the DVFS step.
 //
-// Planning is EVENT-FED: the manager keeps a persistent
-// consolidation::HostBook mirroring the live fleet and feeds it a dirty set
-// from cluster events — crash sweeps, recoveries, losses — delivered
-// through note_vm_event/note_host_crashed and coalesced per id until the
-// next tick. The book serves its last plan when nothing changed and
-// otherwise replays FFD through a first-fit max-index, and its plan is
-// byte-identical to a from-scratch place_ffd over the live fleet — the
-// equivalence tests/cluster/cluster_incremental_test.cpp checks at every
-// tick through book(). On ticks where nothing changed at all — the topology version is
-// stable, no events are pending, and the fleet already matches the plan —
-// the consolidation pass is skipped outright (plans_skipped()); VOVO and
-// DVFS still run, as they track live load.
+// Planning reads fleet membership: the manager keeps a persistent
+// consolidation::HostBook and, on every tick that plans, reconciles it with
+// the cluster in one pass — live hosts and running VMs in, crashed hosts
+// and every other VM out, each walked in ascending id. The book serves its
+// last plan when that pass changed nothing and otherwise replays FFD
+// through a first-fit max-index, and its plan is byte-identical to a
+// from-scratch place_ffd over the live fleet — the equivalence
+// tests/cluster/cluster_incremental_test.cpp checks at every tick through
+// book(). On ticks where nothing changed at all — the topology version is
+// stable and the fleet already matches the plan — the consolidation pass
+// is skipped outright (plans_skipped()); VOVO and DVFS still run, as they
+// track live load.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -97,15 +96,6 @@ class ClusterManager {
   /// time (the fault injector calls it at arm time).
   void add_brownout(common::SimTime from, common::SimTime until);
 
-  // --- cluster event feed (the Cluster calls these as faults/recoveries
-  // --- land; same-id events coalesce until the next planning tick) ---
-  /// A VM's lifecycle changed (orphaned, lost, restarted): reconcile its
-  /// book membership at the next planning tick.
-  void note_vm_event(GlobalVmId vm);
-  /// A host crashed: drop it from the book (full-rebuild fallback) at the
-  /// next planning tick.
-  void note_host_crashed(HostId host);
-
   // --- external control (the ctl::ControlPlane's policy gate) ---
   enum class ExternalAdmission : std::uint8_t {
     kAdmitted = 0,
@@ -138,8 +128,6 @@ class ClusterManager {
   /// bench's planner-ns-per-tick gate divides these.
   [[nodiscard]] std::size_t planning_ticks() const { return planning_ticks_; }
   [[nodiscard]] std::uint64_t planner_ns() const { return planner_ns_; }
-  /// Events that coalesced into an already-pending one before a tick.
-  [[nodiscard]] std::size_t events_coalesced() const { return events_coalesced_; }
   [[nodiscard]] const consolidation::HostBookStats& book_stats() const {
     return book_.stats();
   }
@@ -160,7 +148,8 @@ class ClusterManager {
  private:
   void recover_orphans(common::SimTime now, Cluster& cluster);
   void apply_dvfs(Cluster& cluster);
-  /// Seeds the book on first use, then reconciles the pending dirty set.
+  /// Reconciles the book's membership with the fleet: hosts then VMs,
+  /// ascending id, each added or removed by liveness.
   void sync_book(const Cluster& cluster);
 
   struct RetryState {
@@ -185,17 +174,12 @@ class ClusterManager {
 
   // Planner state.
   consolidation::HostBook book_;
-  bool book_seeded_ = false;
-  std::vector<std::uint8_t> in_book_;        // per VM id: live in the book
-  std::set<GlobalVmId> pending_vms_;         // ordered: deterministic replay
-  std::set<HostId> pending_crashes_;
   std::uint64_t last_version_ = 0;
   bool have_version_ = false;
   bool converged_ = false;
   std::size_t plans_skipped_ = 0;
   std::size_t planning_ticks_ = 0;
   std::uint64_t planner_ns_ = 0;
-  std::size_t events_coalesced_ = 0;
 };
 
 }  // namespace pas::cluster

@@ -19,34 +19,52 @@ common::SimTime transfer_time(double mb, double mb_per_s) {
   return common::usec(std::max<std::int64_t>(us, 1));
 }
 
-}  // namespace
-
-MigrationPlan plan_migration(double memory_mb, double dirty_mb_per_s,
-                             const MigrationConfig& config) {
+void check_inputs(double memory_mb, double dirty_mb_per_s, const MigrationConfig& config) {
   if (memory_mb <= 0.0) throw std::invalid_argument("plan_migration: memory must be positive");
   if (config.link_mb_per_s <= 0.0)
     throw std::invalid_argument("plan_migration: link bandwidth must be positive");
   if (dirty_mb_per_s < 0.0)
     throw std::invalid_argument("plan_migration: negative dirty rate");
+}
 
-  MigrationPlan plan;
-  double pending = memory_mb;
-  std::int64_t precopy_us = 0;
-  for (std::size_t round = 0; round < std::max<std::size_t>(config.max_precopy_rounds, 1);
-       ++round) {
+/// The pre-copy recurrence, the one place it lives: appends rounds to
+/// `plan` (and their start instants to `round_starts`), starting with
+/// `pending` MB to push at `t`, then sets the residue, the pre-copy length
+/// measured from `start`, and the pause. A round pushes the pending set;
+/// the pages redirtied meanwhile feed the next one. The first round of an
+/// empty plan is unconditional — round 0 pushes the full image even when
+/// memory ≤ threshold — and later rounds run only while the redirtied set
+/// stays above the stop-copy threshold and the round budget lasts.
+void plan_rounds(MigrationPlan& plan, std::vector<common::SimTime>& round_starts,
+                 double pending, common::SimTime t, common::SimTime start, double memory_mb,
+                 double dirty_mb_per_s, const MigrationConfig& config) {
+  const std::size_t budget = std::max<std::size_t>(config.max_precopy_rounds, 1);
+  while (plan.round_mb.size() < budget &&
+         (plan.round_mb.empty() || pending > config.stop_copy_threshold_mb)) {
     plan.round_mb.push_back(pending);
-    const common::SimTime t = transfer_time(pending, config.link_mb_per_s);
-    precopy_us += t.us();
+    round_starts.push_back(t);
+    const common::SimTime dt = transfer_time(pending, config.link_mb_per_s);
+    t += dt;
     // Pages redirtied while this round was in flight; a guest cannot dirty
     // more than its whole memory.
-    pending = std::min(memory_mb, dirty_mb_per_s * t.sec());
-    if (pending <= config.stop_copy_threshold_mb) break;
+    pending = std::min(memory_mb, dirty_mb_per_s * dt.sec());
   }
   plan.stop_copy_mb = pending;
-  plan.precopy_duration = common::usec(precopy_us);
+  plan.precopy_duration = t - start;
   plan.downtime =
       (pending > 0.0 ? transfer_time(pending, config.link_mb_per_s) : common::SimTime{}) +
       config.switch_latency;
+}
+
+}  // namespace
+
+MigrationPlan plan_migration(double memory_mb, double dirty_mb_per_s,
+                             const MigrationConfig& config) {
+  check_inputs(memory_mb, dirty_mb_per_s, config);
+  MigrationPlan plan;
+  std::vector<common::SimTime> round_starts;
+  plan_rounds(plan, round_starts, memory_mb, common::SimTime{}, common::SimTime{}, memory_mb,
+              dirty_mb_per_s, config);
   return plan;
 }
 
@@ -89,10 +107,10 @@ MigrationPlan MigrationEngine::begin(GlobalVmId vm, HostId from, HostId to,
   if (source.host == nullptr || dest.host == nullptr)
     throw std::invalid_argument("MigrationEngine: endpoints required");
 
+  check_inputs(memory_mb, dirty_mb_per_s, cfg_);
+
   auto flight = std::make_unique<Flight>();
   Flight* f = flight.get();
-  f->plan = plan_migration(memory_mb, dirty_mb_per_s, cfg_);
-  f->plan.downtime += extra_switch_latency;
   f->source = source;
   f->dest = dest;
   f->credit_pct = credit_pct;
@@ -105,23 +123,21 @@ MigrationPlan MigrationEngine::begin(GlobalVmId vm, HostId from, HostId to,
   f->record.from = from;
   f->record.to = to;
   f->record.start = now;
-  f->record.stop = now + f->plan.precopy_duration;
-  f->record.end = f->record.stop + f->plan.downtime;
-  f->record.rounds = f->plan.round_mb.size();
-  f->record.transferred_mb = f->plan.transferred_mb();
-  f->record.downtime = f->plan.downtime;
-
-  common::SimTime round_start = now;
-  for (const double mb : f->plan.round_mb) {
-    f->round_starts.push_back(round_start);
-    round_start += transfer_time(mb, cfg_.link_mb_per_s);
-  }
   flights_.push_back(std::move(flight));
-  schedule_phase_events(*f, 0);
+  plan_flight(*f, memory_mb, now);
   return f->plan;
 }
 
-void MigrationEngine::schedule_phase_events(Flight& flight, std::size_t first_round) {
+void MigrationEngine::plan_flight(Flight& flight, double pending, common::SimTime t) {
+  plan_rounds(flight.plan, flight.round_starts, pending, t, flight.record.start,
+              flight.memory_mb, flight.dirty_mb_per_s, cfg_);
+  flight.plan.downtime += flight.switch_extra;
+  flight.record.stop = flight.record.start + flight.plan.precopy_duration;
+  flight.record.end = flight.record.stop + flight.plan.downtime;
+  flight.record.downtime = flight.plan.downtime;
+  flight.record.rounds = flight.plan.round_mb.size();
+  flight.record.transferred_mb = flight.plan.transferred_mb();
+
   // Every phase event lands on the cluster queue, i.e. at instants where
   // every host is synchronized — the lockstep invariant that keeps
   // fast-path and reference runs identical. Ids are kept so an abort or a
@@ -129,7 +145,7 @@ void MigrationEngine::schedule_phase_events(Flight& flight, std::size_t first_ro
   Flight* f = &flight;
   assert(flight.round_starts.size() == flight.plan.round_mb.size());
   flight.round_events.resize(flight.plan.round_mb.size(), sim::kInvalidEvent);
-  for (std::size_t r = first_round; r < flight.plan.round_mb.size(); ++r) {
+  for (std::size_t r = flight.rounds_fired; r < flight.plan.round_mb.size(); ++r) {
     flight.round_events[r] =
         events_.schedule(flight.round_starts[r], [this, f, r](common::SimTime) {
           f->rounds_fired = r + 1;
@@ -226,62 +242,29 @@ std::size_t MigrationEngine::abort_host_flights(HostId host, common::SimTime now
   return aborted;
 }
 
-void MigrationEngine::set_link_bandwidth(double mb_per_s, common::SimTime now) {
+void MigrationEngine::set_link_bandwidth(double mb_per_s) {
   if (mb_per_s <= 0.0)
     throw std::invalid_argument("MigrationEngine: link bandwidth must be positive");
   cfg_.link_mb_per_s = mb_per_s;
   // Paused flights are not re-planned: their residue push is committed.
-  for (const auto& f : flights_)
-    if (f->held == nullptr) replan_flight(*f, now);
-}
-
-void MigrationEngine::replan_flight(Flight& flight, common::SimTime now) {
-  (void)now;
   // Committed-round rule: rounds whose push already started complete on
   // their old schedule (the bytes are already windowed on the wire), so the
   // re-plan keeps rounds [0, rounds_fired) verbatim and re-runs the
-  // pre-copy recurrence from the redirtied set that feeds the next round.
-  const std::size_t keep = flight.rounds_fired;
-  // The set feeding round `keep` was dirtied during round keep−1, which
-  // runs at its committed (old-rate) schedule — so its planned size stands.
-  const double seed_pending = keep < flight.plan.round_mb.size()
-                                  ? flight.plan.round_mb[keep]
-                                  : flight.plan.stop_copy_mb;
-  const common::SimTime seed_time =
-      keep < flight.round_starts.size() ? flight.round_starts[keep] : flight.record.stop;
-
-  cancel_pending_events(flight);
-  flight.plan.round_mb.resize(keep);
-  flight.round_starts.resize(keep);
-  flight.round_events.resize(keep);
-
-  double pending = seed_pending;
-  common::SimTime t = seed_time;
-  const std::size_t budget = std::max<std::size_t>(cfg_.max_precopy_rounds, 1);
-  // Mirrors plan_migration: the first round is unconditional (round 0 pushes
-  // the full image even when memory ≤ threshold); later rounds run only
-  // while the redirtied set stays above the stop-copy threshold.
-  bool unconditional = keep == 0;
-  while (flight.plan.round_mb.size() < budget &&
-         (unconditional || pending > cfg_.stop_copy_threshold_mb)) {
-    unconditional = false;
-    flight.plan.round_mb.push_back(pending);
-    flight.round_starts.push_back(t);
-    const common::SimTime dt = transfer_time(pending, cfg_.link_mb_per_s);
-    t += dt;
-    pending = std::min(flight.memory_mb, flight.dirty_mb_per_s * dt.sec());
+  // pre-copy recurrence from the set that feeds the next round. That set
+  // was dirtied during round rounds_fired−1, which runs at its committed
+  // (old-rate) schedule — so its planned size and start stand.
+  for (const auto& f : flights_) {
+    if (f->held != nullptr) continue;
+    const std::size_t keep = f->rounds_fired;
+    const bool unfired = keep < f->plan.round_mb.size();
+    const double pending = unfired ? f->plan.round_mb[keep] : f->plan.stop_copy_mb;
+    const common::SimTime t = unfired ? f->round_starts[keep] : f->record.stop;
+    cancel_pending_events(*f);
+    f->plan.round_mb.resize(keep);
+    f->round_starts.resize(keep);
+    f->round_events.resize(keep);
+    plan_flight(*f, pending, t);
   }
-  flight.plan.stop_copy_mb = pending;
-  flight.plan.precopy_duration = t - flight.record.start;
-  flight.plan.downtime =
-      (pending > 0.0 ? transfer_time(pending, cfg_.link_mb_per_s) : common::SimTime{}) +
-      cfg_.switch_latency + flight.switch_extra;
-  flight.record.stop = t;
-  flight.record.end = t + flight.plan.downtime;
-  flight.record.downtime = flight.plan.downtime;
-  flight.record.rounds = flight.plan.round_mb.size();
-  flight.record.transferred_mb = flight.plan.transferred_mb();
-  schedule_phase_events(flight, keep);
 }
 
 void MigrationEngine::inject_round(Flight& flight, double mb) {

@@ -192,12 +192,11 @@ class MigrationEngine {
   /// Returns the number of flights aborted.
   std::size_t abort_host_flights(HostId host, common::SimTime now);
 
-  /// Changes the migration-link bandwidth at `now` and re-plans the
-  /// remaining rounds of every in-flight pre-copy at the new rate (the
-  /// round on the wire completes on its committed schedule; a flight in
-  /// its pause is untouched). Throws std::invalid_argument on a
-  /// non-positive rate.
-  void set_link_bandwidth(double mb_per_s, common::SimTime now);
+  /// Changes the migration-link bandwidth and re-plans the remaining
+  /// rounds of every in-flight pre-copy at the new rate (the round on the
+  /// wire completes on its committed schedule; a flight in its pause is
+  /// untouched). Throws std::invalid_argument on a non-positive rate.
+  void set_link_bandwidth(double mb_per_s);
 
   [[nodiscard]] bool in_flight(GlobalVmId vm) const;
   /// True from the stop-and-copy pause until attach (the guest exists on
@@ -225,7 +224,7 @@ class MigrationEngine {
     CompletionFn done;
     CompletionFn on_detach;
     /// Per-flight addition to cfg_.switch_latency (class-aware switch-over
-    /// penalty); folded into plan.downtime at begin() and on every re-plan.
+    /// penalty); plan_flight folds it into plan.downtime on every plan.
     common::SimTime switch_extra{};
     // Re-planning/cancel bookkeeping: per-round scheduled start instants,
     // the matching event ids, and how many round events have fired.
@@ -239,13 +238,14 @@ class MigrationEngine {
   void inject_round(Flight& flight, double mb);
   void detach(Flight& flight);
   void attach(Flight& flight);
-  /// Schedules round events from index `first_round` plus the stop/attach
-  /// events, recording their ids on the flight.
-  void schedule_phase_events(Flight& flight, std::size_t first_round);
+  /// Extends the flight's plan from `pending` MB to push at `t` (the
+  /// pre-copy recurrence at the current bandwidth), derives the record's
+  /// stop, end, downtime, rounds and transferred_mb from it, and schedules
+  /// the unfired round events plus the stop/attach events, recording their
+  /// ids on the flight.
+  void plan_flight(Flight& flight, double pending, common::SimTime t);
   /// Cancels every not-yet-fired event of the flight.
   void cancel_pending_events(Flight& flight);
-  /// Recomputes the flight's remaining rounds at the current bandwidth.
-  void replan_flight(Flight& flight, common::SimTime now);
   /// Removes the flight, records it, and fires the completion callback.
   void finish(Flight& flight);
 

@@ -15,8 +15,8 @@
 // Semantics:
 //   * ThreadPool(t) provides t executors total: t-1 workers plus the
 //     caller, which always participates. t == 0 means one executor per
-//     hardware thread; t <= 1 spawns nothing and parallel_for degenerates
-//     to a plain loop (the serial driver).
+//     hardware thread; t == 1 spawns nothing and parallel_for degenerates
+//     to a plain loop.
 //   * parallel_for is a full barrier: every worker checks in once per
 //     call, so a second parallel_for can never race the tail of the
 //     first. Not reentrant and not thread-safe across callers — one

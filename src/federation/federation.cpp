@@ -197,7 +197,7 @@ void Federation::set_link_bandwidth(ShardId a, ShardId b, double mb_per_s) {
   link.model.migration.link_mb_per_s = mb_per_s;
   // Re-plans this link's in-flight pre-copies and nobody else's — each
   // link is its own engine, so the isolation is structural.
-  link.engine->set_link_bandwidth(mb_per_s, now_);
+  link.engine->set_link_bandwidth(mb_per_s);
 }
 
 Federation::ShardLoad Federation::shard_load(ShardId s) const {

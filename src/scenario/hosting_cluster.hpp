@@ -47,8 +47,8 @@ struct HostingClusterConfig {
   std::uint64_t seed = 17;
   bool fast_path = true;
   /// Executor threads for host segments (cluster::ExecutionPolicy): 1 =
-  /// serial driver, 0 = hardware concurrency. Wall-clock only — results
-  /// are byte-identical at any value.
+  /// the calling thread alone, 0 = hardware concurrency. Wall-clock only —
+  /// results are byte-identical at any value.
   std::size_t threads = 1;
   common::SimTime trace_stride = common::seconds(10);
   /// Explicit per-host classes; non-empty overrides `fleet`, and `hosts`
@@ -60,10 +60,9 @@ struct HostingClusterConfig {
   /// Class-mixing seed for FleetPreset::kMixed: 0 = the round-robin
   /// catalog preset, anything else draws per-host classes from an Rng.
   std::uint64_t fleet_seed = 0;
-  /// The class behind FleetPreset::kUniform. Memory lives here (it used to
-  /// be a lone host_memory_mb scalar, which could silently contradict a
-  /// mixed class list); the default keeps the historical 8 GB hosts with
-  /// the paper's ladder and power model.
+  /// The class behind FleetPreset::kUniform, memory included — a fleet is
+  /// always a class list. The default is the historical 8 GB host with the
+  /// paper's ladder and power model.
   platform::HostClass uniform_class = default_uniform_class();
   /// Tenant demand model. kTrace assigns each VM a trace from `traces`
   /// (which must then be non-empty), drawn deterministically from

@@ -5,9 +5,9 @@
 // over cluster::first_divergence (expect_identical).
 //
 // Used by cluster_fuzz_test.cpp (fast path vs reference loop),
-// cluster_parallel_test.cpp (parallel engine vs serial engine, threads in
-// {1, 2, 4, hardware}), cluster_hetero_test.cpp (both sweeps over
-// mixed-class fleets, draw_scenario(seed, /*hetero=*/true)) and
+// cluster_parallel_test.cpp (threads = 1 vs threads in {2, 4, hardware}),
+// cluster_hetero_test.cpp (both sweeps over mixed-class fleets,
+// draw_scenario(seed, /*hetero=*/true)) and
 // cluster_trace_test.cpp (both sweeps with a trace-replay VM mix,
 // draw_scenario(seed, hetero, /*trace_mix=*/true)) so the suites pin
 // their guarantee over the SAME scenario seeds.
@@ -227,15 +227,14 @@ inline ScenarioSpec draw_scenario(std::uint64_t seed, bool hetero = false,
   return s;
 }
 
-/// `threads` feeds cluster::ExecutionPolicy: 1 = serial driver, >1 = the
-/// pooled parallel driver (0 = hardware concurrency).
+/// `threads` feeds cluster::ExecutionPolicy: the pool's executor count
+/// (1 = the calling thread alone, 0 = hardware concurrency). A spec with no
+/// classes runs on HostClass{} hosts.
 inline std::unique_ptr<Cluster> build_cluster(const ScenarioSpec& s, bool fast_path,
                                               std::size_t threads = 1) {
   ClusterConfig cc;
-  if (s.classes.empty())
-    cc.host_count = s.hosts;
-  else
-    cc.host_classes = s.classes;
+  cc.host_classes =
+      s.classes.empty() ? platform::uniform_fleet_classes(s.hosts, {}) : s.classes;
   cc.host.trace_stride = s.trace_stride;
   cc.host.monitor_window = s.monitor_window;
   cc.host.event_driven_fast_path = fast_path;

@@ -1,10 +1,13 @@
-// Equivalence suite for event-fed planning: at every manager tick, the
-// plan the manager served from its persistent HostBook must equal a
-// from-scratch place_ffd over the live fleet (running VMs onto non-crashed
-// hosts), and on ticks the unchanged-tick early-out skipped, every planned
-// VM must already sit on its target — so skipping is invisible. The
-// diagnostics prove each plan path actually ran (plans skipped, VM-only
-// replays served, host-triggered replays confined to host-set changes).
+// Equivalence suite for planning from fleet membership: at every manager
+// tick, the plan the manager served from its persistent HostBook — whose
+// membership it reconciles with the cluster on each planning tick — must
+// equal a from-scratch place_ffd over the live fleet (running VMs onto
+// non-crashed hosts), and on ticks the unchanged-tick early-out skipped,
+// every planned VM must already sit on its target — so skipping is
+// invisible. The diagnostics prove each plan path actually ran (plans
+// skipped, VM-only replays served, host-triggered replays confined to
+// host-set changes), and a federation sweep covers the states only a
+// federation produces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +19,9 @@
 
 #include "cluster_fuzz_common.hpp"
 #include "consolidation/consolidation.hpp"
+#include "federation/federation.hpp"
 #include "platform/host_class.hpp"
+#include "scenario/federation_scenario.hpp"
 #include "workload/synthetic.hpp"
 
 namespace pas::cluster {
@@ -168,6 +173,57 @@ TEST(ClusterIncrementalTest, CrashAndRecoveryDriveFallbackAndDeltaPaths) {
   EXPECT_GE(st.full_rebuilds, 2u) << "seed plan + the crash replay";
   EXPECT_GE(st.delta_plans, 1u) << "the restart tick must delta-plan";
   EXPECT_GT(cluster.manager()->plans_skipped(), 0u) << "quiet tail must skip";
+}
+
+// Federation flights put a shard's VMs through the states only a
+// federation produces: a fed-locked running source, a kInbound arrival, a
+// kDeparted ghost. The book must follow each shard's membership through
+// all of them, so every shard's served plan is checked after every manager
+// tick of a skewed K = 2 federation, and the sweep must have seen each
+// state on a checked tick.
+TEST(ClusterIncrementalTest, ShardPlansFollowFederationMembership) {
+  scenario::FederationScenarioConfig cfg;
+  cfg.base.hosts = 4;
+  cfg.base.vms = 24;
+  cfg.base.horizon = seconds(600);
+  cfg.base.seed = 17;
+  cfg.base.manager.period = seconds(15);
+  cfg.shards = 2;
+  std::unique_ptr<fed::Federation> fed = scenario::build_federation(cfg);
+
+  std::size_t checks = 0;
+  std::size_t saw_locked = 0;
+  std::size_t saw_inbound = 0;
+  std::size_t saw_departed = 0;
+  for (SimTime t = cfg.base.manager.period; t <= cfg.base.horizon;
+       t = t + cfg.base.manager.period) {
+    std::vector<std::pair<std::size_t, std::size_t>> before;
+    for (fed::ShardId s = 0; s < fed->shard_count(); ++s) {
+      const ClusterManager& mgr = *fed->shard(s).manager();
+      before.emplace_back(mgr.planning_ticks(), mgr.plans_skipped());
+    }
+    fed->run_until(t);
+    for (fed::ShardId s = 0; s < fed->shard_count(); ++s) {
+      const Cluster& shard = fed->shard(s);
+      const ClusterManager& mgr = *shard.manager();
+      const bool skipped = mgr.plans_skipped() > before[s].second;
+      if (mgr.planning_ticks() == before[s].first && !skipped) continue;
+      expect_served_plan_is_ffd(shard, skipped,
+                                "shard " + std::to_string(s) + " t=" + std::to_string(t.us()) +
+                                    "us");
+      if (::testing::Test::HasFatalFailure()) return;
+      ++checks;
+      for (GlobalVmId g = 0; g < shard.vm_count(); ++g) {
+        if (shard.vm_state(g) == VmState::kRunning && shard.federation_locked(g)) ++saw_locked;
+        if (shard.vm_state(g) == VmState::kInbound) ++saw_inbound;
+        if (shard.vm_state(g) == VmState::kDeparted) ++saw_departed;
+      }
+    }
+  }
+  EXPECT_GE(checks, 2 * 600u / 15u);
+  EXPECT_GT(saw_locked, 0u) << "no checked tick saw a fed-locked source";
+  EXPECT_GT(saw_inbound, 0u) << "no checked tick saw an inbound VM";
+  EXPECT_GT(saw_departed, 0u) << "no checked tick saw a departed VM";
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ using common::SimTime;
 
 ClusterConfig two_host_config() {
   ClusterConfig cc;
-  cc.host_count = 2;
+  cc.host_classes = platform::uniform_fleet_classes(2, {});
   cc.host.trace_stride = SimTime{};  // no tracing: pure accounting
   return cc;
 }
@@ -635,6 +635,36 @@ TEST(MigrationFaultTest, LinkDegradeExtendsInFlightMigration) {
   EXPECT_EQ(rec.credit_exported, rec.credit_imported);
   EXPECT_EQ(cluster.residence(vm), 1u);
   EXPECT_EQ(cluster.vm_state(vm), VmState::kRunning);
+}
+
+// A bandwidth change right after migrate(), before round 0 fires, keeps no
+// committed round: the re-plan runs the whole recurrence again from the
+// full image, round 0 unconditional, so the record is plan_migration at the
+// new rate shifted to the flight's start.
+TEST(MigrationFaultTest, LinkChangeBeforeRoundZeroReplansTheWholeFlight) {
+  Cluster cluster{two_host_config()};
+  const GlobalVmId vm =
+      cluster.add_vm(hog_vm("hog", 20.0, 1024.0), std::make_unique<wl::BusyLoop>(), 0);
+
+  cluster.run_until(seconds(5));
+  ASSERT_TRUE(cluster.migrate(vm, 1));
+  cluster.set_link_bandwidth(100.0);
+  MigrationConfig slow = cluster.config().migration;
+  slow.link_mb_per_s = 100.0;
+  const MigrationPlan want = plan_migration(1024.0, 50.0, slow);
+
+  cluster.run_until(seconds(60));
+  ASSERT_EQ(cluster.migrations().size(), 1u);
+  const MigrationRecord& rec = cluster.migrations().front();
+  EXPECT_EQ(rec.outcome, MigrationOutcome::kCompleted);
+  EXPECT_EQ(rec.start, seconds(5));
+  EXPECT_EQ(rec.stop, seconds(5) + want.precopy_duration);
+  EXPECT_EQ(rec.downtime, want.downtime);
+  EXPECT_EQ(rec.end, rec.stop + want.downtime);
+  EXPECT_EQ(rec.rounds, want.round_mb.size());
+  EXPECT_EQ(rec.transferred_mb, want.transferred_mb());
+  EXPECT_GT(rec.rounds, 1u) << "the slow link must need more than round 0";
+  EXPECT_EQ(cluster.residence(vm), 1u);
 }
 
 }  // namespace
