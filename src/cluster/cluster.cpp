@@ -82,6 +82,7 @@ Cluster::Cluster(ClusterConfig config)
   engine_ = std::make_unique<MigrationEngine>(cfg_.migration, events_);
   crashed_.assign(classes.size(), 0);
   host_slots_.resize(classes.size());
+  slot_vm_.resize(classes.size());
 
   hosts_.reserve(classes.size());
   agents_.reserve(classes.size());
@@ -102,6 +103,7 @@ Cluster::Cluster(ClusterConfig config)
     agents_.push_back(agent.get());
     const common::VmId slot_id = host->add_vm(agent_cfg, std::move(agent));
     if (slot_id != 0) throw std::logic_error("Cluster: agent must hold slot 0");
+    slot_vm_[h] = {kNoSlotOwner};
     hosts_.push_back(std::move(host));
   }
 }
@@ -209,6 +211,9 @@ void Cluster::record_slot(HostId host, GlobalVmId vm, common::VmId slot) {
   vs.insert(std::lower_bound(vs.begin(), vs.end(), host,
                              [](const auto& e, HostId h) { return e.first < h; }),
             {host, slot});
+  auto& owners = slot_vm_[host];
+  if (owners.size() <= slot) owners.resize(slot + 1, kNoSlotOwner);
+  owners[slot] = vm;
 }
 
 bool Cluster::has_slot(HostId host, GlobalVmId vm) const {
@@ -277,16 +282,28 @@ void Cluster::install_periodic_tasks() {
 }
 
 void Cluster::sample_sla(common::SimTime /*now*/) {
+  // An unsaturated window never counts (SlaChecker::record_window), so the
+  // sweep visits only the slots each host flagged saturated when it closed
+  // the window ending now; a bulk-skipped host flags none. Per-VM counters
+  // are independent, so visiting by host instead of by VM id changes
+  // nothing.
   const common::SimTime window = cfg_.host.monitor_window;
-  for (GlobalVmId gid = 0; gid < vm_cfgs_.size(); ++gid) {
-    // Paused VMs are accounted at attach time; orphaned VMs at restart
-    // time; lost VMs stop accruing windows at the crash.
-    if (vm_state_[gid] != VmState::kRunning) continue;
-    if (engine_->detached(gid)) continue;  // pause accounted at attach time
-    const hv::Host& h = *hosts_[home_[gid]];
-    const common::VmId s = home_slot_[gid];
-    sla_.record_window(gid, window, h.monitor().vm_absolute_load_pct(s),
-                       h.vm_saturated_last_window(s));
+  for (HostId h = 0; h < hosts_.size(); ++h) {
+    const hv::Host& host = *hosts_[h];
+    const std::vector<GlobalVmId>& owners = slot_vm_[h];
+    for (const common::VmId s : host.saturated_slots()) {
+      // The agent's slot and a slot added straight through host() have no
+      // VM, and a slot off the VM's residence holds a parked IdleGuest or
+      // a landing guest not yet resident.
+      const GlobalVmId gid = s < owners.size() ? owners[s] : kNoSlotOwner;
+      if (gid == kNoSlotOwner || home_[gid] != h) continue;
+      // Paused VMs are accounted at attach time; orphaned VMs at restart
+      // time; lost VMs stop accruing windows at the crash.
+      if (vm_state_[gid] != VmState::kRunning) continue;
+      if (engine_->detached(gid)) continue;  // pause accounted at attach time
+      sla_.record_window(gid, window, host.monitor().vm_absolute_load_pct(s),
+                         /*saturated=*/true);
+    }
   }
 }
 

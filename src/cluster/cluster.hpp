@@ -470,6 +470,11 @@ class Cluster {
   /// host id. Two views of the same lazy-slot relation.
   std::vector<std::vector<std::pair<GlobalVmId, common::VmId>>> host_slots_;
   std::vector<std::vector<std::pair<HostId, common::VmId>>> vm_slots_;
+  /// Per host, indexed by slot: the VM that slot belongs to (the inverse
+  /// of host_slots_), kNoSlotOwner for the agent's slot 0. Slots past the
+  /// end were never recorded and have no VM either.
+  static constexpr GlobalVmId kNoSlotOwner = static_cast<GlobalVmId>(-1);
+  std::vector<std::vector<GlobalVmId>> slot_vm_;
   std::uint64_t topology_version_ = 0;
   std::vector<VmState> vm_state_;
   /// Workload of each kOrphaned or kStopped VM, held off-host until

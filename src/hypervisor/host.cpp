@@ -37,7 +37,6 @@ common::VmId Host::add_vm(VmConfig config, std::unique_ptr<wl::Workload> workloa
   monitor_.register_vm(id);
   scheduler_->add_vm(id, vm.config);
   initial_credits_.push_back(vm.config.credit);
-  saturated_last_window_.push_back(false);
   vm_ids_.push_back(id);
   vms_.push_back(std::move(vm));
   if (tasks_installed_) {
@@ -102,10 +101,6 @@ double Host::window_wanting_fraction(common::VmId id) const {
   return static_cast<double>(vms_.at(id).window_wanting.us()) / win;
 }
 
-bool Host::vm_saturated_last_window(common::VmId id) const {
-  return saturated_last_window_.at(id);
-}
-
 void Host::install_periodic_tasks() {
   view_ = HostView{&cpufreq_, &monitor_, scheduler_.get(), vm_ids_, initial_credits_};
   trace_ = std::make_unique<metrics::TraceRecorder>(vms_.size());
@@ -157,10 +152,11 @@ void Host::install_periodic_tasks() {
 }
 
 void Host::close_monitor_window(common::SimTime now) {
+  saturated_slots_.clear();
   for (const auto& vm : vms_) {
     // A VM that wanted the CPU for (almost) the whole window is saturated:
     // it would have used more capacity had the scheduler granted it.
-    saturated_last_window_[vm.id] = window_wanting_fraction(vm.id) >= 0.95;
+    if (window_wanting_fraction(vm.id) >= 0.95) saturated_slots_.push_back(vm.id);
   }
   monitor_.close_window(now);
   for (auto& vm : vms_) vm.window_wanting = common::SimTime{};
@@ -195,11 +191,14 @@ void Host::trace_tick(common::SimTime now) {
   trace_scratch_absolute_.clear();
   trace_scratch_credit_.clear();
   trace_scratch_saturated_.clear();
+  auto saturated = saturated_slots_.begin();  // ascending, like vms_
   for (const auto& vm : vms_) {
+    const bool flagged = saturated != saturated_slots_.end() && *saturated == vm.id;
+    if (flagged) ++saturated;
     trace_scratch_global_.push_back(monitor_.vm_global_load_pct(vm.id));
     trace_scratch_absolute_.push_back(monitor_.vm_absolute_load_pct(vm.id));
     trace_scratch_credit_.push_back(scheduler_->cap(vm.id));
-    trace_scratch_saturated_.push_back(saturated_last_window_[vm.id] ? 1.0 : 0.0);
+    trace_scratch_saturated_.push_back(flagged ? 1.0 : 0.0);
   }
   trace_->append(now, cpu_.current_freq().value(), monitor_.global_load_pct(),
                  monitor_.absolute_load_pct(), trace_scratch_global_,
@@ -453,15 +452,16 @@ common::SimTime Host::compute_next_activity() const {
   // on credit refills — only a fully idle (no-runnable) host is inert.
   if (idle_tail_ != IdleTail::kNoRunnable) return now_;
   if (!active_ids_.empty()) return now_;
+  // A saturation flag would alter the next monitor close.
+  if (!saturated_slots_.empty()) return now_;
   for (const auto& vm : vms_) {
     const auto id = vm.id;
     // A consumed/notified slot or an expired hint forces a re-poll; a
-    // pending window_wanting or saturation flag would alter the next
-    // monitor close; any of these and the host must really run.
+    // pending window_wanting would alter the next monitor close; any of
+    // these and the host must really run.
     if (wl_ran_[id] || wl_runnable_[id]) return now_;
     if (wl_hint_[id] <= now_) return now_;
     if (vm.window_wanting != common::SimTime{}) return now_;
-    if (saturated_last_window_[id]) return now_;
   }
   // The periodic fires crossed by a skip must be provable no-ops: credits
   // at the refill fixed point, monitor reading all-zero with full
@@ -539,28 +539,45 @@ void Host::skip_idle_to(common::SimTime target) {
     }
   }
 
-  // Fire merge: pop the earliest (due, seq) entry up to and including the
-  // target (the reference's trailing events_.run_until fires events due
-  // exactly at `until`). Distinct instants bound energy chunks; the trace
+  // Fire merge, one run at a time: take the earliest (due, seq) entry up to
+  // and including the target (the reference's trailing events_.run_until
+  // fires events due exactly at `until`). Once it has fired it holds the
+  // newest seq, so it loses every time tie and keeps firing exactly while
+  // its dues stay before every other entry's — between two fires of the
+  // sparse tasks (monitor window, trace sampler) that is the whole run of
+  // the shortest-period task (accounting). Distinct instants bound energy
+  // chunks, so a run of k fires is one partial chunk up to its first fire
+  // and k - 1 equal chunks of one period, recorded in one step. The trace
   // task's fires collect rows.
   skip_trace_times_.clear();
+  const common::SimTime beyond = target + common::usec(1);
   for (;;) {
     SkipEntry* best = nullptr;
+    common::SimTime other = beyond;  // earliest due among the rest
     for (auto& e : skip_entries_) {
       if (e.due > target) continue;
       if (best == nullptr || e.due < best->due ||
-          (e.due == best->due && e.seq < best->seq))
+          (e.due == best->due && e.seq < best->seq)) {
+        if (best != nullptr) other = std::min(other, best->due);
         best = &e;
+      } else {
+        other = std::min(other, e.due);
+      }
     }
     if (best == nullptr) break;
-    if (best->due > prev) {
-      energy_.record(best->due - prev, ratio, common::SimTime{});
-      prev = best->due;
-    }
-    if (best->task == trace_task_index_) skip_trace_times_.push_back(best->due);
-    best->seq = local_seq++;
+    const std::int64_t fires =
+        other > best->due ? (other - best->due - common::usec(1)) / best->period + 1 : 1;
+    const common::SimTime last = best->due + best->period * (fires - 1);
+    if (best->due > prev) energy_.record(best->due - prev, ratio, common::SimTime{});
+    energy_.record_idle_chunks(best->period, ratio, static_cast<std::uint64_t>(fires - 1));
+    prev = last;
+    if (best->task == trace_task_index_)
+      for (common::SimTime t = best->due; t <= last; t += best->period)
+        skip_trace_times_.push_back(t);
+    local_seq += static_cast<std::uint64_t>(fires);
+    best->seq = local_seq - 1;
     best->fired = true;
-    best->due += best->period;
+    best->due = last + best->period;
   }
   if (target > prev) energy_.record(target - prev, ratio, common::SimTime{});
 
@@ -590,7 +607,8 @@ void Host::skip_idle_to(common::SimTime target) {
   // Quiescence survives a skip by construction (nothing above re-polls a
   // workload or moves scheduler/monitor state), so the certificate —
   // bounded by the unchanged transition hints — stays valid: no
-  // activity_dirty_ here. The skip itself cost O(fires), not O(span).
+  // activity_dirty_ here. The skip cost O(runs + trace rows): about two
+  // merge steps per sparse fire crossed, however many accounting fires.
 }
 
 void Host::run_until(common::SimTime until) {

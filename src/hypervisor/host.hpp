@@ -127,10 +127,13 @@ class Host {
   [[nodiscard]] common::SimTime next_activity_time();
 
   /// Bulk-advances a quiescent host to `target`, byte-identical to
-  /// run_until(target): the exact energy chunks the reference loop would
-  /// record (one per merged periodic-fire instant), the exact trace rows
-  /// (bulk zero-fill at the trace stride), the exact relative (time, seq)
-  /// order of the re-armed periodic events. Precondition:
+  /// run_until(target): the exact energy bits of the reference loop's idle
+  /// chunks (one per merged periodic-fire instant, each run of equal-width
+  /// chunks between two sparse fires summed in one step), the exact trace
+  /// rows (bulk zero-fill at the trace stride), the exact relative
+  /// (time, seq) order of the re-armed periodic events. The cost is
+  /// O(sparse fires + trace rows) — independent of how many accounting
+  /// fires the span crosses. Precondition:
   /// next_activity_time() >= target; falls back to run_until(target)
   /// when the certificate does not cover the span, so misuse costs time,
   /// never correctness.
@@ -191,8 +194,12 @@ class Host {
   /// Fraction of the current monitor window each VM spent wanting the CPU
   /// (running or runnable); ~1 means saturated. Index = VmId.
   [[nodiscard]] double window_wanting_fraction(common::VmId id) const;
-  /// Saturation flag captured at the close of the last monitor window.
-  [[nodiscard]] bool vm_saturated_last_window(common::VmId id) const;
+  /// The slots flagged saturated at the close of the last monitor window,
+  /// ascending — all an SLA sweep has to visit (an unsaturated window
+  /// never counts).
+  [[nodiscard]] const std::vector<common::VmId>& saturated_slots() const {
+    return saturated_slots_;
+  }
 
  private:
   /// How the last quantum's scheduling loop ended; drives the fast path.
@@ -243,7 +250,8 @@ class Host {
   std::vector<Vm> vms_;
   std::vector<common::VmId> vm_ids_;
   std::vector<common::Percent> initial_credits_;
-  std::vector<bool> saturated_last_window_;
+  // Slots flagged saturated at the last monitor-window close, ascending.
+  std::vector<common::VmId> saturated_slots_;
   HostView view_;
 
   metrics::LoadMonitor monitor_;

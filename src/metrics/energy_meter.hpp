@@ -2,12 +2,55 @@
 // paper's governors are trying to optimize).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "common/units.hpp"
 #include "cpu/power_model.hpp"
 
 namespace pas::metrics {
+
+/// The bits of `n` sequential `x += c`, in O(binades crossed) instead of
+/// O(n). While the accumulator stays in one binade [2^e, 2^(e+1)) the
+/// spacing u of doubles is fixed and x is a multiple of it, so every add
+/// rounds c to the same multiple r of u and the run lands exactly on
+/// x + n·r. An add that may leave the binade, and an exact rounding tie
+/// (whose result depends on x's last bit), take one honest add instead.
+/// Zero, subnormal, negative or non-finite operands take honest adds only.
+[[nodiscard]] inline double repeated_sum(double x, double c, std::uint64_t n) {
+  constexpr std::uint64_t kImplicit = std::uint64_t{1} << 52;
+  while (n > 0) {
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    const auto biased = static_cast<int>(bits >> 52);  // > 2047 when x < 0
+    // x a positive normal and u = 2^(biased - 1075) a normal double.
+    if (c >= 0.0 && biased >= 53 && biased < 2047) {
+      // x = M·u with M in [2^52, 2^53); c/u is an exact power-of-two scale.
+      const std::uint64_t mantissa = (bits & (kImplicit - 1)) | kImplicit;
+      const double t = c * std::bit_cast<double>(static_cast<std::uint64_t>(2098 - biased) << 52);
+      if (t < 0x1p53) {
+        const auto whole = static_cast<std::uint64_t>(t);
+        const double frac = t - static_cast<double>(whole);  // exact
+        if (frac != 0.5) {
+          const std::uint64_t r = whole + (frac > 0.5 ? 1 : 0);
+          // Steps whose result stays at or below the binade's last double
+          // keep the exact sum below 2^(e+1): each adds exactly r·u.
+          const std::uint64_t room = (2 * kImplicit - 1) - mantissa;
+          const std::uint64_t m = r == 0 ? n : std::min(n, room / r);
+          if (m > 0) {
+            x = std::bit_cast<double>((bits & ~(kImplicit - 1)) +
+                                      ((mantissa + m * r) - kImplicit));
+            n -= m;
+            continue;
+          }
+        }
+      }
+    }
+    x += c;
+    --n;
+  }
+  return x;
+}
 
 class EnergyMeter {
  public:
@@ -18,9 +61,9 @@ class EnergyMeter {
   ///
   /// The two divisions are elided bit-exactly on the hot shapes: an idle
   /// interval's utilization is +0.0 with or without the divide, and
-  /// dt.sec() is memoized on the last dt — idle fleets record millions of
-  /// identical-width chunks (one per crossed periodic fire), so both memos
-  /// hit almost always while the accumulated doubles stay byte-identical.
+  /// dt.sec() is memoized on the last dt — busy quanta repeat the same
+  /// width, so both memos hit almost always while the accumulated doubles
+  /// stay byte-identical.
   void record(common::SimTime dt, double ratio, common::SimTime busy) {
     if (dt.us() <= 0) return;
     const double util =
@@ -33,6 +76,17 @@ class EnergyMeter {
     }
     joules_ += model_.power_watts(ratio, util) * sec_cache_;
     elapsed_ += dt;
+  }
+
+  /// Accounts `n` back-to-back idle intervals of length `dt` at `ratio`,
+  /// with the same bits as `n` calls to record(dt, ratio, 0) (see
+  /// repeated_sum). A bulk idle skip crosses runs of equal-width chunks —
+  /// one per fire of the shortest periodic task — and records each run
+  /// here in one step.
+  void record_idle_chunks(common::SimTime dt, double ratio, std::uint64_t n) {
+    if (dt.us() <= 0 || n == 0) return;
+    joules_ = repeated_sum(joules_, model_.power_watts(ratio, 0.0) * dt.sec(), n);
+    elapsed_ += dt * static_cast<std::int64_t>(n);
   }
 
   [[nodiscard]] double joules() const { return joules_; }

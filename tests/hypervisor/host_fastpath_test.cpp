@@ -4,10 +4,14 @@
 // all-over-cap idling) must behave identically in both modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 
+#include "common/random.hpp"
 #include "core/pas_controller.hpp"
 #include "governor/governors.hpp"
 #include "hypervisor/host.hpp"
@@ -209,6 +213,104 @@ TEST(HostFastPathTest, BulkIdleSkipMatchesSteppedRun) {
   expect_equal("after wake-up");
 }
 
+TEST(HostFastPathTest, BulkIdleSkipSweepMatchesSteppedRun) {
+  // Seeded sweep over the shapes the batched skip folds: accounting
+  // periods on and off the quantum grid, periods that tie with the monitor
+  // window or the trace stride, no trace at all, a host that was busy for
+  // a long time first (a large energy total, far up the binades), and one
+  // idle span cut into random sub-skips. Energy must match bit for bit;
+  // the wake-up phase afterwards proves the periodic (due, seq) order was
+  // re-armed exactly as the stepped run left it.
+  struct Shape {
+    SimTime accounting;
+    SimTime window;
+    SimTime trace;
+    SimTime busy;
+  };
+  const SimTime ms7 = common::msec(7);
+  const SimTime ms30 = common::msec(30);
+  const Shape shapes[] = {
+      {ms30, seconds(1), seconds(10), seconds(2)},
+      {ms7, seconds(1), seconds(1), seconds(2)},
+      {ms7, common::msec(730), SimTime{}, seconds(600)},
+      {ms30, seconds(1), SimTime{}, seconds(600)},
+      {seconds(1), seconds(1), seconds(1), seconds(3)},    // ties every window
+      {seconds(10), seconds(1), seconds(10), seconds(3)},  // longer than the window
+      {common::msec(250), common::msec(500), seconds(1), seconds(5)},
+  };
+  common::Rng rng(1729);
+  for (const Shape& shape : shapes) {
+    const SimTime idle_from = shape.busy + seconds(60);
+    const SimTime wake = idle_from + seconds(300);
+    auto build = [&] {
+      HostConfig hc;
+      hc.trace_stride = shape.trace;
+      hc.monitor_window = shape.window;
+      hc.event_driven_fast_path = true;
+      sched::CreditSchedulerConfig sc;
+      sc.accounting_period = shape.accounting;
+      auto host = std::make_unique<Host>(hc, std::make_unique<sched::CreditScheduler>(sc));
+      VmConfig cfg;
+      cfg.name = "gated";
+      cfg.credit = 30.0;
+      host->add_vm(cfg, std::make_unique<wl::GatedBusyLoop>(wl::LoadProfile{{
+                            {SimTime{}, 1.0},
+                            {shape.busy, 0.0},
+                            {wake, 1.0},
+                            {wake + seconds(5), 0.0},
+                        }}));
+      VmConfig idle;
+      idle.name = "idle";
+      idle.credit = 10.0;
+      host->add_vm(idle, std::make_unique<wl::IdleGuest>());
+      return host;
+    };
+    auto skipped = build();
+    auto stepped = build();
+    const std::string label = "accounting " + std::to_string(shape.accounting.us()) +
+                              " us, window " + std::to_string(shape.window.us()) +
+                              " us, trace " + std::to_string(shape.trace.us()) + " us";
+    auto expect_equal = [&](const char* where) {
+      ASSERT_EQ(skipped->now(), stepped->now()) << label << ", " << where;
+      EXPECT_EQ(first_divergence(*skipped, *stepped), std::nullopt) << label << ", " << where;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(skipped->energy().joules()),
+                std::bit_cast<std::uint64_t>(stepped->energy().joules()))
+          << label << ", " << where;
+      EXPECT_EQ(skipped->idle_time(), stepped->idle_time()) << label << ", " << where;
+      EXPECT_EQ(skipped->trace().size(), stepped->trace().size()) << label << ", " << where;
+    };
+
+    skipped->run_until(idle_from);
+    stepped->run_until(idle_from);
+    expect_equal("after the busy phase");
+
+    // The idle span, cut into random sub-skips on one host and run to the
+    // same cuts on the other (a segment boundary is an energy chunk
+    // boundary in both); the last cut lands exactly on a window instant.
+    ASSERT_GE(skipped->next_activity_time(), wake) << label;
+    const SimTime end = wake - shape.window * 10;
+    SimTime t = idle_from;
+    int skips = 0;
+    while (t < end) {
+      const auto step = static_cast<std::int64_t>(rng.uniform(1.0, 40'000'000.0));
+      t = std::min(end, t + common::usec(step));
+      skipped->skip_idle_to(t);
+      stepped->run_until(t);
+      ++skips;
+    }
+    EXPECT_GT(skips, 5) << label;
+    expect_equal("after the sub-skips");
+
+    // Wake-up: the pulse at `wake` runs on both hosts from the re-armed
+    // periodic state.
+    const SimTime busy_before = skipped->vm(0).total_busy;
+    skipped->run_until(wake + seconds(20));
+    stepped->run_until(wake + seconds(20));
+    EXPECT_GT(skipped->vm(0).total_busy, busy_before + seconds(1)) << label;
+    expect_equal("after the wake-up");
+  }
+}
+
 TEST(HostFastPathTest, OffGridEventPeriodsStayIdentical) {
   // Periodic events whose period is not a multiple of the quantum cut the
   // reference loop's slices short and shift every later quantum boundary.
@@ -266,7 +368,7 @@ TEST(HostFastPathTest, SpuriousWakeupRetriesOthers) {
     EXPECT_NEAR(host.vm(hog_id).total_busy.sec(), 3.0, 0.1) << "fast=" << fast;
     // Once a spurious wakeup blocks the VM for the slice it no longer
     // counts as "wanting" the CPU, so it must NOT read as saturated.
-    EXPECT_FALSE(host.vm_saturated_last_window(ghost_id)) << "fast=" << fast;
+    EXPECT_FALSE(std::ranges::binary_search(host.saturated_slots(), ghost_id)) << "fast=" << fast;
   }
 }
 
@@ -298,7 +400,7 @@ TEST(HostFastPathTest, AllOverCapIdleAccruesWanting) {
     host.run_until(common::msec(990));
     EXPECT_NEAR(host.window_wanting_fraction(id), 0.99, 0.011) << "fast=" << fast;
     host.run_until(seconds(10));
-    EXPECT_TRUE(host.vm_saturated_last_window(id)) << "fast=" << fast;
+    EXPECT_TRUE(std::ranges::binary_search(host.saturated_slots(), id)) << "fast=" << fast;
     EXPECT_NEAR(host.vm(id).total_busy.sec(), 2.0, 0.1) << "fast=" << fast;
     EXPECT_NEAR(host.idle_time().sec(), 8.0, 0.1) << "fast=" << fast;
   }

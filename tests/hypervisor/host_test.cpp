@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sched/credit_scheduler.hpp"
 #include "workload/pi_app.hpp"
 #include "workload/synthetic.hpp"
@@ -126,8 +128,8 @@ TEST(HostTest, SaturationDetection) {
   lazy.credit = 70.0;
   const auto lazy_id = host.add_vm(lazy, std::make_unique<wl::IdleGuest>());
   host.run_until(seconds(5));
-  EXPECT_TRUE(host.vm_saturated_last_window(hog_id));
-  EXPECT_FALSE(host.vm_saturated_last_window(lazy_id));
+  EXPECT_TRUE(std::ranges::binary_search(host.saturated_slots(), hog_id));
+  EXPECT_FALSE(std::ranges::binary_search(host.saturated_slots(), lazy_id));
 }
 
 TEST(HostTest, EnergyAccountedForWholeRun) {

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
+#include "common/random.hpp"
+
 namespace pas::metrics {
 namespace {
 
@@ -49,6 +56,105 @@ TEST(EnergyMeterTest, ZeroIntervalIgnored) {
   m.record(SimTime{}, 1.0, SimTime{});
   EXPECT_DOUBLE_EQ(m.joules(), 0.0);
   EXPECT_DOUBLE_EQ(m.average_watts(), 0.0);
+}
+
+// --- the batched idle record: bit-exact against sequential adds -----------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+double sequential_sum(double x, double c, std::uint64_t n) {
+  for (std::uint64_t i = 0; i < n; ++i) x += c;
+  return x;
+}
+
+void expect_same_bits(double x, double c, std::uint64_t n) {
+  EXPECT_EQ(bits(repeated_sum(x, c, n)), bits(sequential_sum(x, c, n)))
+      << "x=" << x << " c=" << c << " n=" << n;
+}
+
+const std::uint64_t kCounts[] = {1, 2, 3, 7, 64, 1000, 33333, 1000000};
+
+TEST(RepeatedSumTest, MatchesSequentialAddsFromZeroAndTinyAccumulators) {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double tiny = std::numeric_limits<double>::min();
+  for (const double x : {0.0, denorm, 3 * denorm, tiny, 1e-300, 1e-30, 1e-9})
+    for (const double c : {1.2, 0.03 * 40.0, 1e-12, 5e-324, 0x1p-970})
+      for (const std::uint64_t n : kCounts) expect_same_bits(x, c, n);
+}
+
+TEST(RepeatedSumTest, MatchesSequentialAddsAcrossBinades) {
+  // Accumulators just below a power of two: the run crosses one or many
+  // binades, where the spacing of doubles doubles and the rounded step
+  // changes.
+  for (const int e : {-3, 0, 1, 10, 20, 40})
+    for (const double below : {1.0, 2.0, 1e3})
+      for (const double c : {0.3, 1.2, 7.77, 1234.5}) {
+        const double x = std::ldexp(1.0, e) - below * std::ldexp(1.0, e - 52);
+        for (const std::uint64_t n : kCounts) expect_same_bits(x, c, n);
+      }
+}
+
+TEST(RepeatedSumTest, MatchesSequentialAddsOnExactRoundingTies) {
+  // c = (k + 1/2)·u for the spacing u of x's binade: every add is an exact
+  // tie, resolved by x's last bit, so the step alternates. Both parities
+  // of x and of k.
+  for (const int e : {0, 7, 30})
+    for (const std::uint64_t m : {0ull, 1ull, 2ull, 12345ull}) {
+      const double u = std::ldexp(1.0, e - 52);
+      const double x = std::ldexp(1.0, e) + static_cast<double>(m) * u;
+      for (const double k : {0.0, 1.0, 2.0, 5.0, 1e6}) {
+        const double c = (k + 0.5) * u;
+        for (const std::uint64_t n : kCounts) expect_same_bits(x, c, n);
+      }
+    }
+}
+
+TEST(RepeatedSumTest, ZeroAndNegligibleStepsLeaveTheAccumulator) {
+  for (const double x : {0.0, 1.0, 12345.678})
+    for (const std::uint64_t n : kCounts) {
+      expect_same_bits(x, 0.0, n);
+      // Below half a spacing: every add rounds back to x.
+      expect_same_bits(x, std::ldexp(1.0, -60), n);
+    }
+}
+
+TEST(RepeatedSumTest, MatchesSequentialAddsOnRandomOperands) {
+  common::Rng rng(2024);
+  for (int i = 0; i < 300; ++i) {
+    const double x = std::ldexp(rng.uniform(0.5, 1.0), static_cast<int>(rng.uniform(-40, 60)));
+    const double c = std::ldexp(rng.uniform(0.5, 1.0), static_cast<int>(rng.uniform(-60, 20)));
+    const auto n = static_cast<std::uint64_t>(rng.uniform(1, 200000));
+    expect_same_bits(x, c, n);
+  }
+}
+
+TEST(EnergyMeterTest, IdleChunksMatchSequentialRecords) {
+  // The meter-level entry point: n idle chunks recorded in one step carry
+  // the bits — and the elapsed time — of n record(dt, ratio, 0) calls,
+  // after any history (an empty meter, a short busy prefix, a long one).
+  const cpu::PowerModel model = cpu::PowerModel::desktop_2008();
+  for (const common::SimTime busy : {SimTime{}, msec(7), seconds(3600)})
+    for (const common::SimTime dt : {common::usec(1), msec(7), msec(30), seconds(1)})
+      for (const double ratio : {1.0, 0.6})
+        for (const std::uint64_t n : {1ull, 2ull, 1000ull, 1000000ull}) {
+          EnergyMeter batched{model};
+          EnergyMeter stepped{model};
+          batched.record(busy, 1.0, busy);
+          stepped.record(busy, 1.0, busy);
+          batched.record_idle_chunks(dt, ratio, n);
+          for (std::uint64_t i = 0; i < n; ++i) stepped.record(dt, ratio, SimTime{});
+          EXPECT_EQ(bits(batched.joules()), bits(stepped.joules()))
+              << "dt=" << dt.us() << " ratio=" << ratio << " n=" << n;
+          EXPECT_EQ(batched.elapsed(), stepped.elapsed());
+        }
+}
+
+TEST(EnergyMeterTest, IdleChunksOfZeroCountOrWidthRecordNothing) {
+  EnergyMeter m{cpu::PowerModel::desktop_2008()};
+  m.record_idle_chunks(msec(30), 1.0, 0);
+  m.record_idle_chunks(SimTime{}, 1.0, 5);
+  EXPECT_EQ(bits(m.joules()), bits(0.0));
+  EXPECT_EQ(m.elapsed(), SimTime{});
 }
 
 }  // namespace

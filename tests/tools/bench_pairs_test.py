@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""tools/bench_pairs.py: its statistics, its pairing order and its exits.
+
+The statistics are checked on fixed samples; the pairing is driven end to
+end through a stub benchmark command that replays a list of values and
+logs which side ran when.
+
+Usage: python3 tests/tools/bench_pairs_test.py
+"""
+import importlib.util
+import json
+import subprocess
+import sys
+import tempfile
+import unittest
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[2]
+TOOL = REPO / "tools" / "bench_pairs.py"
+
+spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+# A stand-in for perfbench/run.py: prints the next value of its side as the
+# last JSON line (with a fixed setup_s per side), logs the side's name, and
+# checks it got the workload flags.
+STUB = r'''
+import json, sys
+side, values_path, log_path = sys.argv[1:4]
+flags = sys.argv[4:]
+assert flags[flags.index("--workload") + 1] == "federation_k4", flags
+assert flags[flags.index("--trace") + 1] == "0", flags
+assert flags[flags.index("--seed") + 1] == "17", flags
+with open(log_path, "a") as log:
+    log.write(side + "\n")
+with open(log_path) as log:
+    runs = sum(1 for line in log if line.strip() == side)
+with open(values_path) as f:
+    values = json.load(f)
+value = values[runs - 1]
+print("human-readable lines first")
+print(json.dumps({"correct": value is not None, "attempted": 1, "failed": 0,
+                  "metrics": {"sim_per_wall": {"value": value or 0.0, "unit": "sim-s/wall-s"},
+                              "setup_s": {"value": 2.0 if side == "parent" else 3.0,
+                                          "unit": "s"}}}))
+'''
+
+
+class StatisticsTest(unittest.TestCase):
+    def test_quantiles_interpolate_linearly(self):
+        xs = [4.0, 1.0, 3.0, 2.0]
+        self.assertAlmostEqual(bench_pairs.quantile(xs, 0.25), 1.75)
+        self.assertAlmostEqual(bench_pairs.quantile(xs, 0.5), 2.5)
+        self.assertAlmostEqual(bench_pairs.quantile(xs, 0.75), 3.25)
+        self.assertEqual(bench_pairs.quantile([7.0], 0.25), 7.0)
+
+    def test_rule_needs_nine_wins_in_ten_and_a_gap_beyond_the_iqr(self):
+        parent = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+        change = [p + 10.0 for p in parent]
+        change[0] = 99.0  # one loss: 9 of 10 still holds
+        s = bench_pairs.summarize(parent, change)
+        self.assertEqual(s["wins"], 9)
+        self.assertAlmostEqual(s["parent"]["median"], 104.5)
+        self.assertAlmostEqual(s["parent_iqr"], 4.5)
+        self.assertAlmostEqual(s["median_gap"], 10.0)
+        self.assertTrue(s["rule_holds"])
+
+        change[1] = 100.0  # a second loss: 8 of 10
+        self.assertFalse(bench_pairs.summarize(parent, change)["rule_holds"])
+
+        small = [p + 1.0 for p in parent]  # wins every pair, gap 1 < IQR 4.5
+        s = bench_pairs.summarize(parent, small)
+        self.assertEqual(s["wins"], 10)
+        self.assertFalse(s["rule_holds"])
+
+    def test_ties_are_not_wins(self):
+        s = bench_pairs.summarize([5.0, 5.0], [5.0, 5.0])
+        self.assertEqual(s["wins"], 0)
+        self.assertFalse(s["rule_holds"])
+
+
+class EndToEndTest(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.dir = Path(self.tmp.name)
+        (self.dir / "stub.py").write_text(STUB, encoding="utf-8")
+        self.log = self.dir / "order.log"
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def side(self, name, values):
+        path = self.dir / (name + ".json")
+        path.write_text(json.dumps(values), encoding="utf-8")
+        return "%s %s %s %s %s" % (sys.executable, self.dir / "stub.py", name, path, self.log)
+
+    def run_tool(self, parent, change, *extra):
+        return subprocess.run(
+            [sys.executable, str(TOOL), "--parent-cmd", self.side("parent", parent),
+             "--change-cmd", self.side("change", change), "--workload", "federation_k4",
+             *extra],
+            capture_output=True, text=True, check=False)
+
+    def test_pairs_alternate_and_report(self):
+        out = self.dir / "pairs.json"
+        run = self.run_tool([100.0, 102.0, 101.0, 103.0], [110.0, 111.0, 112.0, 113.0],
+                            "--pairs", "4", "--seconds", "1", "--json", str(out))
+        self.assertEqual(run.returncode, 0, run.stderr)
+        order = self.log.read_text(encoding="utf-8").split()
+        self.assertEqual(order, ["parent", "change", "change", "parent",
+                                 "parent", "change", "change", "parent"])
+        self.assertIn("wins 4 of 4", run.stdout)
+        self.assertIn("rule holds", run.stdout)
+        result = json.loads(out.read_text(encoding="utf-8"))
+        self.assertEqual(result["samples"]["parent"], [100.0, 102.0, 101.0, 103.0])
+        self.assertAlmostEqual(result["parent"]["median"], 101.5)
+        self.assertAlmostEqual(result["change"]["median"], 111.5)
+        self.assertAlmostEqual(result["ratios"][0], 1.1)
+        self.assertEqual([r["sim_per_wall"] for r in result["runs"]["change"]],
+                         [110.0, 111.0, 112.0, 113.0])
+        self.assertEqual(result["other_medians"], {"setup_s": {"parent": 2.0, "change": 3.0}})
+        self.assertRegex(run.stdout, r"setup_s\s+parent median\s+2\s+change median\s+3")
+
+    def test_a_failed_run_exits_1(self):
+        run = self.run_tool([100.0, 100.0], [None, 100.0], "--pairs", "2")
+        self.assertEqual(run.returncode, 1)
+        self.assertIn("failed", run.stderr)
+
+    def test_bad_usage_exits_2(self):
+        run = subprocess.run([sys.executable, str(TOOL), "--workload", "federation_k4"],
+                             capture_output=True, text=True, check=False)
+        self.assertEqual(run.returncode, 2)
+
+
+if __name__ == "__main__":
+    unittest.main()
