@@ -603,33 +603,12 @@ void Cluster::run_until(common::SimTime until) {
     hooks_.clear();
     started_ = true;
   }
-  while (now_ < until) {
-    // Advance every host to the next instant the cluster itself acts, then
-    // act. Hosts reach `target` first (firing their own internal events up
-    // to and including it), so a cluster event always observes — and
-    // mutates — a fleet synchronized to its own timestamp. Cluster events
-    // themselves always run serially on this thread, in the queue's
-    // deterministic (time, insertion-sequence) order, whatever
-    // ExecutionPolicy says.
-    const common::SimTime next_event = events_.next_event_time(until);
-    if (events_.empty() || next_event > until) {
-      // Empty tail: no cluster event fires in (now_, until], so the whole
-      // remainder is one segment — one head comparison, one bulk advance,
-      // no per-iteration queue dispatch.
-      advance_hosts(until);
-      now_ = until;
-      break;
-    }
-    if (next_event > now_) {
-      advance_hosts(next_event);
-      now_ = next_event;
-    }
-    events_.run_until(now_);
-    // The queue removes cancelled entries eagerly, so firing leaves the
-    // head strictly in the future (or the queue empty) — the invariant
-    // that lets the next iteration trust a single peek.
-    assert(events_.next_event_time(until) > now_ || events_.empty());
-  }
+  // Hosts reach each cluster-event instant first (firing their own timers
+  // up to and including it); cluster events themselves always run serially
+  // on this thread, in the queue's deterministic (time, insertion-sequence)
+  // order, whatever ExecutionPolicy says.
+  sim::run_lockstep(events_, now_, until,
+                    [this](common::SimTime target) { advance_hosts(target); });
 }
 
 std::optional<std::string> migration_divergence(const MigrationRecord& a,

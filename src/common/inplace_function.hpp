@@ -5,9 +5,9 @@
 //
 // Callables that are too large, over-aligned, or throwing-move fall back to
 // a single heap allocation — functionality is never lost, only the
-// no-allocation guarantee. The simulator's event hot path (PeriodicTask
-// rearming every accounting tick) stays allocation-free because its lambdas
-// capture exactly one pointer.
+// no-allocation guarantee. The cluster's event path (PeriodicTask rearming
+// every manager tick and SLA sample) stays allocation-free because its
+// lambdas capture exactly one pointer.
 #pragma once
 
 #include <cstddef>

@@ -93,23 +93,11 @@ void Federation::run_until(common::SimTime until) {
     }
     started_ = true;
   }
-  while (now_ < until) {
-    // The cluster's lockstep loop, one level up: advance every shard to
-    // the next federation event, then fire it. A shard's own events at t
-    // fire inside its run_until(t) — before any federation event at t, a
-    // fixed order independent of engine or thread count.
-    const common::SimTime next_event = events_.next_event_time(until);
-    if (events_.empty() || next_event > until) {
-      advance_shards(until);
-      now_ = until;
-      break;
-    }
-    if (next_event > now_) {
-      advance_shards(next_event);
-      now_ = next_event;
-    }
-    events_.run_until(now_);
-  }
+  // The cluster's lockstep loop, one level up. A shard's own events at t
+  // fire inside its run_until(t) — before any federation event at t, a
+  // fixed order independent of engine or thread count.
+  sim::run_lockstep(events_, now_, until,
+                    [this](common::SimTime target) { advance_shards(target); });
 }
 
 bool Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm, ShardId to_shard,

@@ -39,7 +39,7 @@ common::VmId Host::add_vm(VmConfig config, std::unique_ptr<wl::Workload> workloa
   initial_credits_.push_back(vm.config.credit);
   vm_ids_.push_back(id);
   vms_.push_back(std::move(vm));
-  if (tasks_installed_) {
+  if (started_) {
     // Mid-run arrival: a slot created between segments. Seed its runnable
     // tracking as "just ran, hint expired" so the next refresh polls it,
     // widen the trace (old rows pad with zeros to the new width), and
@@ -78,20 +78,20 @@ void Host::notify_workload_changed(common::VmId id) {
                            "(cross-host mutation must wait for the segment boundary)");
   if (id >= vms_.size()) throw std::out_of_range("Host: bad VM id");
   activity_dirty_ = true;
-  if (!tasks_installed_) return;  // the first quantum polls everything anyway
+  if (!started_) return;  // the first quantum polls everything anyway
   // Treat the slot exactly like one that just ran: the cached runnable flag
   // and transition hint may be stale, so the next refresh re-polls it.
   note_ran(id);
 }
 
 void Host::set_governor(std::unique_ptr<gov::Governor> governor) {
-  if (tasks_installed_) throw std::logic_error("Host: set_governor after run started");
+  if (started_) throw std::logic_error("Host: set_governor after run started");
   governor_ = std::move(governor);
   activity_dirty_ = true;
 }
 
 void Host::set_controller(std::unique_ptr<Controller> controller) {
-  if (tasks_installed_) throw std::logic_error("Host: set_controller after run started");
+  if (started_) throw std::logic_error("Host: set_controller after run started");
   controller_ = std::move(controller);
   activity_dirty_ = true;
 }
@@ -101,7 +101,7 @@ double Host::window_wanting_fraction(common::VmId id) const {
   return static_cast<double>(vms_.at(id).window_wanting.us()) / win;
 }
 
-void Host::install_periodic_tasks() {
+void Host::install_timers() {
   view_ = HostView{&cpufreq_, &monitor_, scheduler_.get(), vm_ids_, initial_credits_};
   trace_ = std::make_unique<metrics::TraceRecorder>(vms_.size());
 
@@ -121,33 +121,52 @@ void Host::install_periodic_tasks() {
   trace_scratch_credit_.reserve(vms_.size());
   trace_scratch_saturated_.reserve(vms_.size());
 
-  // Creation order fixes same-timestamp firing order: accounting, then the
-  // monitor window close, then governor, then controller, then tracing —
-  // so policies always observe a freshly closed window.
-  const common::SimTime acct = scheduler_->accounting_period();
-  tasks_.push_back(std::make_unique<sim::PeriodicTask>(
-      events_, acct, acct, [this](common::SimTime t) { scheduler_->account(t); }));
-
-  tasks_.push_back(std::make_unique<sim::PeriodicTask>(
-      events_, cfg_.monitor_window, cfg_.monitor_window,
-      [this](common::SimTime t) { close_monitor_window(t); }));
-
-  if (governor_) {
-    const common::SimTime p = governor_->period();
-    tasks_.push_back(std::make_unique<sim::PeriodicTask>(
-        events_, p, p, [this](common::SimTime t) { governor_tick(t); }));
-  }
+  // Creation order fixes the first same-timestamp firing order:
+  // accounting, then the monitor window close, then governor, then
+  // controller, then tracing — so policies always observe a freshly closed
+  // window.
+  timers_.reserve(5);
+  arm_timer(TimerKind::kAccounting, scheduler_->accounting_period());
+  arm_timer(TimerKind::kMonitor, cfg_.monitor_window);
+  if (governor_) arm_timer(TimerKind::kGovernor, governor_->period());
   if (controller_) {
     controller_->attach(view_);
-    const common::SimTime p = controller_->period();
-    tasks_.push_back(std::make_unique<sim::PeriodicTask>(
-        events_, p, p, [this](common::SimTime t) { controller_tick(t); }));
+    arm_timer(TimerKind::kController, controller_->period());
   }
-  if (cfg_.trace_stride.us() > 0) {
-    trace_task_index_ = tasks_.size();
-    tasks_.push_back(std::make_unique<sim::PeriodicTask>(
-        events_, cfg_.trace_stride, cfg_.trace_stride,
-        [this](common::SimTime t) { trace_tick(t); }));
+  if (cfg_.trace_stride.us() > 0) arm_timer(TimerKind::kTrace, cfg_.trace_stride);
+  update_next_due();
+}
+
+void Host::arm_timer(TimerKind kind, common::SimTime period) {
+  timers_.push_back(Timer{period, period, ++timer_seq_, kind});
+}
+
+void Host::update_next_due() {
+  next_due_ = wl::kNoTransition;
+  for (const Timer& t : timers_) next_due_ = std::min(next_due_, t.due);
+}
+
+Host::Timer& Host::earliest_timer() {
+  Timer* first = &timers_.front();
+  for (Timer& t : timers_)
+    if (t.due < first->due || (t.due == first->due && t.seq < first->seq)) first = &t;
+  return *first;
+}
+
+void Host::fire_timers(common::SimTime until) {
+  while (next_due_ <= until) {
+    Timer& timer = earliest_timer();
+    const common::SimTime at = timer.due;
+    timer.due = at + timer.period;
+    timer.seq = ++timer_seq_;
+    update_next_due();
+    switch (timer.kind) {
+      case TimerKind::kAccounting: scheduler_->account(at); break;
+      case TimerKind::kMonitor: close_monitor_window(at); break;
+      case TimerKind::kGovernor: governor_tick(at); break;
+      case TimerKind::kController: controller_tick(at); break;
+      case TimerKind::kTrace: trace_tick(at); break;
+    }
   }
 }
 
@@ -370,8 +389,8 @@ void Host::run_quantum(common::SimTime slice_end) {
 void Host::skip_idle_time(common::SimTime until) {
   // The quantum that just ended at now_ finished with no pickable VM. If
   // that is still true at this boundary, nothing can happen until (a) the
-  // next queue event (accounting refill, window close, governor/controller
-  // tick, trace sample) — the only things that change credits or frequency
+  // next timer (accounting refill, window close, governor/controller tick,
+  // trace sample) — the only things that change credits or frequency
   // — (b) a workload self-transition, which the slow-stepped loop would
   // only observe at the first quantum boundary at or after it, or (c)
   // `until`. Jump there in one step.
@@ -394,9 +413,9 @@ void Host::skip_idle_time(common::SimTime until) {
   const common::SimTime hint = earliest_transition_hint();
 
   if (idle_tail_ == IdleTail::kOverCap) {
-    // Queue events change credits (accounting refill, controller set_cap),
-    // so an over-cap skip must stop at the next one.
-    common::SimTime target = std::min(until, events_.next_event_time(until));
+    // Timers change credits (accounting refill, controller set_cap), so an
+    // over-cap skip must stop at the next one.
+    common::SimTime target = std::min(until, next_due_);
     if (hint < target) {
       if (hint <= now_) return;  // an "unknown" hint: re-poll every quantum
       target = std::min(target, next_poll_boundary(hint));
@@ -413,17 +432,17 @@ void Host::skip_idle_time(common::SimTime until) {
     return;
   }
 
-  // No-runnable skip: queue events cannot make a workload runnable (they
+  // No-runnable skip: timers cannot make a workload runnable (they
   // touch credits, frequency, monitor and trace — never workload state), so
   // the skip may cross them. Hop event to event so each idle segment is
   // accounted at the frequency then in force (a governor tick mid-skip
   // changes the idle power draw), firing handlers at their exact times in
   // the exact order the slow loop would. The quantum grid re-anchors at
-  // every event crossed — an off-grid event cuts the reference loop's
+  // every timer crossed — an off-grid timer cuts the reference loop's
   // slice short and later boundaries shift with it — so the hint wake-up
   // boundary is recomputed per segment from the segment's own start.
   while (now_ < until) {
-    const common::SimTime seg_end = std::min(until, events_.next_event_time(until));
+    const common::SimTime seg_end = std::min(until, next_due_);
     common::SimTime stop = seg_end;
     if (hint < seg_end) {
       if (hint <= now_) break;  // the slow loop polls at this very boundary
@@ -436,7 +455,7 @@ void Host::skip_idle_time(common::SimTime until) {
       now_ = stop;
     }
     if (stop < seg_end) break;  // woke for the hint: re-poll in run_until
-    events_.run_until(now_);
+    fire_timers(now_);
   }
 }
 
@@ -444,7 +463,7 @@ common::SimTime Host::compute_next_activity() const {
   // Quiescence certificate: every condition below must hold for a bulk
   // skip to reproduce the reference loop byte for byte. Each line names
   // the divergence it rules out.
-  if (!cfg_.event_driven_fast_path || !tasks_installed_) return now_;
+  if (!cfg_.event_driven_fast_path || !started_) return now_;
   // Governor/controller ticks read monitor state and move frequency/caps;
   // replaying them is the reference loop's job.
   if (governor_ || controller_) return now_;
@@ -468,9 +487,6 @@ common::SimTime Host::compute_next_activity() const {
   // smoothing rings.
   if (!scheduler_->refill_settled()) return now_;
   if (!monitor_.idle_settled()) return now_;
-  // The host schedules exclusively through its periodic tasks; the merge
-  // in skip_idle_to relies on that being the whole queue.
-  assert(events_.pending() == tasks_.size());
   // Inert until the earliest workload self-transition (kNoTransition for
   // a host of pure idlers: skippable to any horizon).
   return earliest_transition_hint();
@@ -502,83 +518,57 @@ void Host::skip_idle_to(common::SimTime target) {
 
   // What the reference loop would do from a quiescent state: one
   // quantum-bounded idle chunk (run_quantum), then skip_idle_time hopping
-  // event instant to event instant, firing the periodic tasks in exact
-  // (time, seq) order — each a state no-op except the trace sampler —
-  // and recording one idle energy chunk per hop. Frequency cannot change
-  // (no governor/controller and nothing runs), so one ratio read serves
-  // every chunk, exactly as each reference segment would have read it.
+  // timer due to timer due, firing the timers in exact (due, seq) order —
+  // each a state no-op except the trace sampler — and recording one idle
+  // energy chunk per hop. Frequency cannot change (no governor/controller
+  // and nothing runs), so one ratio read serves every chunk, exactly as
+  // each reference segment would have read it.
   const double ratio = cpu_.current_ratio();
 
-  // Local merge simulation over the periodic tasks. Seqs start above
-  // every live entry and grow per simulated fire, mirroring the queue's
-  // global counter (a rearm always draws a fresh, largest seq).
-  skip_entries_.clear();
-  std::uint64_t local_seq = 0;
-  common::SimTime first_due = target;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    SkipEntry e;
-    e.due = tasks_[i]->next_due();
-    e.period = tasks_[i]->period();
-    e.seq = tasks_[i]->pending_seq();
-    e.task = i;
-    assert(e.seq != 0 && e.due > now_);
-    local_seq = std::max(local_seq, e.seq);
-    first_due = std::min(first_due, e.due);
-    skip_entries_.push_back(e);
-  }
-  ++local_seq;
-
   // Chunk 1: the slice run_quantum would have cut at the quantum, the
-  // target or the first event — whichever is earliest.
+  // target or the first timer — whichever is earliest.
   common::SimTime prev = now_;
   {
-    const common::SimTime b0 = std::min({now_ + cfg_.quantum, target, first_due});
+    const common::SimTime b0 = std::min({now_ + cfg_.quantum, target, next_due_});
     if (b0 > prev) {
       energy_.record(b0 - prev, ratio, common::SimTime{});
       prev = b0;
     }
   }
 
-  // Fire merge, one run at a time: take the earliest (due, seq) entry up to
-  // and including the target (the reference's trailing events_.run_until
-  // fires events due exactly at `until`). Once it has fired it holds the
-  // newest seq, so it loses every time tie and keeps firing exactly while
-  // its dues stay before every other entry's — between two fires of the
-  // sparse tasks (monitor window, trace sampler) that is the whole run of
-  // the shortest-period task (accounting). Distinct instants bound energy
-  // chunks, so a run of k fires is one partial chunk up to its first fire
-  // and k - 1 equal chunks of one period, recorded in one step. The trace
-  // task's fires collect rows.
+  // Fire merge, one run at a time, on the real timers: take the earliest
+  // (due, seq) timer up to and including the target (the reference's
+  // trailing fire_timers fires timers due exactly at `until`). Once it has
+  // fired it holds the newest seq, so it loses every tie and keeps firing
+  // exactly while its dues stay before every other timer's — between two
+  // fires of the sparse timers (monitor window, trace sampler) that is the
+  // whole run of the shortest-period timer (accounting). Distinct instants
+  // bound energy chunks, so a run of k fires is one partial chunk up to its
+  // first fire and k - 1 equal chunks of one period, recorded in one step;
+  // the run draws k seqs, as k real fires would. The trace timer's fires
+  // collect rows.
   skip_trace_times_.clear();
   const common::SimTime beyond = target + common::usec(1);
   for (;;) {
-    SkipEntry* best = nullptr;
+    Timer& best = earliest_timer();
+    if (best.due > target) break;
     common::SimTime other = beyond;  // earliest due among the rest
-    for (auto& e : skip_entries_) {
-      if (e.due > target) continue;
-      if (best == nullptr || e.due < best->due ||
-          (e.due == best->due && e.seq < best->seq)) {
-        if (best != nullptr) other = std::min(other, best->due);
-        best = &e;
-      } else {
-        other = std::min(other, e.due);
-      }
-    }
-    if (best == nullptr) break;
+    for (const Timer& t : timers_)
+      if (&t != &best) other = std::min(other, t.due);
     const std::int64_t fires =
-        other > best->due ? (other - best->due - common::usec(1)) / best->period + 1 : 1;
-    const common::SimTime last = best->due + best->period * (fires - 1);
-    if (best->due > prev) energy_.record(best->due - prev, ratio, common::SimTime{});
-    energy_.record_idle_chunks(best->period, ratio, static_cast<std::uint64_t>(fires - 1));
+        other > best.due ? (other - best.due - common::usec(1)) / best.period + 1 : 1;
+    const common::SimTime last = best.due + best.period * (fires - 1);
+    if (best.due > prev) energy_.record(best.due - prev, ratio, common::SimTime{});
+    energy_.record_idle_chunks(best.period, ratio, static_cast<std::uint64_t>(fires - 1));
     prev = last;
-    if (best->task == trace_task_index_)
-      for (common::SimTime t = best->due; t <= last; t += best->period)
+    if (best.kind == TimerKind::kTrace)
+      for (common::SimTime t = best.due; t <= last; t += best.period)
         skip_trace_times_.push_back(t);
-    local_seq += static_cast<std::uint64_t>(fires);
-    best->seq = local_seq - 1;
-    best->fired = true;
-    best->due = last + best->period;
+    timer_seq_ += static_cast<std::uint64_t>(fires);
+    best.seq = timer_seq_;
+    best.due = last + best.period;
   }
+  update_next_due();
   if (target > prev) energy_.record(target - prev, ratio, common::SimTime{});
 
   idle_total_ += target - now_;
@@ -593,16 +583,6 @@ void Host::skip_idle_to(common::SimTime target) {
     trace_->append_idle_rows(skip_trace_times_, cpu_.current_freq().value(),
                              trace_scratch_credit_);
   }
-
-  // Re-arm fired tasks at their simulated dues, in ascending final-seq
-  // order: each rearm draws a fresh (largest) real seq, so the live
-  // queue's relative (time, seq) order — the only observable — matches
-  // the reference exactly. Unfired tasks keep their older (smaller) seqs,
-  // as they would have in the reference.
-  std::sort(skip_entries_.begin(), skip_entries_.end(),
-            [](const SkipEntry& a, const SkipEntry& b) { return a.seq < b.seq; });
-  for (const SkipEntry& e : skip_entries_)
-    if (e.fired) tasks_[e.task]->advance_to(e.due);
 
   // Quiescence survives a skip by construction (nothing above re-polls a
   // workload or moves scheduler/monitor state), so the certificate —
@@ -625,25 +605,24 @@ void Host::run_until(common::SimTime until) {
   } guard{advancing_};
   advancing_.store(true, std::memory_order_relaxed);
   activity_dirty_ = true;  // a real advance invalidates the certificate
-  if (!tasks_installed_) {
-    install_periodic_tasks();
-    tasks_installed_ = true;
+  if (!started_) {
+    install_timers();
+    started_ = true;
   }
   if (cfg_.trace_stride.us() > 0 && until > now_)
     trace_->reserve(static_cast<std::size_t>((until - now_) / cfg_.trace_stride) + 1);
   while (now_ < until) {
-    events_.run_until(now_);
-    const common::SimTime next_event = events_.next_event_time(until);
-    // The queue removes cancelled entries eagerly, so the earliest pending
-    // event is always strictly in the future here.
-    assert(next_event > now_ || events_.empty());
-    const common::SimTime slice_end = std::min({now_ + cfg_.quantum, until, next_event});
+    fire_timers(now_);
+    // Every fired timer re-armed a period on, so the earliest due is
+    // strictly in the future here.
+    assert(next_due_ > now_);
+    const common::SimTime slice_end = std::min({now_ + cfg_.quantum, until, next_due_});
     run_quantum(slice_end);
     now_ = slice_end;
     if (cfg_.event_driven_fast_path && idle_tail_ != IdleTail::kNone && now_ < until)
       skip_idle_time(until);
   }
-  events_.run_until(now_);
+  fire_timers(now_);
   // Deliver what the lazy refreshes withheld: between run_until calls each
   // runnable workload stands at the last quantum's start, where delivery
   // at every quantum would have left it. Slots re-polled by a later skip

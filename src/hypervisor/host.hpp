@@ -5,8 +5,8 @@
 // tick). Within each quantum the scheduler picks a VM, the VM performs work
 // at the current frequency, and the time is charged against its credit.
 // Periodic machinery — credit accounting, monitor windows, governor
-// sampling, controller ticks, trace sampling — runs off a discrete-event
-// queue interleaved with the quantum loop.
+// sampling, controller ticks, trace sampling — runs off a fixed set of at
+// most five timers the host owns, interleaved with the quantum loop.
 //
 // Fast path: when a quantum ends with the CPU idle and no VM picked (no
 // runnable VM, or every runnable VM over its cap), the host jumps simulated
@@ -30,7 +30,7 @@
 //
 // No-shared-state contract (what lets the cluster's parallel driver step
 // hosts on worker threads): a Host owns every piece of state it touches
-// while advancing — scheduler, CPU/power models, workloads, event queue,
+// while advancing — scheduler, CPU/power models, workloads, timers,
 // meters — and run_until reads and writes nothing outside the object.
 // Conversely, NOTHING outside may mutate the host between the entry and
 // exit of run_until: swap_workload, notify_workload_changed and agent
@@ -59,8 +59,6 @@
 #include "metrics/energy_meter.hpp"
 #include "metrics/load_monitor.hpp"
 #include "metrics/trace_recorder.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/periodic.hpp"
 
 namespace pas::hv {
 
@@ -130,10 +128,9 @@ class Host {
   /// run_until(target): the exact energy bits of the reference loop's idle
   /// chunks (one per merged periodic-fire instant, each run of equal-width
   /// chunks between two sparse fires summed in one step), the exact trace
-  /// rows (bulk zero-fill at the trace stride), the exact relative
-  /// (time, seq) order of the re-armed periodic events. The cost is
-  /// O(sparse fires + trace rows) — independent of how many accounting
-  /// fires the span crosses. Precondition:
+  /// rows (bulk zero-fill at the trace stride), the exact (due, seq) of
+  /// every timer. The cost is O(sparse fires + trace rows) — independent
+  /// of how many accounting fires the span crosses. Precondition:
   /// next_activity_time() >= target; falls back to run_until(target)
   /// when the certificate does not cover the span, so misuse costs time,
   /// never correctness.
@@ -212,7 +209,25 @@ class Host {
     kOverCap,     // runnable VMs remained but every one was over its cap
   };
 
-  void install_periodic_tasks();
+  /// The periodic machinery, dispatched by a switch in fire_timers.
+  enum class TimerKind : std::uint8_t { kAccounting, kMonitor, kGovernor, kController, kTrace };
+  struct Timer {
+    common::SimTime due;
+    common::SimTime period;
+    std::uint64_t seq;  // same-due timers fire in ascending seq
+    TimerKind kind;
+  };
+
+  void install_timers();
+  void arm_timer(TimerKind kind, common::SimTime period);
+  /// Caches the earliest due over timers_ in next_due_.
+  void update_next_due();
+  /// The timer that fires next: earliest due, then lowest seq.
+  [[nodiscard]] Timer& earliest_timer();
+  /// Fires every timer due at or before `until` in (due, seq) order. A
+  /// firing timer re-arms one period on and takes the newest seq before
+  /// its handler runs, so it loses every tie until the others have fired.
+  void fire_timers(common::SimTime until);
   void run_quantum(common::SimTime slice_end);
   /// Re-polls the slots on `ran_list_` and, once `hint_floor_` has been
   /// reached, every slot whose transition hint expired; `active_ids_`
@@ -258,12 +273,14 @@ class Host {
   metrics::EnergyMeter energy_;
   std::unique_ptr<metrics::TraceRecorder> trace_;
 
-  sim::EventQueue events_;
-  std::vector<std::unique_ptr<sim::PeriodicTask>> tasks_;
-  bool tasks_installed_ = false;
-  /// Index of the trace-sampling task within tasks_ (the only periodic
-  /// whose firing writes anywhere during a bulk skip), or npos.
-  std::size_t trace_task_index_ = static_cast<std::size_t>(-1);
+  // Created in this order at the first run_until (accounting, monitor,
+  // governor, controller, trace), which also hands out their first seqs:
+  // same-instant timers fire in that order at first and newest-fired-last
+  // from then on.
+  std::vector<Timer> timers_;
+  std::uint64_t timer_seq_ = 0;  // the last seq handed out
+  common::SimTime next_due_ = wl::kNoTransition;  // earliest timers_ due
+  bool started_ = false;
 
   // Cached quiescence certificate (next_activity_time). Dropped by every
   // mutation hatch; only read/written between segments on the
@@ -271,16 +288,8 @@ class Host {
   common::SimTime activity_cache_{};
   bool activity_dirty_ = true;
 
-  // Scratch for skip_idle_to's periodic-fire merge (allocation-free after
-  // the first skip).
-  struct SkipEntry {
-    common::SimTime due;
-    common::SimTime period;
-    std::uint64_t seq = 0;   // simulated insertion sequence
-    std::size_t task = 0;    // index into tasks_
-    bool fired = false;
-  };
-  std::vector<SkipEntry> skip_entries_;
+  // Scratch for skip_idle_to's trace rows (allocation-free after the
+  // first skip).
   std::vector<common::SimTime> skip_trace_times_;
   // True while run_until is in flight; guards the no-shared-state contract
   // (external mutators throw instead of racing a possibly-parallel segment).

@@ -1,10 +1,11 @@
 // Discrete-event core: a time-ordered queue of callbacks.
 //
-// The hypervisor host advances simulated time in scheduling quanta; all the
-// *periodic* machinery around it (credit accounting, governor sampling,
-// monitor window closing, PAS controller ticks, trace sampling) is driven by
-// events in this queue. Ordering is deterministic: ties on time break by
-// insertion sequence.
+// The cluster and the federation coordinate their fleets through this
+// queue: periodic machinery (manager ticks, SLA samples, the federation
+// planner), migration phases, faults and control commands are events in
+// it. Ordering is deterministic: ties on time break by insertion sequence.
+// (A host's own periodic ticks — at most five — run off its fixed timer
+// set with the same tie rule; see hv::Host.)
 //
 // Implementation: an indexed binary min-heap over a slot pool. Each pending
 // event owns a pool slot holding its callback (small-buffer optimized — the
@@ -15,15 +16,13 @@
 // stale id can never cancel the slot's next tenant.
 //
 // Threading model: an EventQueue is single-threaded by design and stays
-// that way under the cluster's parallel engine. Each hv::Host owns a
-// private queue touched only while that host advances (possibly on a
-// worker thread, but by exactly one thread at a time — the host's
-// no-shared-state contract), and the cluster's coordinating queue is
-// touched only by the coordinating thread between segment barriers. No
-// locks needed, and the (time, seq) dispatch order is what makes cluster-
-// event replay deterministic at any thread count (docs/ARCHITECTURE.md).
+// that way under the parallel engines: a cluster's or federation's queue is
+// touched only by its coordinating thread between segment barriers. No
+// locks needed, and the (time, seq) dispatch order is what makes event
+// replay deterministic at any thread count (docs/ARCHITECTURE.md).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -65,20 +64,6 @@ class EventQueue {
   /// Time of the earliest pending event, or `fallback` if none.
   [[nodiscard]] common::SimTime next_event_time(common::SimTime fallback) const;
 
-  /// Insertion sequence of a pending event, or 0 if `id` is stale. Ties on
-  /// time dispatch in ascending seq, so the host's bulk idle skip uses this
-  /// to replay the exact merge order the reference loop would have run the
-  /// periodic fires in (see hv::Host::skip_idle_to).
-  [[nodiscard]] std::uint64_t seq_of(EventId id) const {
-    if (id == kInvalidEvent) return 0;
-    const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffff) - 1;
-    const std::uint32_t generation = static_cast<std::uint32_t>(id >> 32);
-    if (slot >= slots_.size()) return 0;
-    const Slot& s = slots_[slot];
-    if (s.generation != generation || s.heap_pos == kNpos) return 0;
-    return s.seq;
-  }
-
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
 
@@ -116,5 +101,33 @@ class EventQueue {
   std::vector<std::uint32_t> free_;  // recycled slot indices
   std::uint64_t next_seq_ = 1;
 };
+
+/// The lockstep loop of the cluster (over hosts) and the federation (over
+/// shards): `advance(t)` brings every member to the next instant `events`
+/// acts at, then that instant's events fire, so an event always observes —
+/// and mutates — members synchronized to its own timestamp. An empty tail
+/// (no event in (now, until]) is one advance, with no per-iteration
+/// dispatch.
+template <typename Advance>
+void run_lockstep(EventQueue& events, common::SimTime& now, common::SimTime until,
+                  Advance&& advance) {
+  while (now < until) {
+    const common::SimTime next_event = events.next_event_time(until);
+    if (events.empty() || next_event > until) {
+      advance(until);
+      now = until;
+      return;
+    }
+    if (next_event > now) {
+      advance(next_event);
+      now = next_event;
+    }
+    events.run_until(now);
+    // The queue removes cancelled entries eagerly, so firing leaves the
+    // head strictly in the future (or the queue empty) — the invariant
+    // that lets the next iteration trust a single peek.
+    assert(events.next_event_time(until) > now || events.empty());
+  }
+}
 
 }  // namespace pas::sim

@@ -1,4 +1,6 @@
-// Self-rearming periodic task on top of the EventQueue.
+// Self-rearming periodic task on top of the EventQueue: the cluster's and
+// the federation's periodic machinery (manager, SLA sample, planner). A
+// host's own ticks run off its fixed timer set instead (hv::Host).
 #pragma once
 
 #include <utility>
@@ -32,34 +34,8 @@ class PeriodicTask {
     }
   }
 
-  [[nodiscard]] common::SimTime period() const { return period_; }
-
-  /// Absolute time of the next firing (meaningless after stop()).
-  [[nodiscard]] common::SimTime next_due() const { return next_due_; }
-
-  /// Queue insertion sequence of the pending firing, or 0 after stop().
-  /// Same-instant fires dispatch in ascending seq — the host's bulk idle
-  /// skip reads this to reproduce the reference merge order.
-  [[nodiscard]] std::uint64_t pending_seq() const { return queue_.seq_of(pending_); }
-
-  /// Re-arms the pending firing at absolute `when`. The firing draws a
-  /// fresh (newest) insertion sequence, exactly as if the task had just
-  /// fired and rearmed itself — which is what the bulk idle skip simulates
-  /// when it re-arms fired tasks in simulated-fire order. Done in place
-  /// (EventQueue::reschedule) when a firing is pending; falls back to a
-  /// full arm otherwise.
-  void advance_to(common::SimTime when) {
-    if (pending_ != kInvalidEvent && queue_.reschedule(pending_, when)) {
-      next_due_ = when;
-      return;
-    }
-    stop();
-    arm(when);
-  }
-
  private:
   void arm(common::SimTime when) {
-    next_due_ = when;
     pending_ = queue_.schedule(when, [this](common::SimTime now) {
       pending_ = kInvalidEvent;
       arm(now + period_);
@@ -71,7 +47,6 @@ class PeriodicTask {
   common::SimTime period_;
   EventFn fn_;
   EventId pending_ = kInvalidEvent;
-  common::SimTime next_due_{};
 };
 
 }  // namespace pas::sim

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sched/credit_scheduler.hpp"
 #include "workload/pi_app.hpp"
@@ -152,6 +155,62 @@ TEST(HostTest, WorkloadAccessor) {
   host.run_until(seconds(2));
   auto& wlr = dynamic_cast<wl::BusyLoop&>(host.workload(id));
   EXPECT_GT(wlr.total_consumed().mf_seconds(), 1.0);
+}
+
+// The periodic tie rule: a timer that just fired re-arms with the newest
+// sequence, so at a shared instant it fires after every timer that fired
+// before it — whatever order the timers were created in. The governor is
+// created first, yet at 6 s and 12 s the controller (last fired at 3 s /
+// 9 s) beats the governor (last fired at 4 s / 10 s).
+// Entries are (seconds, timer).
+using TickLog = std::vector<std::pair<double, std::string>>;
+
+class RecordingGovernor final : public gov::Governor {
+ public:
+  explicit RecordingGovernor(TickLog& log) : log_(log) {}
+  std::string_view name() const override { return "recording"; }
+  common::SimTime period() const override { return seconds(2); }
+  std::size_t decide(const gov::Sample& s, const cpu::FrequencyLadder&) override {
+    log_.emplace_back(s.now.sec(), "governor");
+    return s.current_index;
+  }
+
+ private:
+  TickLog& log_;
+};
+
+class RecordingController final : public Controller {
+ public:
+  explicit RecordingController(TickLog& log) : log_(log) {}
+  std::string_view name() const override { return "recording"; }
+  common::SimTime period() const override { return seconds(3); }
+  void attach(const HostView&) override {}
+  void on_tick(common::SimTime now, const HostView&) override {
+    log_.emplace_back(now.sec(), "controller");
+  }
+
+ private:
+  TickLog& log_;
+};
+
+TEST(HostTest, TimerThatFiredLastLosesTies) {
+  for (const bool fast : {true, false}) {
+    SCOPED_TRACE(fast ? "fast path" : "reference loop");
+    HostConfig hc = quiet_config();
+    hc.event_driven_fast_path = fast;
+    Host host{hc, std::make_unique<sched::CreditScheduler>()};
+    host.add_vm(VmConfig{}, std::make_unique<wl::IdleGuest>());
+    TickLog log;
+    host.set_governor(std::make_unique<RecordingGovernor>(log));
+    host.set_controller(std::make_unique<RecordingController>(log));
+    host.run_until(seconds(12));
+
+    const TickLog expected = {
+        {2, "governor"},   {3, "controller"},  {4, "governor"}, {6, "controller"},
+        {6, "governor"},   {8, "governor"},    {9, "controller"}, {10, "governor"},
+        {12, "controller"}, {12, "governor"}};
+    EXPECT_EQ(log, expected);
+  }
 }
 
 }  // namespace

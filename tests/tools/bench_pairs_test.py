@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""tools/bench_pairs.py: its statistics, its pairing order and its exits.
+"""tools/bench_pairs.py: its statistics, its pairing order, its
+no-regression verdicts and its exits.
 
 The statistics are checked on fixed samples; the pairing is driven end to
 end through a stub benchmark command that replays a list of values and
@@ -119,8 +120,45 @@ class EndToEndTest(unittest.TestCase):
         self.assertAlmostEqual(result["ratios"][0], 1.1)
         self.assertEqual([r["sim_per_wall"] for r in result["runs"]["change"]],
                          [110.0, 111.0, 112.0, 113.0])
-        self.assertEqual(result["other_medians"], {"setup_s": {"parent": 2.0, "change": 3.0}})
-        self.assertRegex(run.stdout, r"setup_s\s+parent median\s+2\s+change median\s+3")
+        setup = result["verdicts"]["setup_s"]
+        self.assertEqual((setup["parent"], setup["change"]), (2.0, 3.0))
+        self.assertRegex(run.stdout,
+                         r"setup_s\s+parent median\s+2\s+change median\s+3\s+change\s+\+50\.00%\s+worse")
+        self.assertEqual(set(result["verdicts"]), {"sim_per_wall", "setup_s"})
+
+    def verdicts(self, parent, change):
+        out = self.dir / "verdicts.json"
+        run = self.run_tool(parent, change, "--pairs", str(len(parent)), "--json", str(out))
+        self.assertEqual(run.returncode, 0, run.stderr)
+        return run.stdout, json.loads(out.read_text(encoding="utf-8"))["verdicts"]
+
+    def test_a_change_within_the_bound_is_ok(self):
+        stdout, v = self.verdicts([100.0, 101.0, 102.0, 103.0], [95.0, 96.0, 97.0, 98.0])
+        self.assertEqual(v["sim_per_wall"]["verdict"], "ok")
+        self.assertAlmostEqual(v["sim_per_wall"]["relative_change"], -5.0 / 101.5)
+        self.assertAlmostEqual(v["sim_per_wall"]["parent_spread"], 1.5 / 101.5)
+        self.assertRegex(stdout, r"sim_per_wall\s+parent median\s+101\.5\s+change median\s+96\.5"
+                                 r"\s+change\s+-4\.93%\s+ok")
+
+    def test_a_change_beyond_the_bound_is_worse(self):
+        # sim_per_wall is higher-better with bound 0.25, setup_s (2 s -> 3 s)
+        # lower-better with the same bound.
+        stdout, v = self.verdicts([100.0, 100.0, 100.0, 100.0], [70.0, 70.0, 70.0, 70.0])
+        self.assertEqual(v["sim_per_wall"]["verdict"], "worse")
+        self.assertAlmostEqual(v["sim_per_wall"]["relative_change"], -0.3)
+        self.assertEqual(v["setup_s"]["verdict"], "worse")
+        self.assertRegex(stdout, r"sim_per_wall\s+.*-30\.00%\s+worse")
+
+    def test_a_wide_parent_spread_is_unresolved(self):
+        # Parent quartiles 57.5 and 142.5 around a median of 100: a spread of
+        # 0.85, wider than the 0.25 bound.
+        _, v = self.verdicts([50.0, 150.0, 60.0, 140.0], [100.0, 100.0, 100.0, 100.0])
+        self.assertAlmostEqual(v["sim_per_wall"]["parent_spread"], 0.85)
+        self.assertEqual(v["sim_per_wall"]["verdict"], "unresolved")
+
+    def test_a_wide_spread_resolves_when_every_change_run_wins(self):
+        _, v = self.verdicts([50.0, 150.0, 60.0, 140.0], [160.0, 170.0, 180.0, 151.0])
+        self.assertEqual(v["sim_per_wall"]["verdict"], "ok")
 
     def test_a_failed_run_exits_1(self):
         run = self.run_tool([100.0, 100.0], [None, 100.0], "--pairs", "2")

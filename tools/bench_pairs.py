@@ -11,9 +11,18 @@ metrics from the last JSON line of each run.
 For `sim_per_wall` it prints each side's median and quartiles, the
 per-pair ratios, the change's win count, and whether the claim rule
 holds: the change wins at least 9 of every 10 pairs, and the gap between
-the medians exceeds the parent's interquartile range. For every other
-metric the runs print, it prints each side's median, for the
-no-regression bounds. `--json` keeps every metric of every run.
+the medians exceeds the parent's interquartile range.
+
+For every `end_to_end` metric of BENCHMARK.json that the runs print, it
+prints both medians, the relative change and a no-regression verdict
+against the metric's `better` direction and `bound`:
+  ok          neither of the two below;
+  worse       the change's median is worse than the parent's by more than
+              the bound (relative to the parent's median);
+  unresolved  the parent's spread (interquartile range over median) is
+              wider than the bound, unless every change run beats every
+              parent run.
+`--json` keeps the verdicts and every metric of every run.
 
 Usage:
     python3 tools/bench_pairs.py --parent REV_OR_DIR --change REV_OR_DIR \\
@@ -30,12 +39,14 @@ checkout.
 """
 import argparse
 import json
+import math
 import os
 import shlex
 import subprocess
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARK = os.path.join(REPO, "BENCHMARK.json")
 METRIC = "sim_per_wall"
 SEED = 17
 
@@ -73,6 +84,31 @@ def summarize(parent, change):
         "parent_iqr": iqr,
         "rule_holds": 10 * wins >= 9 * len(parent) and gap > iqr,
     }
+
+
+def relative(x, base):
+    """(x - base) / |base|, with a zero base giving 0 or a signed infinity."""
+    if base:
+        return (x - base) / abs(base)
+    return 0.0 if x == base else math.copysign(math.inf, x - base)
+
+
+def verdict(parent, change, better, bound):
+    """No-regression verdict of one metric's paired runs (see the module
+    docstring): its medians, relative change, parent spread and verdict."""
+    sign = 1.0 if better == "higher" else -1.0
+    p_med, c_med = quantile(parent, 0.5), quantile(change, 0.5)
+    rel = relative(c_med, p_med)
+    iqr = quantile(parent, 0.75) - quantile(parent, 0.25)
+    spread = iqr / abs(p_med) if p_med else (0.0 if iqr == 0 else math.inf)
+    if -sign * rel > bound:
+        outcome = "worse"
+    elif spread > bound and not min(sign * c for c in change) > max(sign * p for p in parent):
+        outcome = "unresolved"
+    else:
+        outcome = "ok"
+    return {"parent": p_med, "change": c_med, "relative_change": rel,
+            "parent_spread": spread, "verdict": outcome}
 
 
 def checkout(spec, workdir):
@@ -158,14 +194,17 @@ def main(argv):
     print("wins %d of %d  median gap %.4f  parent IQR %.4f  rule %s" % (
         stats["wins"], stats["pairs"], stats["median_gap"], stats["parent_iqr"],
         "holds" if stats["rule_holds"] else "fails"))
-    others = set.intersection(*(set(r) for r in runs["parent"] + runs["change"])) - {METRIC}
-    stats["other_medians"] = {
-        metric: {name: quantile([float(r[metric]) for r in runs[name]], 0.5)
-                 for name in ("parent", "change")}
-        for metric in sorted(others)}
-    for metric, m in stats["other_medians"].items():
-        print("%-20s  parent median %12.6g  change median %12.6g"
-              % (metric, m["parent"], m["change"]))
+    printed = set.intersection(*(set(r) for r in runs["parent"] + runs["change"]))
+    with open(BENCHMARK, encoding="utf-8") as f:
+        end_to_end = json.load(f)["end_to_end"]
+    stats["verdicts"] = {
+        m["name"]: verdict([float(r[m["name"]]) for r in runs["parent"]],
+                           [float(r[m["name"]]) for r in runs["change"]],
+                           m["better"], m["bound"])
+        for m in end_to_end if m["name"] in printed}
+    for metric, v in stats["verdicts"].items():
+        print("%-18s  parent median %12.6g  change median %12.6g  change %+8.2f%%  %s"
+              % (metric, v["parent"], v["change"], 100 * v["relative_change"], v["verdict"]))
     if opts.json:
         stats.update(workload=opts.workload, metric=METRIC, seconds=opts.seconds,
                      seed=SEED, samples=samples, runs=runs)
