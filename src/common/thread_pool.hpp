@@ -16,7 +16,7 @@
 //   * ThreadPool(t) provides t executors total: t-1 workers plus the
 //     caller, which always participates. t == 0 means one executor per
 //     hardware thread; t == 1 spawns nothing and parallel_for degenerates
-//     to a plain loop.
+//     to a plain loop, as does a job of at most one chunk (n <= grain).
 //   * parallel_for is a full barrier: every worker checks in once per
 //     call, so a second parallel_for can never race the tail of the
 //     first. Not reentrant and not thread-safe across callers — one
@@ -116,9 +116,11 @@ class ThreadPool {
 
   void run(std::size_t n, Body& body, std::size_t grain) {
     if (n == 0) return;
-    if (workers_.empty() || n == 1) {
-      // Inline path — same error semantics as the pooled one: every index
-      // runs, then the lowest-index exception surfaces.
+    if (workers_.empty() || n <= grain) {
+      // Inline path — one chunk leaves the workers nothing to claim, so
+      // waking them only costs the barrier. Same error semantics as the
+      // pooled one: every index runs, then the lowest-index exception
+      // surfaces.
       std::exception_ptr error;
       for (std::size_t i = 0; i < n; ++i) {
         try {

@@ -307,11 +307,13 @@ common::SimTime Host::next_poll_boundary(common::SimTime hint) const {
 
 void Host::run_quantum(common::SimTime slice_end) {
   const double ratio = cpu_.current_ratio();
-  refresh_workloads();
   quantum_start_ = now_;
 
   idle_tail_ = IdleTail::kNone;
   bool any_blocked = false;
+  int picks = 0;
+  common::VmId last = common::kInvalidVm;
+  common::Work last_budget;
   common::SimTime t = now_;
   while (t < slice_end) {
     // The schedulable set is the active (runnable) set minus VMs that
@@ -347,6 +349,7 @@ void Host::run_quantum(common::SimTime slice_end) {
       break;
     }
     assert(std::find(runnable.begin(), runnable.end(), chosen) != runnable.end());
+    ++picks;
 
     Vm& v = vms_[chosen];
     // Extra-time grants may convert to guest work at reduced efficiency;
@@ -357,6 +360,8 @@ void Host::run_quantum(common::SimTime slice_end) {
     catch_up(chosen, now_);  // the arrivals a lazy refresh left undelivered
     const common::Work done = v.workload->consume(t, budget);
     note_ran(chosen);  // consume may have changed runnable-ness: re-poll
+    last = chosen;
+    last_budget = budget;
     common::SimTime busy;
     if (done >= budget) {
       busy = span;
@@ -379,11 +384,77 @@ void Host::run_quantum(common::SimTime slice_end) {
     t += busy;
   }
 
+  // The gate of the next rotation attempt: one pick filled the slice and
+  // its VM could fill another. Where workloads never fill, an attempt
+  // would cost more than the runs save.
+  try_rotation_ = cfg_.event_driven_fast_path && picks == 1 && t == slice_end &&
+                  vms_[last].workload->fills(last_budget);
   if (t < slice_end) {
     const common::SimTime idle = slice_end - t;
     idle_total_ += idle;
     energy_.record(idle, ratio, common::SimTime{});
   }
+}
+
+std::uint64_t Host::run_rotation(common::SimTime until) {
+  const std::size_t n = active_ids_.size();
+  const std::size_t first = scheduler_->rotation_start(active_ids_);
+  if (first >= n) return 0;
+  // Every turn is one full quantum that ends by `until` and by the next
+  // timer other than accounting; accounting (armed first, so timers_[0])
+  // fires between turns at its due instants, as fire_timers would.
+  const common::SimTime q = cfg_.quantum;
+  common::SimTime limit = until;
+  for (std::size_t i = 1; i < timers_.size(); ++i) limit = std::min(limit, timers_[i].due);
+  const Timer& accounting = timers_.front();
+  assert(accounting.kind == TimerKind::kAccounting);
+  const common::Work full = cpu_.work_for(q);
+
+  std::size_t pos = first;
+  common::SimTime t = now_;
+  std::uint64_t turns = 0;
+  while (t + q <= limit) {
+    if (turns > 0) {
+      // The reference refresh here would re-poll the VM that just ran
+      // (it stayed runnable: its arrivals wait for catch_up) and, from
+      // hint_floor_ on, every expired hint — where an idle VM may wake.
+      if (t >= hint_floor_) break;
+      if (accounting.due == t) fire_timers(t);
+    }
+    if (accounting.due < t + q) break;  // it would cut this slice short
+    const common::VmId id = active_ids_[pos];
+    if (!scheduler_->rotation_eligible(id)) break;
+    const common::Work budget = full * scheduler_->work_efficiency(id);
+    catch_up(id, t);
+    Vm& v = vms_[id];
+    if (!v.workload->fills(budget)) break;
+    // run_quantum's full-slice pick, in its order.
+    const common::Work done = v.workload->consume(t, budget);
+    scheduler_->take_turn(id, q);
+    monitor_.record_run(id, q, done);
+    v.total_busy += q;
+    v.total_work += done;
+    ++turns;
+    t += q;
+    if (!v.workload->runnable()) break;  // the next refresh drops it
+    pos = pos + 1 == n ? 0 : pos + 1;
+  }
+  if (turns == 0) return 0;
+
+  // The per-quantum records that do not depend on who ran: the runnable
+  // set was constant, and the energy is `turns` equal full-busy chunks.
+  energy_.record_chunks(q, cpu_.current_ratio(), q, turns);
+  const common::SimTime wanted = q * static_cast<std::int64_t>(turns);
+  for (const common::VmId r : active_ids_) vms_[r].window_wanting += wanted;
+  pos = first;
+  for (std::uint64_t j = 0; j < std::min<std::uint64_t>(turns, n); ++j) {
+    note_ran(active_ids_[pos]);
+    pos = pos + 1 == n ? 0 : pos + 1;
+  }
+  quantum_start_ = t - q;
+  now_ = t;
+  rotation_quanta_ += turns;
+  return turns;
 }
 
 void Host::skip_idle_time(common::SimTime until) {
@@ -559,7 +630,8 @@ void Host::skip_idle_to(common::SimTime target) {
         other > best.due ? (other - best.due - common::usec(1)) / best.period + 1 : 1;
     const common::SimTime last = best.due + best.period * (fires - 1);
     if (best.due > prev) energy_.record(best.due - prev, ratio, common::SimTime{});
-    energy_.record_idle_chunks(best.period, ratio, static_cast<std::uint64_t>(fires - 1));
+    energy_.record_chunks(best.period, ratio, common::SimTime{},
+                          static_cast<std::uint64_t>(fires - 1));
     prev = last;
     if (best.kind == TimerKind::kTrace)
       for (common::SimTime t = best.due; t <= last; t += best.period)
@@ -616,6 +688,8 @@ void Host::run_until(common::SimTime until) {
     // Every fired timer re-armed a period on, so the earliest due is
     // strictly in the future here.
     assert(next_due_ > now_);
+    refresh_workloads();
+    if (try_rotation_ && run_rotation(until) > 0) continue;
     const common::SimTime slice_end = std::min({now_ + cfg_.quantum, until, next_due_});
     run_quantum(slice_end);
     now_ = slice_end;

@@ -11,7 +11,7 @@
 // Fast path: when a quantum ends with the CPU idle and no VM picked (no
 // runnable VM, or every runnable VM over its cap), the host jumps simulated
 // time in one step to the next instant anything can change — the earliest
-// queue event, `until`, or the first quantum boundary at or after a
+// host timer, `until`, or the first quantum boundary at or after a
 // workload's self-transition hint (see Workload::next_transition_time) —
 // instead of idling quantum by quantum. On an active host a quantum costs
 // O(VMs that ran), not O(resident VMs): the runnable set is maintained
@@ -20,10 +20,29 @@
 // receives its arrivals lazily (the advance_to coarsening contract,
 // workload.hpp): just before it is consumed, and at the end of run_until,
 // which leaves every runnable workload advanced to the start of the last
-// quantum, as delivery at every quantum would have. Both optimizations
-// reproduce the slow-stepped loop exactly (same event order, same traces);
-// HostConfig::event_driven_fast_path turns them off for A/B reference
-// runs.
+// quantum, as delivery at every quantum would have.
+//
+// Rotation run: on a saturated host, after a quantum that one pick filled
+// with a VM that could fill another (Workload::fills), the host hands out
+// successive full quanta as round-robin turns when the scheduler declares
+// pick() a plain rotation over the runnable set (Scheduler::rotation_start)
+// — turn i goes to the i-th runnable VM from the one in turn — with no
+// pick, re-poll or timer check per quantum. Per
+// turn stays exact and in the reference order: catch_up, consume, charge
+// and cursor advance (Scheduler::take_turn), the monitor record, the VM's
+// busy and work totals. Batched at the run's end: every runnable VM's
+// window_wanting, the k equal busy energy chunks (one
+// EnergyMeter::record_chunks, bit-exact), quantum_start_ and the re-poll
+// list. Accounting fires inside the run at its due instants; the run stops
+// before any other timer, `until`, a slice a timer would cut short, the
+// first poll at or past hint_floor_ (an idle VM may wake there), a VM in
+// turn that is not eligible (Scheduler::rotation_eligible) or whose
+// workload cannot fill the budget (Workload::fills), and after a turn that
+// left its VM unrunnable.
+//
+// All three optimizations reproduce the slow-stepped loop exactly (same
+// event order, same traces); HostConfig::event_driven_fast_path turns them
+// off for A/B reference runs.
 //
 // Determinism: given the same configuration and workload seeds, a run is
 // bit-for-bit reproducible.
@@ -191,6 +210,10 @@ class Host {
   /// Fraction of the current monitor window each VM spent wanting the CPU
   /// (running or runnable); ~1 means saturated. Index = VmId.
   [[nodiscard]] double window_wanting_fraction(common::VmId id) const;
+  /// Quanta handed out by rotation runs so far (see the file header); 0
+  /// in reference mode. Deterministic: a function of the configuration,
+  /// the workloads and the run_until/skip_idle_to calls.
+  [[nodiscard]] std::uint64_t rotation_quanta() const { return rotation_quanta_; }
   /// The slots flagged saturated at the close of the last monitor window,
   /// ascending — all an SLA sweep has to visit (an unsaturated window
   /// never counts).
@@ -229,6 +252,10 @@ class Host {
   /// its handler runs, so it loses every tie until the others have fired.
   void fire_timers(common::SimTime until);
   void run_quantum(common::SimTime slice_end);
+  /// Takes a rotation run from now_ toward `until` (see the file header)
+  /// and returns the number of turns taken, 0 when the first turn is not
+  /// provably pick()'s choice.
+  std::uint64_t run_rotation(common::SimTime until);
   /// Re-polls the slots on `ran_list_` and, once `hint_floor_` has been
   /// reached, every slot whose transition hint expired; `active_ids_`
   /// follows each runnable flip. Still-runnable slots are left behind:
@@ -331,6 +358,12 @@ class Host {
   // skip is only valid while that set is unchanged).
   IdleTail idle_tail_ = IdleTail::kNone;
   std::vector<common::VmId> idle_break_set_;
+  // Set by run_quantum and kept by a rotation run: one pick filled the
+  // whole slice and its VM could fill the next (Workload::fills). Gates
+  // the next rotation attempt, which rarely pays on a host whose quanta
+  // are split or idle, or whose workloads never fill.
+  bool try_rotation_ = false;
+  std::uint64_t rotation_quanta_ = 0;
 
   // Scratch for the quantum loop (active minus blocked-this-slice).
   std::vector<common::VmId> runnable_scratch_;

@@ -21,11 +21,13 @@
 //  1. pick() is time-idempotent (doc on pick below). License for the
 //     host's fast path to re-ask "still nothing to run?" without
 //     perturbing you.
-//  2. rejection_is_stable() tells the truth (doc below). `true` lets the
-//     host collapse a whole over-cap idle span into one skip; claiming it
-//     falsely makes the fast path skip over the instant your scheduler
-//     would have revived a VM — a silent divergence. When unsure, return
-//     false: it costs wall-clock, never correctness.
+//  2. rejection_is_stable() and the rotation contract tell the truth (doc
+//     below). `true` lets the host collapse a whole over-cap idle span into
+//     one skip; a rotation lets it hand out full quanta as round-robin
+//     turns without a pick() each. Claiming either falsely makes the fast
+//     path diverge from the reference loop — a silent divergence. When
+//     unsure, keep the conservative default: it costs wall-clock, never
+//     correctness.
 //  3. export_credit()/import_credit() conserve (doc below). The cluster's
 //     migration engine moves the returned balance verbatim from source to
 //     destination; tests/cluster/migration_conservation_test.cpp asserts
@@ -40,6 +42,7 @@
 // cover it. See docs/ARCHITECTURE.md ("A new scheduler").
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string_view>
 
@@ -100,7 +103,7 @@ class Scheduler {
   /// kInvalidVm) stays rejected until the next charge()/account()/
   /// set_cap() call — i.e. eligibility never revives with bare time. Lets
   /// the host skip the whole idle span in one step: on a `true` answer an
-  /// over-cap tail fast-forwards to the next queue event (the earliest
+  /// over-cap tail fast-forwards to the next host timer (the earliest
   /// call that could change eligibility) with the rejected set revalidated
   /// at the boundary.
   ///
@@ -116,6 +119,40 @@ class Scheduler {
   /// claiming `true` wrongly makes the fast path diverge from the
   /// reference loop (the fuzz suites catch this as a byte-level diff).
   [[nodiscard]] virtual bool rejection_is_stable() const { return true; }
+
+  /// Rotation contract (opt-in; the defaults say "no rotation"). Lets the
+  /// host's fast path hand out a run of full quanta as round-robin turns
+  /// without a pick() per quantum (Host::run_until, "rotation run").
+  ///
+  /// rotation_start(runnable) returns the position in `runnable` of the VM
+  /// whose turn it is when pick() over this exact set is a plain rotation
+  /// — it would return that VM if eligible, and after it the next VM in
+  /// `runnable`, wrapping, and so on — or runnable.size() when it is not
+  /// (no rotation at all, or VMs in several priority tiers). It may also
+  /// refuse when the VM in turn is not eligible: no run starts then anyway.
+  ///
+  /// rotation_eligible(vm), for the VM in turn: pick() would return it
+  /// now. A false answer ends the run and the host falls back to pick().
+  ///
+  /// take_turn(vm, busy): exactly the state change of pick() returning
+  /// `vm` followed by charge(vm, busy).
+  ///
+  /// Between turns the host calls account() at its due instants and
+  /// nothing else, so eligibility may depend on charges and refills only.
+  /// Claiming a rotation falsely diverges the fast path from the reference
+  /// loop (the host fast-path tests catch it as a byte-level diff).
+  [[nodiscard]] virtual std::size_t rotation_start(
+      std::span<const common::VmId> runnable) const {
+    return runnable.size();
+  }
+  [[nodiscard]] virtual bool rotation_eligible(common::VmId vm) const {
+    (void)vm;
+    return false;
+  }
+  virtual void take_turn(common::VmId vm, common::SimTime busy) {
+    (void)vm;
+    (void)busy;
+  }
 
   /// True if the next account() call would be a no-op on all observable
   /// scheduler state — credits already at their refill fixed point, no

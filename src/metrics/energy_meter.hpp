@@ -66,26 +66,22 @@ class EnergyMeter {
   /// stay byte-identical.
   void record(common::SimTime dt, double ratio, common::SimTime busy) {
     if (dt.us() <= 0) return;
-    const double util =
-        busy.us() == 0
-            ? 0.0
-            : static_cast<double>(busy.us()) / static_cast<double>(dt.us());
     if (dt.us() != sec_us_) {
       sec_us_ = dt.us();
       sec_cache_ = dt.sec();
     }
-    joules_ += model_.power_watts(ratio, util) * sec_cache_;
+    joules_ += chunk_watts(dt, ratio, busy) * sec_cache_;
     elapsed_ += dt;
   }
 
-  /// Accounts `n` back-to-back idle intervals of length `dt` at `ratio`,
-  /// with the same bits as `n` calls to record(dt, ratio, 0) (see
-  /// repeated_sum). A bulk idle skip crosses runs of equal-width chunks —
-  /// one per fire of the shortest periodic task — and records each run
-  /// here in one step.
-  void record_idle_chunks(common::SimTime dt, double ratio, std::uint64_t n) {
+  /// Accounts `n` back-to-back intervals of length `dt` at `ratio`, each
+  /// busy for `busy`, with the same bits as `n` calls to
+  /// record(dt, ratio, busy) (see repeated_sum). A bulk idle skip records
+  /// each run of equal-width idle chunks here in one step, and the host's
+  /// rotation run its run of full busy quanta.
+  void record_chunks(common::SimTime dt, double ratio, common::SimTime busy, std::uint64_t n) {
     if (dt.us() <= 0 || n == 0) return;
-    joules_ = repeated_sum(joules_, model_.power_watts(ratio, 0.0) * dt.sec(), n);
+    joules_ = repeated_sum(joules_, chunk_watts(dt, ratio, busy) * dt.sec(), n);
     elapsed_ += dt * static_cast<std::int64_t>(n);
   }
 
@@ -99,6 +95,14 @@ class EnergyMeter {
   [[nodiscard]] const cpu::PowerModel& model() const { return model_; }
 
  private:
+  [[nodiscard]] double chunk_watts(common::SimTime dt, double ratio, common::SimTime busy) const {
+    const double util =
+        busy.us() == 0
+            ? 0.0
+            : static_cast<double>(busy.us()) / static_cast<double>(dt.us());
+    return model_.power_watts(ratio, util);
+  }
+
   cpu::PowerModel model_;
   double joules_ = 0.0;
   common::SimTime elapsed_{};

@@ -97,6 +97,23 @@ common::VmId CreditScheduler::pick(common::SimTime /*now*/,
   return best;
 }
 
+std::size_t CreditScheduler::rotation_start(std::span<const common::VmId> runnable) const {
+  if (runnable.empty()) return 0;
+  const auto mid =
+      std::lower_bound(runnable.begin(), runnable.end(), rr_cursor_ % vms_.size());
+  const std::size_t first =
+      mid == runnable.end() ? 0 : static_cast<std::size_t>(mid - runnable.begin());
+  // The tier scan is the costly part: an ineligible VM in turn refuses
+  // the run before it.
+  if (!is_under(vms_[runnable[first]])) return runnable.size();
+  if (tier_prios_.size() > 1) {
+    const std::size_t tier = vms_[runnable.front()].tier;
+    for (const common::VmId id : runnable)
+      if (vms_[id].tier != tier) return runnable.size();
+  }
+  return first;
+}
+
 void CreditScheduler::charge(common::VmId vm, common::SimTime busy) {
   Entry& e = vms_.at(vm);
   e.balance_us -= busy.us();

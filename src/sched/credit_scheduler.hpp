@@ -51,6 +51,19 @@ class CreditScheduler final : public hv::Scheduler {
   [[nodiscard]] common::Percent cap(common::VmId vm) const override;
   [[nodiscard]] bool work_conserving() const override { return false; }
   [[nodiscard]] bool refill_settled() const override;
+  /// A rotation while every runnable VM sits in one priority tier: pick()
+  /// then takes the first UNDER VM at or after the cursor, which moves
+  /// just past it. Eligible = UNDER (a null-credit or over-cap VM in turn
+  /// ends the run, or refuses it; pick() would pass it over).
+  [[nodiscard]] std::size_t rotation_start(
+      std::span<const common::VmId> runnable) const override;
+  [[nodiscard]] bool rotation_eligible(common::VmId vm) const override {
+    return is_under(vms_[vm]);
+  }
+  void take_turn(common::VmId vm, common::SimTime busy) override {
+    charge(vm, busy);
+    rr_cursor_ = vm + 1;
+  }
   [[nodiscard]] common::SimTime export_credit(common::VmId vm) const override;
   void import_credit(common::VmId vm, common::SimTime balance) override;
 

@@ -117,6 +117,8 @@ class TraceReplay final : public Workload {
   void advance_to(common::SimTime now) override;
   [[nodiscard]] bool runnable() const override { return pending_ > common::Work{}; }
   common::Work consume(common::SimTime now, common::Work budget) override;
+  /// The backlog covers the budget; pending work only grows by delivery.
+  [[nodiscard]] bool fills(common::Work budget) const override { return pending_ >= budget; }
   /// Every work-delivering point crossed and the backlog drained. Trailing
   /// zero-demand points don't matter: the host may never advance an idle
   /// workload again (that is the fast path's whole point).

@@ -3,7 +3,9 @@
 // The hypervisor host drives workloads through three calls per scheduling
 // quantum: advance_to (deliver arrivals / phase changes up to `now`),
 // runnable (does the VM want the CPU right now?), and consume (the VM ran
-// and may perform up to `budget` units of work).
+// and may perform up to `budget` units of work). Two opt-in hints let the
+// fast path do less: next_transition_time (skip idle time) and fills
+// (hand out a full quantum without re-polling).
 //
 // Work is expressed in max-frequency units (see common/units.hpp), so a
 // workload is frequency-oblivious — exactly like a real guest, which only
@@ -45,6 +47,18 @@ class Workload {
   /// Returns the work actually performed (< budget iff the VM ran out of
   /// pending work mid-slice and blocked).
   virtual common::Work consume(common::SimTime now, common::Work budget) = 0;
+
+  /// True if consume(now, budget) at the last advanced-to instant would
+  /// return exactly `budget` (the VM has at least that much work pending).
+  /// Opt-in: `false` is always safe. A `true` lets the host's fast path
+  /// hand the VM a full quantum inside a rotation run (see
+  /// Host::run_until) without the per-quantum re-poll. A workload that
+  /// opts in must also only gain work through advance_to: a VM still
+  /// runnable after a consume stays runnable when later arrivals land.
+  [[nodiscard]] virtual bool fills(common::Work budget) const {
+    (void)budget;
+    return false;
+  }
 
   /// True once the workload will never become runnable again (pi-app after
   /// completing its computation). Open-loop servers never finish.

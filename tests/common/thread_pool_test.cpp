@@ -11,6 +11,8 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace pas::common {
@@ -163,9 +165,42 @@ TEST(ThreadPoolTest, InlinePathKeepsExceptionContract) {
   for (std::size_t i = 0; i < 50; ++i) EXPECT_EQ(hits[i], 1) << "index " << i;
 }
 
+TEST(ThreadPoolTest, SingleChunkJobRunsInlineOnAPooledExecutor) {
+  // A job of at most one chunk (n <= grain) runs on the caller: the
+  // workers would find nothing to claim. Coverage and the lowest-index
+  // exception contract are those of the pooled path.
+  ThreadPool pool{4};
+  const auto caller = std::this_thread::get_id();
+  for (const auto& [n, grain] : {std::pair<std::size_t, std::size_t>{8, 8},
+                                 {5, 64},
+                                 {1, 1}}) {
+    std::vector<int> hits(n, 0);
+    try {
+      pool.parallel_for(
+          n,
+          [&](std::size_t i) {
+            EXPECT_EQ(std::this_thread::get_id(), caller) << "n " << n << " index " << i;
+            ++hits[i];
+            if (i == n - 1 || i + 2 == n) throw std::runtime_error("boom at " + std::to_string(i));
+          },
+          grain);
+      FAIL() << "parallel_for swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string{e.what()}, "boom at " + std::to_string(n == 1 ? 0 : n - 2));
+    }
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], 1) << "n " << n << " index " << i;
+  }
+  // One index past a chunk still goes through the pool and covers every
+  // index once.
+  std::vector<std::atomic<int>> hits(9);
+  pool.parallel_for(9, [&](std::size_t i) { hits[i].fetch_add(1); }, 8);
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
 TEST(ThreadPoolTest, PoolStaysUsableAfterException) {
   ThreadPool pool{4};
-  EXPECT_THROW(pool.parallel_for(8, [](std::size_t) { throw std::runtime_error("x"); }),
+  // 32 indices at the default grain: four chunks, so the pooled path throws.
+  EXPECT_THROW(pool.parallel_for(32, [](std::size_t) { throw std::runtime_error("x"); }),
                std::runtime_error);
   std::atomic<int> sum{0};
   pool.parallel_for(10, [&](std::size_t i) { sum.fetch_add(static_cast<int>(i)); });

@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/random.hpp"
 #include "core/pas_controller.hpp"
@@ -512,6 +515,114 @@ TEST(HostFastPathTest, LazyArrivalDeliveryMatchesSlowLoopAcrossHandOff) {
   EXPECT_GT(fast->vm(3).total_busy, seconds(10));
   EXPECT_NEAR(fast->vm(2).total_busy.sec(), 240.0, 5.0);
   EXPECT_GT(fast->idle_time(), seconds(100));
+}
+
+/// An overbooked Credit host of trace replays (caps sum to 183 %): the
+/// shape the rotation run serves. Trace points fall off the monitor grid,
+/// and so do most trace rows (a row's timer would end a run by itself).
+/// "exact" drains each backlog with a full quantum (its work is a whole
+/// number of budgets), last in 200 ms pulses from 30 s on; "partial"
+/// drains mid-slice; "overcap" serves a 0.4 s backlog through a 3 % cap
+/// (about 13 s, over cap almost every turn); "boost" sits in a higher
+/// priority tier and wakes in pulses. With "overcap" drained the other
+/// caps never run out, so the runs grow long — across a window close,
+/// were the run to ignore it.
+std::unique_ptr<Host> build_saturated_host(bool fast_path,
+                                           SimTime accounting = common::msec(30)) {
+  HostConfig hc;
+  hc.trace_stride = common::msec(2'500);  // most window closes take no row
+  hc.event_driven_fast_path = fast_path;
+  sched::CreditSchedulerConfig sc;
+  sc.accounting_period = accounting;
+  auto host = std::make_unique<Host>(hc, std::make_unique<sched::CreditScheduler>(sc));
+  const auto add = [&](const char* name, common::Percent credit, int priority,
+                       std::vector<wl::TracePoint> points) {
+    VmConfig cfg;
+    cfg.name = name;
+    cfg.credit = credit;
+    cfg.priority = priority;
+    host->add_vm(cfg, std::make_unique<wl::TraceReplay>(wl::Trace{std::move(points), name}));
+  };
+  const auto at = [](std::int64_t ms) { return common::msec(ms); };
+  add("steady-a", 30.0, 0,
+      {{at(0), 60.0}, {at(350), 45.0}, {at(7'350), 70.0}, {at(20'000), 0.0}});
+  add("steady-b", 30.0, 0,
+      {{at(0), 55.0}, {at(2'600), 80.0}, {at(11'100), 40.0}, {at(25'000), 0.0}});
+  add("steady-c", 25.0, 0, {{at(0), 50.0}, {at(30'000), 0.0}});
+  std::vector<wl::TracePoint> exact = {
+      {at(0), 50.0}, {at(2'000), 0.0}, {at(12'130), 50.0}, {at(13'130), 0.0}};
+  for (std::int64_t ms = 30'070; ms < 41'000; ms += 1'300) {
+    exact.push_back({at(ms), 50.0});
+    exact.push_back({at(ms + 200), 0.0});
+  }
+  add("exact", 40.0, 0, std::move(exact));
+  add("partial", 35.0, 0, {{at(0), 33.3}, {at(4'000), 0.0}});
+  add("overcap", 3.0, 0, {{at(0), 40.0}, {at(1'000), 0.0}});
+  add("boost", 20.0, 1,
+      {{at(0), 0.0}, {at(5'230), 15.0}, {at(6'230), 0.0}, {at(15'470), 15.0}, {at(16'970), 0.0}});
+  return host;
+}
+
+/// Runs the saturated host in both modes: one run_until across 30 monitor
+/// closes, trace rows, every accounting fire and trace point, then short
+/// segments whose ends fall all over the window (each compares the open
+/// window's wanting). `after_long_run` sees both hosts right after the
+/// long run.
+void expect_saturated_runs_match(
+    SimTime accounting, const std::function<void(const Host&, const Host&)>& after_long_run) {
+  auto slow = build_saturated_host(/*fast_path=*/false, accounting);
+  auto fast = build_saturated_host(/*fast_path=*/true, accounting);
+  slow->run_until(common::msec(30'500));
+  fast->run_until(common::msec(30'500));
+  ASSERT_EQ(first_divergence(*slow, *fast), std::nullopt);
+  after_long_run(*slow, *fast);
+  for (std::int64_t ms = 30'670; ms <= 45'000; ms += 170) {
+    slow->run_until(common::msec(ms));
+    fast->run_until(common::msec(ms));
+    ASSERT_EQ(first_divergence(*slow, *fast), std::nullopt) << "at " << ms << " ms";
+  }
+  // The reference loop steps quantum by quantum; the fast path rotated.
+  EXPECT_EQ(slow->rotation_quanta(), 0u);
+  EXPECT_GT(fast->rotation_quanta(), 1000u);
+  // Vacuity guards: the drains happened, the over-cap VM served its
+  // backlog, the boost tier ran, and the host was saturated.
+  const auto replay = [&](common::VmId v) -> const wl::TraceReplay& {
+    return dynamic_cast<const wl::TraceReplay&>(fast->workload(v));
+  };
+  EXPECT_TRUE(replay(3).fully_served());
+  EXPECT_TRUE(replay(4).fully_served());
+  EXPECT_TRUE(replay(5).fully_served());
+  EXPECT_NEAR(fast->vm(5).total_busy.sec(), 0.4, 1e-3);
+  EXPECT_GT(fast->vm(6).total_busy, common::msec(300));
+  EXPECT_GT(fast->vm(0).total_busy + fast->vm(1).total_busy + fast->vm(2).total_busy,
+            seconds(30));
+}
+
+TEST(HostFastPathTest, SaturatedRotationRunsMatchSteppedRun) {
+  // The fast path hands most quanta out as rotation runs; each run must
+  // stop where the reference loop would see something a rotation cannot:
+  // a window close, a trace point, an over-cap VM in turn, a drain, the
+  // boost tier.
+  expect_saturated_runs_match(common::msec(30), [](const Host& /*slow*/, const Host& fast) {
+    // Bit pins taken from the fast path before rotation runs existed: the
+    // batched busy chunks sum to the per-quantum records' exact bits, and
+    // each VM's work total is its per-turn sum.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.energy().joules()), 0x40a7b16666666715ull);
+    const std::uint64_t work_bits[] = {
+        0x41601a8f00000000ull, 0x415fedd400000000ull, 0x415b466c00000000ull,
+        0x41386a0000000000ull, 0x4134531fffffffffull, 0x41186a0000000000ull,
+        0x4116e36000000000ull};
+    ASSERT_EQ(fast.vm_count(), std::size(work_bits));
+    for (common::VmId v = 0; v < fast.vm_count(); ++v)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.vm(v).total_work.mfus()), work_bits[v])
+          << "vm " << v;
+  });
+}
+
+TEST(HostFastPathTest, SaturatedRotationRunsStopAtOffGridAccounting) {
+  // A 25 ms accounting period cuts every other 10 ms slice short: a run
+  // fires the refills on the grid and stops before a slice that one cuts.
+  expect_saturated_runs_match(common::msec(25), [](const Host&, const Host&) {});
 }
 
 TEST(HostFastPathTest, SegmentEndsCatchUpLazilySkippedArrivals) {

@@ -25,7 +25,8 @@ namespace {
 /// pick() derives its choice purely from scheduler state and `now` —
 /// repeating it without an intervening charge/account/set_cap returns the
 /// same VM (idempotence) — and it never returns kInvalidVm, so the
-/// default rejection_is_stable() is trivially honest.
+/// default rejection_is_stable() is trivially honest. It is no round
+/// robin, so it keeps the rotation defaults: every quantum is a pick().
 class FairShareScheduler final : public hv::Scheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "fair-share"; }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "common/units.hpp"
 #include "hypervisor/host.hpp"
@@ -24,7 +25,9 @@ namespace {
 /// sleeps again. The two contract points every workload must get right:
 /// advance_to is a pure function of the crossed instants (coarsened call
 /// patterns deliver identically), and next_transition_time is an honest
-/// lower bound (here: exact) on the next self-transition.
+/// lower bound (here: exact) on the next self-transition. fills is the
+/// optional third: work only arrives through advance_to, so a backlog of
+/// at least `budget` is consumed whole.
 class Heartbeat final : public wl::Workload {
  public:
   Heartbeat(common::SimTime period, common::Work burst)
@@ -42,6 +45,7 @@ class Heartbeat final : public wl::Workload {
     pending_ -= done;  // draining to zero blocks the VM; the host sees it
     return done;
   }
+  [[nodiscard]] bool fills(common::Work budget) const override { return pending_ >= budget; }
   [[nodiscard]] common::SimTime next_transition_time(common::SimTime /*now*/) override {
     return next_beat_;  // the host may skip idle time up to the next beat
   }
@@ -79,6 +83,35 @@ TEST(WorkloadDocExampleTest, RunsIdenticalFastAndSlow) {
   EXPECT_DOUBLE_EQ(slow->vm(0).total_work.mf_seconds(), 19 * 0.25);
   // The hint worked: the host really skipped the sleep intervals.
   EXPECT_GT(fast->idle_time().sec(), 90.0);
+}
+
+TEST(WorkloadDocExampleTest, SaturatedBeatsTakeRotationTurnsIdentically) {
+  // fills() at work: three heartbeats whose bursts outrun their 40 % caps
+  // keep the CPU busy, and the fast path hands them whole quanta in
+  // rotation runs — byte-identical to the slow-stepped loop.
+  const auto build = [](bool fast_path) {
+    hv::HostConfig hc;
+    hc.event_driven_fast_path = fast_path;
+    hc.trace_stride = common::seconds(1);
+    auto host = std::make_unique<hv::Host>(hc, std::make_unique<sched::CreditScheduler>());
+    for (int i = 0; i < 3; ++i) {
+      hv::VmConfig vc;
+      vc.name = "beat" + std::to_string(i);
+      vc.credit = 40.0;
+      host->add_vm(vc, std::make_unique<Heartbeat>(common::msec(5'000 + 700 * i),
+                                                   common::mf_seconds(3.0)));
+    }
+    return host;
+  };
+  auto slow = build(false);
+  auto fast = build(true);
+  slow->run_until(common::seconds(60));
+  fast->run_until(common::seconds(60));
+
+  ASSERT_EQ(hv::first_divergence(*slow, *fast), std::nullopt);
+  EXPECT_EQ(slow->rotation_quanta(), 0u);
+  EXPECT_GT(fast->rotation_quanta(), 1000u);
+  EXPECT_LT(fast->idle_time().sec(), 10.0);  // saturated after the first beats
 }
 
 TEST(WorkloadDocExampleTest, CoarsenedAdvanceDeliversIdentically) {
