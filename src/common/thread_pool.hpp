@@ -21,10 +21,11 @@
 //     call, so a second parallel_for can never race the tail of the
 //     first. Not reentrant and not thread-safe across callers — one
 //     coordinating thread drives the pool (the cluster run loop).
-//   * Bodies are stored in a common::InplaceFunction whose inline buffer
-//     must absorb the capture (compile-time enforced), so issuing a
-//     parallel_for never heap-allocates — the cluster fires one per
-//     segment, thousands of times per simulated run.
+//   * parallel_for borrows its body for the length of the call (it
+//     returns only after every index ran), so a body of any capture size
+//     is invoked in place: issuing a parallel_for never copies or
+//     heap-allocates it — the cluster fires one per segment, thousands of
+//     times per simulated run.
 //   * Exceptions thrown by bodies are captured and the one from the
 //     LOWEST index is rethrown after the barrier — deterministic no
 //     matter how the chunks were interleaved. Later indices still run
@@ -38,24 +39,16 @@
 #include <cstdint>
 #include <exception>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
-
-#include "common/inplace_function.hpp"
 
 namespace pas::common {
 
 class ThreadPool {
  public:
-  /// Inline capture budget for loop bodies: six pointers. Large enough for
-  /// every driver in the tree (the cluster segment body captures a Cluster*
-  /// and a SimTime), small enough that blowing it is a design smell.
-  static constexpr std::size_t kBodyCapacity = 48;
-  using Body = InplaceFunction<void(std::size_t), kBodyCapacity>;
-
   /// Default chunk size for index hand-out. Segment bodies are a few µs
   /// each; 8 per counter hit keeps the atomic off the profile while still
   /// load-balancing fleets where a handful of hosts dominate.
@@ -98,23 +91,23 @@ class ThreadPool {
   /// treated as 1); it affects scheduling only, never which indices run.
   template <typename F>
   void parallel_for(std::size_t n, F&& f, std::size_t grain = kDefaultGrain) {
-    using Fn = std::decay_t<F>;
-    static_assert(sizeof(Fn) <= kBodyCapacity,
-                  "parallel_for body capture exceeds the inline budget; "
-                  "shrink the capture (pointers, not copies) instead of "
-                  "silently heap-allocating per call");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>,
-                  "parallel_for body must be inline-storable (plain "
-                  "nothrow-movable capture)");
-    Body body(std::forward<F>(f));
+    using Fn = std::remove_reference_t<F>;
+    const Body body{const_cast<void*>(static_cast<const void*>(std::addressof(f))),
+                    [](void* object, std::size_t i) { (*static_cast<Fn*>(object))(i); }};
     run(n, body, grain == 0 ? 1 : grain);
   }
 
  private:
+  /// A borrowed loop body: the caller's callable and a thunk that invokes it.
+  struct Body {
+    void* object;
+    void (*call)(void* object, std::size_t i);
+    void operator()(std::size_t i) const { call(object, i); }
+  };
+
   static constexpr std::size_t kNoError = std::numeric_limits<std::size_t>::max();
 
-  void run(std::size_t n, Body& body, std::size_t grain) {
+  void run(std::size_t n, const Body& body, std::size_t grain) {
     if (n == 0) return;
     if (workers_.empty() || n <= grain) {
       // Inline path — one chunk leaves the workers nothing to claim, so
@@ -153,7 +146,7 @@ class ThreadPool {
   /// Claims chunks of `grain` consecutive indices until the job is
   /// exhausted; never throws (errors are parked for the post-barrier
   /// rethrow, and an index throwing never skips the rest of its chunk).
-  void drain(std::size_t n, std::size_t grain, Body& body) {
+  void drain(std::size_t n, std::size_t grain, const Body& body) {
     for (;;) {
       const std::size_t base = next_index_.fetch_add(grain, std::memory_order_relaxed);
       if (base >= n) return;
@@ -181,7 +174,7 @@ class ThreadPool {
       seen = generation_;
       const std::size_t n = job_n_;
       const std::size_t grain = job_grain_;
-      Body* body = job_body_;
+      const Body* body = job_body_;
       lock.unlock();
       drain(n, grain, *body);
       lock.lock();
@@ -200,7 +193,7 @@ class ThreadPool {
   bool stop_ = false;                // guarded by mutex_
   std::size_t job_n_ = 0;            // guarded by mutex_ at publication
   std::size_t job_grain_ = 1;        // guarded by mutex_ at publication
-  Body* job_body_ = nullptr;         // guarded by mutex_ at publication
+  const Body* job_body_ = nullptr;   // guarded by mutex_ at publication
   std::size_t workers_done_ = 0;     // guarded by mutex_
   std::size_t error_index_ = kNoError;  // guarded by mutex_
   std::exception_ptr error_;            // guarded by mutex_

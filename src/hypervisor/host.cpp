@@ -681,8 +681,6 @@ void Host::run_until(common::SimTime until) {
     install_timers();
     started_ = true;
   }
-  if (cfg_.trace_stride.us() > 0 && until > now_)
-    trace_->reserve(static_cast<std::size_t>((until - now_) / cfg_.trace_stride) + 1);
   while (now_ < until) {
     fire_timers(now_);
     // Every fired timer re-armed a period on, so the earliest due is

@@ -95,10 +95,6 @@ class Scheduler {
   /// The VM's current cap (initially its configured credit).
   [[nodiscard]] virtual common::Percent cap(common::VmId vm) const = 0;
 
-  /// True if unused slices are redistributed to other VMs (variable-credit
-  /// / work-conserving semantics).
-  [[nodiscard]] virtual bool work_conserving() const = 0;
-
   /// True if a runnable set this scheduler just rejected (pick returned
   /// kInvalidVm) stays rejected until the next charge()/account()/
   /// set_cap() call — i.e. eligibility never revives with bare time. Lets

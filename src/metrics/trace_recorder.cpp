@@ -8,18 +8,6 @@
 
 namespace pas::metrics {
 
-void TraceRecorder::reserve(std::size_t rows) {
-  const std::size_t total = t_.size() + rows;
-  t_.reserve(total);
-  freq_.reserve(total);
-  global_.reserve(total);
-  absolute_.reserve(total);
-  vm_global_.reserve(total * vm_count_);
-  vm_absolute_.reserve(total * vm_count_);
-  vm_credit_.reserve(total * vm_count_);
-  vm_saturated_.reserve(total * vm_count_);
-}
-
 void TraceRecorder::grow_vm_count(std::size_t vm_count) {
   if (vm_count < vm_count_)
     throw std::invalid_argument("TraceRecorder: cannot shrink vm_count");

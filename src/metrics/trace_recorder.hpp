@@ -63,10 +63,6 @@ class TraceRecorder {
   void append_idle_rows(std::span<const common::SimTime> ts, double freq_mhz,
                         std::span<const double> vm_credit);
 
-  /// Reserves storage for `rows` further samples (optional; columns grow
-  /// geometrically regardless).
-  void reserve(std::size_t rows);
-
   /// Widens the per-VM columns to `vm_count` mid-recording (a host gained a
   /// slot): historical rows are padded with 0.0 in the new columns, so
   /// every row — old and new — reads at the final width. Shrinking throws.

@@ -52,7 +52,6 @@ class Credit2Scheduler final : public hv::Scheduler {
   }
   void set_cap(common::VmId vm, common::Percent cap_pct) override;
   [[nodiscard]] common::Percent cap(common::VmId vm) const override;
-  [[nodiscard]] bool work_conserving() const override { return !cfg_.enforce_caps; }
   [[nodiscard]] bool refill_settled() const override;
   [[nodiscard]] common::SimTime export_credit(common::VmId vm) const override {
     return common::usec(vms_.at(vm).balance_us);

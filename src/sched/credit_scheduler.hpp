@@ -49,7 +49,6 @@ class CreditScheduler final : public hv::Scheduler {
   }
   void set_cap(common::VmId vm, common::Percent cap_pct) override;
   [[nodiscard]] common::Percent cap(common::VmId vm) const override;
-  [[nodiscard]] bool work_conserving() const override { return false; }
   [[nodiscard]] bool refill_settled() const override;
   /// A rotation while every runnable VM sits in one priority tier: pick()
   /// then takes the first UNDER VM at or after the cursor, which moves

@@ -52,7 +52,6 @@ class SedfScheduler final : public hv::Scheduler {
   /// the credit scheduler.
   void set_cap(common::VmId vm, common::Percent cap_pct) override;
   [[nodiscard]] common::Percent cap(common::VmId vm) const override;
-  [[nodiscard]] bool work_conserving() const override { return true; }
   /// Period refill happens lazily in pick(), so a rejected set becomes
   /// eligible again when any member's period rolls over — with bare time.
   [[nodiscard]] bool rejection_is_stable() const override { return false; }

@@ -1,123 +1,64 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace pas::sim {
 
-void EventQueue::place(std::size_t pos, std::uint32_t slot) {
-  heap_[pos] = slot;
-  slots_[slot].heap_pos = static_cast<std::uint32_t>(pos);
+void EventQueue::push(common::SimTime when, std::uint64_t seq, EventId id) {
+  heap_.push_back({when, seq, id});
+  std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
-void EventQueue::sift_up(std::size_t pos) {
-  const std::uint32_t moving = heap_[pos];
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 2;
-    if (!before(moving, heap_[parent])) break;
-    place(pos, heap_[parent]);
-    pos = parent;
+void EventQueue::pop_dead_heads() {
+  while (!heap_.empty()) {
+    const Entry& head = heap_.front();
+    const auto it = live_.find(head.id);
+    if (it != live_.end() && it->second.seq == head.seq) return;
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
   }
-  place(pos, moving);
-}
-
-void EventQueue::sift_down(std::size_t pos) {
-  const std::uint32_t moving = heap_[pos];
-  const std::size_t n = heap_.size();
-  while (true) {
-    std::size_t child = 2 * pos + 1;
-    if (child >= n) break;
-    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
-    if (!before(heap_[child], moving)) break;
-    place(pos, heap_[child]);
-    pos = child;
-  }
-  place(pos, moving);
 }
 
 EventId EventQueue::schedule(common::SimTime when, EventFn fn) {
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& s = slots_[slot];
-  s.when = when;
-  s.seq = next_seq_++;
-  s.fn = std::move(fn);
-
-  heap_.push_back(slot);
-  s.heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
-  sift_up(heap_.size() - 1);
-  return pack(slot, s.generation);
-}
-
-void EventQueue::remove_heap_entry(std::size_t pos) {
-  const std::uint32_t slot = heap_[pos];
-  const std::uint32_t last = heap_.back();
-  heap_.pop_back();
-  if (last != slot) {
-    place(pos, last);
-    // The replacement may need to move either way relative to `pos`.
-    sift_down(pos);
-    sift_up(slots_[last].heap_pos);
-  }
-  Slot& s = slots_[slot];
-  s.heap_pos = kNpos;
-  ++s.generation;
-  free_.push_back(slot);
-}
-
-bool EventQueue::reschedule(EventId id, common::SimTime when) {
-  if (id == kInvalidEvent) return false;
-  const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffff) - 1;
-  const std::uint32_t generation = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (s.generation != generation || s.heap_pos == kNpos) return false;
-  s.when = when;
-  s.seq = next_seq_++;
-  // The key may have moved either way (the fresh seq only breaks ties):
-  // settle downward first, then upward from wherever the entry landed.
-  sift_down(s.heap_pos);
-  sift_up(slots_[slot].heap_pos);
-  return true;
+  // A live entry never makes the head dead, so no pop is needed here.
+  const EventId id = next_id_++;
+  const std::uint64_t seq = next_seq_++;
+  live_.emplace(id, Live{seq, std::move(fn)});
+  push(when, seq, id);
+  return id;
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (id == kInvalidEvent) return false;
-  const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffff) - 1;
-  const std::uint32_t generation = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (s.generation != generation || s.heap_pos == kNpos) return false;
-  s.fn.reset();
-  remove_heap_entry(s.heap_pos);
+  if (live_.erase(id) == 0) return false;
+  pop_dead_heads();
+  return true;
+}
+
+bool EventQueue::reschedule(EventId id, common::SimTime when) {
+  const auto it = live_.find(id);
+  if (it == live_.end()) return false;
+  it->second.seq = next_seq_++;
+  push(when, it->second.seq, id);
+  pop_dead_heads();  // the old entry may have been the head
   return true;
 }
 
 void EventQueue::run_until(common::SimTime until) {
-  while (!heap_.empty()) {
-    const std::uint32_t slot = heap_.front();
-    Slot& s = slots_[slot];
-    if (s.when > until) break;
-    const common::SimTime when = s.when;
-    // Move the callback out and retire the slot *before* invoking: the
-    // handler may schedule new events (possibly reusing this very slot) or
-    // cancel others, and the heap must already be consistent.
-    EventFn fn = std::move(s.fn);
-    s.fn.reset();
-    remove_heap_entry(0);
-    fn(when);
+  while (!heap_.empty() && heap_.front().when <= until) {
+    const Entry head = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    heap_.pop_back();
+    const auto it = live_.find(head.id);
+    assert(it != live_.end() && it->second.seq == head.seq);
+    // Retire the event before invoking it: the handler may schedule or
+    // cancel events, and the queue must already be consistent.
+    EventFn fn = std::move(it->second.fn);
+    live_.erase(it);
+    pop_dead_heads();
+    fn(head.when);
   }
-}
-
-common::SimTime EventQueue::next_event_time(common::SimTime fallback) const {
-  if (heap_.empty()) return fallback;
-  return slots_[heap_.front()].when;
 }
 
 }  // namespace pas::sim

@@ -7,13 +7,17 @@
 // (A host's own periodic ticks — at most five — run off its fixed timer
 // set with the same tie rule; see hv::Host.)
 //
-// Implementation: an indexed binary min-heap over a slot pool. Each pending
-// event owns a pool slot holding its callback (small-buffer optimized — the
-// periodic ticks never heap-allocate) and its position in the heap, so
-// cancel() removes the entry directly in O(log n) with no scanning and
-// next_event_time() is exact (cancelled events never linger). Slots are
-// recycled through a free list; EventIds carry a per-slot generation so a
-// stale id can never cancel the slot's next tenant.
+// Implementation: a std::vector min-heap of (when, seq, id) entries next to
+// a map from each live id to its current seq and callback. cancel() only
+// erases the map entry, and reschedule() pushes a fresh (when, seq) entry
+// for the same id, so the heap may hold dead entries: ones whose id is gone
+// from the map or whose seq no longer matches it. Every cancel, reschedule
+// and fire pops dead heads, so the heap's front is always live and
+// next_event_time(), pending() and empty() stay exact. Ids come from a
+// counter and are never reused, so a stale id can never touch a later
+// event. This traffic is a few events per simulated second across a whole
+// fleet (the hosts' own ticks never enter the queue), so a plain heap and
+// std::function callbacks cost nothing measurable end to end.
 //
 // Threading model: an EventQueue is single-threaded by design and stays
 // that way under the parallel engines: a cluster's or federation's queue is
@@ -24,16 +28,15 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
+#include <unordered_map>
 #include <vector>
 
-#include "common/inplace_function.hpp"
 #include "common/units.hpp"
 
 namespace pas::sim {
 
-/// Event callbacks are stored by value; captures up to 48 bytes (six
-/// pointers) are allocation-free.
-using EventFn = common::InplaceFunction<void(common::SimTime), 48>;
+using EventFn = std::function<void(common::SimTime)>;
 
 /// Handle for cancelling a scheduled event.
 using EventId = std::uint64_t;
@@ -46,15 +49,13 @@ class EventQueue {
   EventId schedule(common::SimTime when, EventFn fn);
 
   /// Cancels a pending event; returns false if it already fired or was
-  /// cancelled. O(log n): the heap entry is removed immediately (no lazy
-  /// tombstones), so pending() and next_event_time() stay exact.
+  /// cancelled.
   bool cancel(EventId id);
 
   /// Moves a pending event to `when`, drawing a fresh (largest) insertion
   /// sequence — exactly the order cancel() + schedule() of the same
-  /// callback would produce, but in one heap adjustment, without touching
-  /// the stored callback and without recycling the slot (the id stays
-  /// valid). Returns false if `id` is stale.
+  /// callback would produce, but the id stays valid. Returns false if `id`
+  /// already fired or was cancelled.
   bool reschedule(EventId id, common::SimTime when);
 
   /// Runs every event with time <= `until`, in (time, insertion) order.
@@ -62,44 +63,39 @@ class EventQueue {
   void run_until(common::SimTime until);
 
   /// Time of the earliest pending event, or `fallback` if none.
-  [[nodiscard]] common::SimTime next_event_time(common::SimTime fallback) const;
+  [[nodiscard]] common::SimTime next_event_time(common::SimTime fallback) const {
+    return heap_.empty() ? fallback : heap_.front().when;
+  }
 
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return live_.size(); }
+  [[nodiscard]] bool empty() const { return live_.empty(); }
 
  private:
-  static constexpr std::uint32_t kNpos = 0xffffffff;
-
-  struct Slot {
+  struct Entry {
     common::SimTime when;
-    std::uint64_t seq = 0;  // global insertion sequence; breaks time ties
+    std::uint64_t seq;  // global insertion sequence; breaks time ties
+    EventId id;
+  };
+  struct Live {
+    std::uint64_t seq;  // the seq of this id's one live heap entry
     EventFn fn;
-    std::uint32_t generation = 0;  // bumped on fire/cancel
-    std::uint32_t heap_pos = kNpos;  // kNpos when the slot is free
   };
 
-  [[nodiscard]] static EventId pack(std::uint32_t slot, std::uint32_t generation) {
-    // +1 keeps ids nonzero so kInvalidEvent never collides with slot 0.
-    return (static_cast<EventId>(generation) << 32) | (slot + 1);
+  /// Heap order for std::push_heap/pop_heap: the front is the smallest
+  /// (when, seq).
+  [[nodiscard]] static bool later(const Entry& a, const Entry& b) {
+    if (a.when != b.when) return a.when > b.when;
+    return a.seq > b.seq;
   }
 
-  [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.when != sb.when) return sa.when < sb.when;
-    return sa.seq < sb.seq;
-  }
+  void push(common::SimTime when, std::uint64_t seq, EventId id);
+  /// Pops cancelled and superseded entries off the front of the heap.
+  void pop_dead_heads();
 
-  void sift_up(std::size_t pos);
-  void sift_down(std::size_t pos);
-  void place(std::size_t pos, std::uint32_t slot);
-  /// Detaches the heap entry at `pos` and returns the slot to the free list.
-  void remove_heap_entry(std::size_t pos);
-
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> heap_;  // slot indices, min-first by (when, seq)
-  std::vector<std::uint32_t> free_;  // recycled slot indices
+  std::vector<Entry> heap_;
+  std::unordered_map<EventId, Live> live_;
   std::uint64_t next_seq_ = 1;
+  EventId next_id_ = kInvalidEvent + 1;
 };
 
 /// The lockstep loop of the cluster (over hosts) and the federation (over
@@ -123,7 +119,7 @@ void run_lockstep(EventQueue& events, common::SimTime& now, common::SimTime unti
       now = next_event;
     }
     events.run_until(now);
-    // The queue removes cancelled entries eagerly, so firing leaves the
+    // The queue never leaves a dead entry at its head, so firing leaves the
     // head strictly in the future (or the queue empty) — the invariant
     // that lets the next iteration trust a single peek.
     assert(events.next_event_time(until) > now || events.empty());

@@ -13,7 +13,8 @@ namespace pas::sim {
 /// Fires `fn(now)` every `period`, starting at `first` (absolute). The task
 /// owns its rearm logic; destroying it (or calling stop()) cancels the next
 /// firing. Must not outlive the queue. Rearming schedules a lambda that
-/// captures only `this`, so a periodic tick never allocates.
+/// captures only `this`, which std::function keeps in its local buffer, so
+/// a periodic tick never allocates for its callback.
 class PeriodicTask {
  public:
   PeriodicTask(EventQueue& queue, common::SimTime first, common::SimTime period,

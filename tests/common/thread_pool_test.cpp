@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -195,6 +197,43 @@ TEST(ThreadPoolTest, SingleChunkJobRunsInlineOnAPooledExecutor) {
   std::vector<std::atomic<int>> hits(9);
   pool.parallel_for(9, [&](std::size_t i) { hits[i].fetch_add(1); }, 8);
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ThreadPoolTest, BodyOfAnyCaptureSizeRunsEveryIndexOnce) {
+  // parallel_for borrows its body for the call, so a capture far larger
+  // than a few pointers (here 128 bytes by value) is invoked in place, with
+  // the same coverage and lowest-index exception contract.
+  ThreadPool pool{4};
+  std::array<std::uint64_t, 16> weights{};
+  for (std::size_t k = 0; k < weights.size(); ++k) weights[k] = k + 1;
+  constexpr std::size_t kN = 1000;
+  std::uint64_t expected = 0;
+  for (std::size_t i = 0; i < kN; ++i) expected += weights[i % weights.size()];
+  for (const std::size_t grain : {std::size_t{1}, std::size_t{8}}) {
+    std::vector<std::atomic<int>> hits(kN);
+    std::atomic<std::uint64_t> sum{0};
+    pool.parallel_for(kN, [weights, &hits, &sum](std::size_t i) {
+      hits[i].fetch_add(1);
+      sum.fetch_add(weights[i % weights.size()]);
+    }, grain);
+    for (std::size_t i = 0; i < kN; ++i)
+      EXPECT_EQ(hits[i].load(), 1) << "grain " << grain << " index " << i;
+    EXPECT_EQ(sum.load(), expected) << "grain " << grain;
+
+    std::vector<std::atomic<int>> thrown(kN);
+    try {
+      pool.parallel_for(kN, [weights, &thrown](std::size_t i) {
+        thrown[i].fetch_add(1);
+        if (i == 21 || i == 22 || i == 700)
+          throw std::runtime_error("boom at " + std::to_string(weights[i % weights.size()] + i));
+      }, grain);
+      FAIL() << "parallel_for swallowed the exception at grain " << grain;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom at 27") << "grain " << grain;  // 21 + weights[5]
+    }
+    for (std::size_t i = 0; i < kN; ++i)
+      EXPECT_EQ(thrown[i].load(), 1) << "grain " << grain << " index " << i;
+  }
 }
 
 TEST(ThreadPoolTest, PoolStaysUsableAfterException) {

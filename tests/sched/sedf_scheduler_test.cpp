@@ -28,7 +28,6 @@ TEST(SedfSchedulerTest, SliceDerivedFromCredit) {
   s.add_vm(0, vm_cfg(20.0));
   EXPECT_EQ(s.remaining_slice(0), msec(20));
   EXPECT_DOUBLE_EQ(s.cap(0), 20.0);
-  EXPECT_TRUE(s.work_conserving());
 }
 
 TEST(SedfSchedulerTest, EdfPicksEarliestDeadline) {

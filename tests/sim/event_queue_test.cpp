@@ -128,8 +128,8 @@ TEST(EventQueueTest, CancelMiddlePreservesOrdering) {
 }
 
 TEST(EventQueueTest, StaleIdCannotCancelRecycledSlot) {
-  // After an event fires, its slot is recycled; the old id must not be able
-  // to cancel the slot's new tenant.
+  // After an event fires, its id must not be able to cancel an event
+  // scheduled later.
   EventQueue q;
   const EventId old_id = q.schedule(msec(1), [](SimTime) {});
   q.run_until(msec(1));
@@ -138,6 +138,51 @@ TEST(EventQueueTest, StaleIdCannotCancelRecycledSlot) {
   EXPECT_FALSE(q.cancel(old_id));
   q.run_until(msec(10));
   EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueueTest, RescheduleActsLikeCancelPlusSchedule) {
+  // A move draws a fresh insertion seq: it ties after every event scheduled
+  // before it. The id stays valid until the event fires or is cancelled,
+  // and next_event_time() / pending() stay exact at every step.
+  EventQueue q;
+  std::vector<int> order;
+  const EventId a = q.schedule(msec(10), [&](SimTime) { order.push_back(1); });
+  q.schedule(msec(20), [&](SimTime) { order.push_back(2); });
+  const EventId c = q.schedule(msec(30), [&](SimTime) { order.push_back(3); });
+  const EventId x = q.schedule(msec(40), [&](SimTime) { order.push_back(9); });
+
+  EXPECT_TRUE(q.reschedule(a, msec(20)));  // the head moves later
+  EXPECT_EQ(q.next_event_time(msec(99)), msec(20));
+  EXPECT_EQ(q.pending(), 4u);
+
+  EXPECT_TRUE(q.reschedule(c, msec(5)));  // a later event becomes the head
+  EXPECT_EQ(q.next_event_time(msec(99)), msec(5));
+  EXPECT_EQ(q.pending(), 4u);
+
+  q.schedule(msec(20), [&](SimTime) { order.push_back(4); });  // ties after a
+  EXPECT_EQ(q.pending(), 5u);
+
+  EXPECT_TRUE(q.reschedule(x, msec(1)));  // moved to the head, then cancelled
+  EXPECT_EQ(q.next_event_time(msec(99)), msec(1));
+  EXPECT_TRUE(q.cancel(x));
+  EXPECT_EQ(q.next_event_time(msec(99)), msec(5));
+  EXPECT_EQ(q.pending(), 4u);
+  EXPECT_FALSE(q.reschedule(x, msec(50)));
+  EXPECT_FALSE(q.cancel(x));
+
+  q.run_until(msec(5));
+  EXPECT_EQ(order, (std::vector<int>{3}));
+  EXPECT_EQ(q.next_event_time(msec(99)), msec(20));
+  EXPECT_EQ(q.pending(), 3u);
+  EXPECT_FALSE(q.reschedule(c, msec(50)));  // already fired
+  EXPECT_FALSE(q.cancel(c));
+
+  q.run_until(msec(99));
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 4}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.next_event_time(msec(99)), msec(99));
+  EXPECT_FALSE(q.reschedule(a, msec(100)));
 }
 
 TEST(EventQueueTest, HandlerMayCancelPendingEvent) {
