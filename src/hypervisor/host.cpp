@@ -402,11 +402,13 @@ std::uint64_t Host::run_rotation(common::SimTime until) {
   if (first >= n) return 0;
   // Every turn is one full quantum that ends by `until` and by the next
   // timer other than accounting; accounting (armed first, so timers_[0])
-  // fires between turns at its due instants, as fire_timers would.
+  // fires alone between turns at its due instants, so the run fires it in
+  // place (re-armed with the newest seq, as fire_timers would) and
+  // recaches next_due_ once at the end.
   const common::SimTime q = cfg_.quantum;
   common::SimTime limit = until;
   for (std::size_t i = 1; i < timers_.size(); ++i) limit = std::min(limit, timers_[i].due);
-  const Timer& accounting = timers_.front();
+  Timer& accounting = timers_.front();
   assert(accounting.kind == TimerKind::kAccounting);
   const common::Work full = cpu_.work_for(q);
 
@@ -419,7 +421,11 @@ std::uint64_t Host::run_rotation(common::SimTime until) {
       // (it stayed runnable: its arrivals wait for catch_up) and, from
       // hint_floor_ on, every expired hint — where an idle VM may wake.
       if (t >= hint_floor_) break;
-      if (accounting.due == t) fire_timers(t);
+      if (accounting.due == t) {
+        accounting.due = t + accounting.period;
+        accounting.seq = ++timer_seq_;
+        scheduler_->account(t);
+      }
     }
     if (accounting.due < t + q) break;  // it would cut this slice short
     const common::VmId id = active_ids_[pos];
@@ -440,6 +446,7 @@ std::uint64_t Host::run_rotation(common::SimTime until) {
     pos = pos + 1 == n ? 0 : pos + 1;
   }
   if (turns == 0) return 0;
+  update_next_due();
 
   // The per-quantum records that do not depend on who ran: the runnable
   // set was constant, and the energy is `turns` equal full-busy chunks.
@@ -554,8 +561,9 @@ common::SimTime Host::compute_next_activity() const {
     if (vm.window_wanting != common::SimTime{}) return now_;
   }
   // The periodic fires crossed by a skip must be provable no-ops: credits
-  // at the refill fixed point, monitor reading all-zero with full
-  // smoothing rings.
+  // at the refill fixed point (so also of the k refills a lazy scheduler
+  // would fold in: the skip calls no account()), monitor reading all-zero
+  // with full smoothing rings.
   if (!scheduler_->refill_settled()) return now_;
   if (!monitor_.idle_settled()) return now_;
   // Inert until the earliest workload self-transition (kNoTransition for

@@ -33,7 +33,7 @@
 // busy and work totals. Batched at the run's end: every runnable VM's
 // window_wanting, the k equal busy energy chunks (one
 // EnergyMeter::record_chunks, bit-exact), quantum_start_ and the re-poll
-// list. Accounting fires inside the run at its due instants; the run stops
+// list. Accounting fires in place at its due instants; the run stops
 // before any other timer, `until`, a slice a timer would cut short, the
 // first poll at or past hint_floor_ (an idle VM may wake there), a VM in
 // turn that is not eligible (Scheduler::rotation_eligible) or whose

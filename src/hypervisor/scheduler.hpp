@@ -81,7 +81,8 @@ class Scheduler {
   /// share; see common/units.hpp).
   virtual void charge(common::VmId vm, common::SimTime busy) = 0;
 
-  /// Accounting boundary: refill credits/periods.
+  /// Accounting boundary: refill credits/periods, at once or folded in
+  /// when next touched (CreditScheduler), as long as every read sees it.
   virtual void account(common::SimTime now) = 0;
 
   /// How often account() must run.
@@ -151,8 +152,8 @@ class Scheduler {
   }
 
   /// True if the next account() call would be a no-op on all observable
-  /// scheduler state — credits already at their refill fixed point, no
-  /// under/over tier moves pending, no cursor advance. The host's bulk
+  /// scheduler state — credits, as read, already at their refill fixed
+  /// point (one of any number of refills), no cursor advance. The host's bulk
   /// idle skip (Host::skip_idle_to) uses this to prove that replaying the
   /// remaining accounting ticks of an idle span one by one would change
   /// nothing, so the span can be crossed in one step.

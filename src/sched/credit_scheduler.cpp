@@ -29,31 +29,21 @@ void CreditScheduler::rebuild_tiers() {
   std::sort(tier_prios_.begin(), tier_prios_.end(), std::greater<>());
   tier_prios_.erase(std::unique(tier_prios_.begin(), tier_prios_.end()),
                     tier_prios_.end());
-  under_per_tier_.assign(tier_prios_.size(), 0);
   null_per_tier_.assign(tier_prios_.size(), 0);
   for (Entry& e : vms_) {
     e.tier = static_cast<std::size_t>(
         std::lower_bound(tier_prios_.begin(), tier_prios_.end(), e.priority,
                          std::greater<>()) -
         tier_prios_.begin());
-    count_in_tier(e);
+    if (e.cap_pct <= 0.0) ++null_per_tier_[e.tier];
   }
 }
 
-void CreditScheduler::count_in_tier(Entry& e) {
-  e.counted_under = is_under(e);
-  if (e.counted_under) ++under_per_tier_[e.tier];
-  if (e.cap_pct <= 0.0) ++null_per_tier_[e.tier];
-}
-
-void CreditScheduler::update_under(Entry& e) {
-  const bool under = is_under(e);
-  if (under == e.counted_under) return;
-  if (under)
-    ++under_per_tier_[e.tier];
-  else
-    --under_per_tier_[e.tier];
-  e.counted_under = under;
+CreditScheduler::Entry& CreditScheduler::sync(common::VmId vm) {
+  Entry& e = vms_.at(vm);
+  e.balance_us = balance_now(e);
+  e.epoch = epoch_;
+  return e;
 }
 
 void CreditScheduler::add_vm(common::VmId id, const hv::VmConfig& config) {
@@ -67,6 +57,7 @@ void CreditScheduler::add_vm(common::VmId id, const hv::VmConfig& config) {
   recompute_refill(e);
   // Start with one refill so a VM can run before the first accounting tick.
   e.balance_us = e.refill_us;
+  e.epoch = epoch_;
   const auto tier = std::lower_bound(tier_prios_.begin(), tier_prios_.end(), e.priority,
                                      std::greater<>());
   vms_.push_back(e);
@@ -75,7 +66,7 @@ void CreditScheduler::add_vm(common::VmId id, const hv::VmConfig& config) {
     return;
   }
   vms_.back().tier = static_cast<std::size_t>(tier - tier_prios_.begin());
-  count_in_tier(vms_.back());
+  if (e.cap_pct <= 0.0) ++null_per_tier_[vms_.back().tier];
 }
 
 common::VmId CreditScheduler::pick(common::SimTime /*now*/,
@@ -86,12 +77,16 @@ common::VmId CreditScheduler::pick(common::SimTime /*now*/,
   const std::size_t cursor = rr_cursor_ % vms_.size();  // one modulo per pick
   // Pass 1 (UNDER): highest-priority VM holding positive balance,
   // round-robin within a tier. Pass 2 (OVER): only null-credit VMs may
-  // soak up slack, again highest priority first. The incrementally
-  // maintained per-tier counts let each pass skip a search that cannot
-  // succeed and stop at the first VM of the best tier that can.
-  common::VmId best = nearest_eligible(runnable, cursor, under_per_tier_, is_under);
-  if (best == common::kInvalidVm)
-    best = nearest_eligible(runnable, cursor, null_per_tier_,
+  // soak up slack, again highest priority first. The per-tier null-credit
+  // counts let pass 2 skip a search that cannot succeed and stop at the
+  // first VM of the best tier that can.
+  common::VmId best = nearest_eligible(runnable, cursor, 0,
+                                       [this](const Entry& e) { return is_under(e); });
+  const auto null_top = std::find_if(null_per_tier_.begin(), null_per_tier_.end(),
+                                     [](std::uint32_t c) { return c > 0; });
+  if (best == common::kInvalidVm && null_top != null_per_tier_.end())
+    best = nearest_eligible(runnable, cursor,
+                            static_cast<std::size_t>(null_top - null_per_tier_.begin()),
                             [](const Entry& e) { return e.cap_pct <= 0.0; });
   if (best != common::kInvalidVm) rr_cursor_ = best + 1;
   return best;
@@ -115,32 +110,24 @@ std::size_t CreditScheduler::rotation_start(std::span<const common::VmId> runnab
 }
 
 void CreditScheduler::charge(common::VmId vm, common::SimTime busy) {
-  Entry& e = vms_.at(vm);
-  e.balance_us -= busy.us();
-  update_under(e);
+  sync(vm).balance_us -= busy.us();
 }
 
 void CreditScheduler::account(common::SimTime /*now*/) {
-  for (auto& e : vms_) {
-    if (e.cap_pct <= 0.0) {
-      e.balance_us = 0;  // null credit: runs only in the OVER pass
-    } else {
-      e.balance_us = std::min(e.balance_us + e.refill_us, e.burst_us);
-    }
-    update_under(e);
-  }
+  ++epoch_;  // each balance folds the refill in when next touched
 }
 
 bool CreditScheduler::refill_settled() const {
-  // account()'s exact per-entry assignment, phrased as a fixed-point test.
+  // One more refill, phrased as a fixed-point test on the folded balance.
   // NOT `balance == burst`: import_credit is unclamped, so a migrated-in
   // hoard can sit above the burst limit — the next account() would pull it
   // down, which is an observable change.
   for (const Entry& e : vms_) {
+    const std::int64_t b = balance_now(e);
     if (e.cap_pct <= 0.0) {
-      if (e.balance_us != 0) return false;
+      if (b != 0) return false;  // null credit: runs only in the OVER pass
     } else {
-      if (std::min(e.balance_us + e.refill_us, e.burst_us) != e.balance_us) return false;
+      if (std::min(b + e.refill_us, e.burst_us) != b) return false;
     }
   }
   return true;
@@ -148,7 +135,7 @@ bool CreditScheduler::refill_settled() const {
 
 void CreditScheduler::set_cap(common::VmId vm, common::Percent cap_pct) {
   if (cap_pct < 0.0) throw std::invalid_argument("CreditScheduler: negative cap");
-  Entry& e = vms_.at(vm);
+  Entry& e = sync(vm);  // pending refills fold at the old cap's rate
   if (e.cap_pct <= 0.0) --null_per_tier_[e.tier];
   e.cap_pct = cap_pct;
   if (e.cap_pct <= 0.0) ++null_per_tier_[e.tier];
@@ -156,26 +143,23 @@ void CreditScheduler::set_cap(common::VmId vm, common::Percent cap_pct) {
   // Clamp an existing hoard to the new burst limit so a cap *reduction*
   // (frequency went up) takes effect within one accounting period.
   e.balance_us = std::min(e.balance_us, e.burst_us);
-  update_under(e);
 }
 
 common::Percent CreditScheduler::cap(common::VmId vm) const { return vms_.at(vm).cap_pct; }
 
 common::SimTime CreditScheduler::export_credit(common::VmId vm) const {
-  return common::usec(vms_.at(vm).balance_us);
+  return common::usec(balance_now(vms_.at(vm)));
 }
 
 void CreditScheduler::import_credit(common::VmId vm, common::SimTime balance) {
-  Entry& e = vms_.at(vm);
   // The imported balance replaces whatever the (previously idle) slot
   // accrued; it is NOT clamped to the burst limit — a migrating VM must not
   // lose credit in flight.
-  e.balance_us = balance.us();
-  update_under(e);
+  sync(vm).balance_us = balance.us();
 }
 
 common::SimTime CreditScheduler::balance(common::VmId vm) const {
-  return common::usec(vms_.at(vm).balance_us);
+  return common::usec(balance_now(vms_.at(vm)));
 }
 
 }  // namespace pas::sched

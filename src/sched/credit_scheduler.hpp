@@ -73,49 +73,53 @@ class CreditScheduler final : public hv::Scheduler {
   struct Entry {
     common::Percent cap_pct = 0.0;  // 0 = uncapped (null credit)
     int priority = 0;
-    std::int64_t balance_us = 0;
+    std::int64_t balance_us = 0;  // as of accounting tick `epoch`
+    std::uint64_t epoch = 0;
     // Cached refill/burst amounts, recomputed when the cap changes, so the
-    // per-tick accounting loop stays integer-only.
+    // balance fold stays integer-only.
     std::int64_t refill_us = 0;
     std::int64_t burst_us = 0;
-    std::size_t tier = 0;        // index into tier_prios_ (highest prio = 0)
-    bool counted_under = false;  // mirrored into under_per_tier_
+    std::size_t tier = 0;  // index into tier_prios_ (highest prio = 0)
   };
 
-  [[nodiscard]] static bool is_under(const Entry& e) {
-    return e.cap_pct > 0.0 && e.balance_us > 0;
+  /// The balance with the k accounting ticks since its epoch folded in.
+  /// One refill is f(b) = min(b + r, burst), r >= 0, so f^k(b) is
+  /// min(b + k*r, burst) (a hoard imported above burst drops at once) and
+  /// null credit reads 0. k*r, about cap/100 times the simulated us since
+  /// the last sync, overflows int64 only after ~2900 years at a 10000 % cap.
+  [[nodiscard]] std::int64_t balance_now(const Entry& e) const {
+    const std::uint64_t k = epoch_ - e.epoch;
+    if (k == 0) return e.balance_us;
+    if (e.cap_pct <= 0.0) return 0;
+    return std::min(e.balance_us + static_cast<std::int64_t>(k) * e.refill_us, e.burst_us);
+  }
+  /// Stores vm's folded balance at epoch_; every write syncs first.
+  Entry& sync(common::VmId vm);
+
+  [[nodiscard]] bool is_under(const Entry& e) const {
+    return e.cap_pct > 0.0 && balance_now(e) > 0;
   }
 
   /// Recomputes the cached refill/burst amounts from the current cap.
   void recompute_refill(Entry& e) const;
 
-  /// Recomputes the priority-tier table and per-tier counts (add_vm of a
-  /// VM with a priority no earlier VM has).
+  /// Recomputes the priority-tier table and the per-tier null-credit
+  /// counts (add_vm of a VM with a priority no earlier VM has).
   void rebuild_tiers();
-  /// Adds `e` to its tier's under-credit and null-credit counts.
-  void count_in_tier(Entry& e);
-  /// Re-syncs `e`'s under-credit membership after a balance/cap change.
-  void update_under(Entry& e);
 
   /// The one search shared by the UNDER and OVER passes: among the
   /// eligible VMs, the highest-priority one, ties broken by round-robin
-  /// distance from `cursor` (already reduced modulo vm count).
-  /// `per_tier[t]` counts tier t's eligible VMs, runnable or not. Because
+  /// distance from `cursor` (already reduced modulo vm count). Because
   /// `runnable` ascends by id, the walk goes in round-robin order (ids at
   /// or after the cursor, then the ids before it), so the first eligible
   /// VM met in a tier is that tier's nearest; the walk stops once it meets
-  /// one in the highest tier that has any eligible VM at all.
+  /// one in tier `top`, which no eligible VM may precede.
   template <typename Eligible>
   [[nodiscard]] common::VmId nearest_eligible(std::span<const common::VmId> runnable,
-                                              std::size_t cursor,
-                                              const std::vector<std::uint32_t>& per_tier,
+                                              std::size_t cursor, std::size_t top,
                                               Eligible&& eligible) const {
-    const auto top = static_cast<std::size_t>(
-        std::find_if(per_tier.begin(), per_tier.end(), [](std::uint32_t c) { return c > 0; }) -
-        per_tier.begin());
-    if (top == per_tier.size()) return common::kInvalidVm;  // no eligible VM anywhere
     common::VmId best = common::kInvalidVm;
-    std::size_t best_tier = per_tier.size();
+    std::size_t best_tier = tier_prios_.size();
     const auto visit = [&](common::VmId id) {
       const Entry& e = vms_[id];
       if (e.tier < best_tier && eligible(e)) {
@@ -134,9 +138,9 @@ class CreditScheduler final : public hv::Scheduler {
 
   CreditSchedulerConfig cfg_;
   std::vector<Entry> vms_;
-  std::vector<int> tier_prios_;                 // distinct priorities, descending
-  std::vector<std::uint32_t> under_per_tier_;   // VMs holding credit, per tier
-  std::vector<std::uint32_t> null_per_tier_;    // null-credit VMs, per tier
+  std::vector<int> tier_prios_;               // distinct priorities, descending
+  std::vector<std::uint32_t> null_per_tier_;  // null-credit VMs, per tier
+  std::uint64_t epoch_ = 0;    // account() calls so far
   std::size_t rr_cursor_ = 0;  // rotates to break ties fairly
 };
 

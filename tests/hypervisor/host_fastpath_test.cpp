@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.hpp"
@@ -623,6 +624,59 @@ TEST(HostFastPathTest, SaturatedRotationRunsStopAtOffGridAccounting) {
   // A 25 ms accounting period cuts every other 10 ms slice short: a run
   // fires the refills on the grid and stops before a slice that one cuts.
   expect_saturated_runs_match(common::msec(25), [](const Host&, const Host&) {});
+}
+
+/// Sets every cap to 1.6x, then 0.7x, its initial credit, alternating tick
+/// by tick: each tick moves every refill rate and burst limit, so whether
+/// it runs before or after an accounting fire due at the same instant
+/// changes the balances.
+class AlternatingCapController final : public Controller {
+ public:
+  explicit AlternatingCapController(SimTime period) : period_(period) {}
+  [[nodiscard]] std::string_view name() const override { return "alternating-cap"; }
+  [[nodiscard]] SimTime period() const override { return period_; }
+  void attach(const HostView& /*view*/) override {}
+  void on_tick(SimTime /*now*/, const HostView& view) override {
+    const double scale = (ticks_++ % 2 == 0) ? 1.6 : 0.7;
+    for (const common::VmId id : view.vms)
+      view.scheduler->set_cap(id, view.initial_credits[id] * scale);
+  }
+
+ private:
+  SimTime period_;
+  std::uint64_t ticks_ = 0;
+};
+
+TEST(HostFastPathTest, RotationAccountingTiesWithControllerInReferenceOrder) {
+  // A controller period off the 30 ms accounting grid meets the accounting
+  // timer at common multiples; there the one fired less recently goes
+  // first. A rotation run fires accounting in place, so it must draw the
+  // newest seq as fire_timers would, or the next tie flips its order.
+  for (const std::int64_t period_ms : {40, 50, 70, 90}) {
+    const auto build = [&](bool fast_path) {
+      HostConfig hc;
+      hc.trace_stride = SimTime{};
+      hc.event_driven_fast_path = fast_path;
+      auto host = std::make_unique<Host>(hc, std::make_unique<sched::CreditScheduler>());
+      host->set_controller(std::make_unique<AlternatingCapController>(common::msec(period_ms)));
+      for (const common::Percent credit : {30.0, 25.0, 20.0, 15.0}) {
+        VmConfig cfg;
+        cfg.credit = credit;
+        host->add_vm(cfg, std::make_unique<wl::TraceReplay>(
+                              wl::Trace{{{SimTime{}, 60.0}, {seconds(60), 0.0}}, "saturated"}));
+      }
+      return host;
+    };
+    auto slow = build(false);
+    auto fast = build(true);
+    for (std::int64_t s = 1; s <= 12; ++s) {
+      slow->run_until(seconds(s));
+      fast->run_until(seconds(s));
+      ASSERT_EQ(first_divergence(*slow, *fast), std::nullopt)
+          << "controller period " << period_ms << " ms, at " << s << " s";
+    }
+    EXPECT_GT(fast->rotation_quanta(), 100u) << "controller period " << period_ms << " ms";
+  }
 }
 
 TEST(HostFastPathTest, SegmentEndsCatchUpLazilySkippedArrivals) {

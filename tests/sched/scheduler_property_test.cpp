@@ -6,9 +6,14 @@
 //   * neither scheduler ever lets total busy time exceed wall time;
 //   * CreditScheduler::pick's early-exit search agrees with a brute-force
 //     rank oracle on random runnable sets, priorities, caps and
-//     charge/account sequences.
+//     charge/account sequences;
+//   * CreditScheduler's lazily folded balances read exactly as balances
+//     refilled eagerly at every accounting tick.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.hpp"
@@ -117,11 +122,57 @@ TEST(SchedulerPropertyTest, BusyNeverExceedsWallTime) {
   }
 }
 
-/// The credit pick rule written out by brute force: every runnable VM gets
-/// a rank (priority first, then round-robin distance from `cursor`), the
-/// UNDER pass takes the best VM holding positive balance, the OVER pass the
-/// best null-credit VM.
-common::VmId oracle_pick(const CreditScheduler& s, const std::vector<int>& priority,
+/// Every credit balance kept the eager way: each accounting tick refills
+/// every VM at once (min(b + refill, burst), 0 for null credit), as the
+/// Xen Credit scheduler states it. CreditScheduler folds the ticks into a
+/// balance only when it next touches it; the two must read alike.
+struct EagerCredit {
+  struct Vm {
+    double cap = 0.0;
+    std::int64_t refill = 0;
+    std::int64_t burst = 0;
+    std::int64_t balance = 0;
+  };
+  CreditSchedulerConfig cfg;
+  std::vector<Vm> vms;
+
+  void set_rate(Vm& v, double cap) const {
+    const auto period = static_cast<double>(cfg.accounting_period.us());
+    v.cap = cap;
+    v.refill = std::llround(cap / 100.0 * period);
+    v.burst = std::llround(cfg.burst_periods * cap / 100.0 * period);
+  }
+  void add(double cap) {
+    Vm v;
+    set_rate(v, cap);
+    v.balance = v.refill;
+    vms.push_back(v);
+  }
+  void account() {
+    for (Vm& v : vms) v.balance = v.cap <= 0.0 ? 0 : std::min(v.balance + v.refill, v.burst);
+  }
+  void charge(common::VmId id, std::int64_t us) { vms[id].balance -= us; }
+  void set_cap(common::VmId id, double cap) {
+    Vm& v = vms[id];
+    set_rate(v, cap);
+    v.balance = std::min(v.balance, v.burst);
+  }
+  void import(common::VmId id, std::int64_t us) { vms[id].balance = us; }
+  [[nodiscard]] bool under(common::VmId id) const {
+    return vms[id].cap > 0.0 && vms[id].balance > 0;
+  }
+  [[nodiscard]] bool settled() const {
+    return std::all_of(vms.begin(), vms.end(), [](const Vm& v) {
+      return v.cap <= 0.0 ? v.balance == 0 : std::min(v.balance + v.refill, v.burst) == v.balance;
+    });
+  }
+};
+
+/// The credit pick rule written out by brute force over the eager
+/// balances: every runnable VM gets a rank (priority first, then
+/// round-robin distance from `cursor`), the UNDER pass takes the best VM
+/// holding positive balance, the OVER pass the best null-credit VM.
+common::VmId oracle_pick(const EagerCredit& eager, const std::vector<int>& priority,
                          const std::vector<common::VmId>& runnable, std::size_t cursor) {
   const std::size_t n = priority.size();
   const auto best_of = [&](auto eligible) {
@@ -138,10 +189,9 @@ common::VmId oracle_pick(const CreditScheduler& s, const std::vector<int>& prior
     }
     return best;
   };
-  const common::VmId under = best_of(
-      [&](common::VmId id) { return s.cap(id) > 0.0 && s.balance(id) > SimTime{}; });
+  const common::VmId under = best_of([&](common::VmId id) { return eager.under(id); });
   if (under != common::kInvalidVm) return under;
-  return best_of([&](common::VmId id) { return s.cap(id) <= 0.0; });
+  return best_of([&](common::VmId id) { return eager.vms[id].cap <= 0.0; });
 }
 
 TEST(CreditPickProperty, EarlyExitSearchMatchesBruteForceRankOracle) {
@@ -151,6 +201,7 @@ TEST(CreditPickProperty, EarlyExitSearchMatchesBruteForceRankOracle) {
     common::Rng rng{seed};
     const std::size_t n = 1 + rng.next_below(12);
     CreditScheduler sched;
+    EagerCredit eager;
     std::vector<int> priority(n);
     for (common::VmId id = 0; id < n; ++id) {
       hv::VmConfig vc;
@@ -158,6 +209,7 @@ TEST(CreditPickProperty, EarlyExitSearchMatchesBruteForceRankOracle) {
       vc.priority = static_cast<int>(rng.next_below(3));
       priority[id] = vc.priority;
       sched.add_vm(id, vc);
+      eager.add(vc.credit);
     }
     std::size_t cursor = 0;  // mirrors the scheduler's round-robin cursor
     std::vector<common::VmId> runnable;
@@ -165,16 +217,21 @@ TEST(CreditPickProperty, EarlyExitSearchMatchesBruteForceRankOracle) {
       const std::uint64_t action = rng.next_below(20);
       if (action == 0) {
         sched.account(SimTime{});
+        eager.account();
         continue;
       }
       if (action == 1) {
-        sched.set_cap(static_cast<common::VmId>(rng.next_below(n)),
-                      kCaps[rng.next_below(std::size(kCaps))]);
+        const auto id = static_cast<common::VmId>(rng.next_below(n));
+        const double cap = kCaps[rng.next_below(std::size(kCaps))];
+        sched.set_cap(id, cap);
+        eager.set_cap(id, cap);
         continue;
       }
       if (action == 2) {
-        sched.import_credit(static_cast<common::VmId>(rng.next_below(n)),
-                            common::usec(static_cast<std::int64_t>(rng.next_below(40'000))));
+        const auto id = static_cast<common::VmId>(rng.next_below(n));
+        const auto us = static_cast<std::int64_t>(rng.next_below(40'000));
+        sched.import_credit(id, common::usec(us));
+        eager.import(id, us);
         continue;
       }
       runnable.clear();
@@ -182,7 +239,7 @@ TEST(CreditPickProperty, EarlyExitSearchMatchesBruteForceRankOracle) {
         if (rng.chance(0.6)) runnable.push_back(id);
       if (runnable.empty()) runnable.push_back(static_cast<common::VmId>(rng.next_below(n)));
 
-      const common::VmId want = oracle_pick(sched, priority, runnable, cursor);
+      const common::VmId want = oracle_pick(eager, priority, runnable, cursor);
       const common::VmId got = sched.pick(SimTime{}, runnable);
       ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
       if (got == common::kInvalidVm) {
@@ -198,7 +255,9 @@ TEST(CreditPickProperty, EarlyExitSearchMatchesBruteForceRankOracle) {
           break;
         }
       cursor = got + 1;
-      sched.charge(got, common::usec(static_cast<std::int64_t>(1 + rng.next_below(10'000))));
+      const auto busy = static_cast<std::int64_t>(1 + rng.next_below(10'000));
+      sched.charge(got, common::usec(busy));
+      eager.charge(got, busy);
     }
   }
   // Vacuity guards: both passes, the idle answer and priority preemption
@@ -207,6 +266,100 @@ TEST(CreditPickProperty, EarlyExitSearchMatchesBruteForceRankOracle) {
   EXPECT_GT(over_picks, 1000u);
   EXPECT_GT(idles, 100u);
   EXPECT_GT(preempted_by_priority, 100u);
+}
+
+/// The first VM whose folded balance or export differs from the eager
+/// mirror, or a refill_settled() that disagrees with it.
+::testing::AssertionResult reads_as_eager(const CreditScheduler& sched,
+                                          const EagerCredit& eager) {
+  for (common::VmId id = 0; id < eager.vms.size(); ++id) {
+    const std::int64_t want = eager.vms[id].balance;
+    if (sched.balance(id).us() != want || sched.export_credit(id).us() != want)
+      return ::testing::AssertionFailure()
+             << "vm " << id << " (cap " << eager.vms[id].cap << "): balance "
+             << sched.balance(id).us() << " export " << sched.export_credit(id).us()
+             << ", eager " << want;
+  }
+  if (sched.refill_settled() != eager.settled())
+    return ::testing::AssertionFailure() << "refill_settled " << sched.refill_settled();
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CreditFoldProperty, FoldedRefillsMatchEagerTicks) {
+  // Null credit, caps whose burst rounds to 0 or 1 us, ordinary caps and a
+  // cap above 100 % (a PAS cap at low frequency).
+  constexpr double kCaps[] = {0.0, 0.001, 0.002, 3.0, 25.0, 60.0, 170.0};
+  std::size_t long_runs = 0, hoards_pulled_down = 0, settled = 0, unsettled = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    common::Rng rng{seed};
+    const std::size_t n = 1 + rng.next_below(12);
+    CreditScheduler sched;
+    EagerCredit eager;
+    std::vector<int> priority(n);
+    for (common::VmId id = 0; id < n; ++id) {
+      hv::VmConfig vc;
+      vc.credit = kCaps[rng.next_below(std::size(kCaps))];
+      vc.priority = static_cast<int>(rng.next_below(3));
+      priority[id] = vc.priority;
+      sched.add_vm(id, vc);
+      eager.add(vc.credit);
+    }
+    std::size_t cursor = 0;
+    std::vector<common::VmId> runnable;
+    for (int step = 0; step < 1000; ++step) {
+      const auto id = static_cast<common::VmId>(rng.next_below(n));
+      const std::uint64_t action = rng.next_below(16);
+      if (action < 4) {
+        // A run of ticks: mostly a few, sometimes thousands untouched.
+        const std::uint64_t ticks = rng.chance(0.05) ? rng.next_below(5'001) : rng.next_below(6);
+        long_runs += ticks >= 1'000;
+        if (ticks > 0 && std::any_of(eager.vms.begin(), eager.vms.end(),
+                                     [](const auto& v) { return v.balance > v.burst; }))
+          ++hoards_pulled_down;
+        for (std::uint64_t k = 0; k < ticks; ++k) {
+          sched.account(SimTime{});
+          eager.account();
+        }
+      } else if (action < 9) {
+        const auto busy = static_cast<std::int64_t>(1 + rng.next_below(20'000));
+        sched.charge(id, common::usec(busy));
+        eager.charge(id, busy);
+      } else if (action < 11) {
+        const double cap = kCaps[rng.next_below(std::size(kCaps))];
+        sched.set_cap(id, cap);
+        eager.set_cap(id, cap);
+      } else if (action < 12) {
+        // Above the burst limit, negative, or anything in between.
+        const auto r = static_cast<std::int64_t>(rng.next_below(100'000));
+        const std::int64_t us = rng.chance(0.4)   ? eager.vms[id].burst + 1 + r
+                                : rng.chance(0.5) ? -1 - r
+                                                  : r;
+        sched.import_credit(id, common::usec(us));
+        eager.import(id, us);
+      } else {
+        runnable.clear();
+        for (common::VmId v = 0; v < n; ++v)
+          if (rng.chance(0.6)) runnable.push_back(v);
+        if (runnable.empty()) runnable.push_back(id);
+        const common::VmId got = sched.pick(SimTime{}, runnable);
+        ASSERT_EQ(got, oracle_pick(eager, priority, runnable, cursor))
+            << "seed " << seed << " step " << step;
+        if (got != common::kInvalidVm) {
+          cursor = got + 1;
+          sched.charge(got, common::msec(10));
+          eager.charge(got, common::msec(10).us());
+        }
+      }
+      ASSERT_TRUE(reads_as_eager(sched, eager)) << "seed " << seed << " step " << step;
+      ++(eager.settled() ? settled : unsettled);
+    }
+  }
+  // Vacuity guards: long untouched stretches, hoards above the burst limit
+  // met by a tick, and both answers of refill_settled().
+  EXPECT_GT(long_runs, 20u);
+  EXPECT_GT(hoards_pulled_down, 100u);
+  EXPECT_GT(settled, 100u);
+  EXPECT_GT(unsettled, 1000u);
 }
 
 }  // namespace

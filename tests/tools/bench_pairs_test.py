@@ -10,6 +10,7 @@ Usage: python3 tests/tools/bench_pairs_test.py
 """
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -25,14 +26,14 @@ spec.loader.exec_module(bench_pairs)
 
 # A stand-in for perfbench/run.py: prints the next value of its side as the
 # last JSON line (with a fixed setup_s per side), logs the side's name, and
-# checks it got the workload flags.
+# checks it got the workload flags and the seed named in the environment.
 STUB = r'''
-import json, sys
+import json, os, sys
 side, values_path, log_path = sys.argv[1:4]
 flags = sys.argv[4:]
 assert flags[flags.index("--workload") + 1] == "federation_k4", flags
 assert flags[flags.index("--trace") + 1] == "0", flags
-assert flags[flags.index("--seed") + 1] == "17", flags
+assert flags[flags.index("--seed") + 1] == os.environ.get("STUB_SEED", "17"), flags
 with open(log_path, "a") as log:
     log.write(side + "\n")
 with open(log_path) as log:
@@ -96,12 +97,12 @@ class EndToEndTest(unittest.TestCase):
         path.write_text(json.dumps(values), encoding="utf-8")
         return "%s %s %s %s %s" % (sys.executable, self.dir / "stub.py", name, path, self.log)
 
-    def run_tool(self, parent, change, *extra):
+    def run_tool(self, parent, change, *extra, env=None):
         return subprocess.run(
             [sys.executable, str(TOOL), "--parent-cmd", self.side("parent", parent),
              "--change-cmd", self.side("change", change), "--workload", "federation_k4",
              *extra],
-            capture_output=True, text=True, check=False)
+            capture_output=True, text=True, check=False, env=env)
 
     def test_pairs_alternate_and_report(self):
         out = self.dir / "pairs.json"
@@ -111,7 +112,7 @@ class EndToEndTest(unittest.TestCase):
         order = self.log.read_text(encoding="utf-8").split()
         self.assertEqual(order, ["parent", "change", "change", "parent",
                                  "parent", "change", "change", "parent"])
-        self.assertIn("wins 4 of 4", run.stdout)
+        self.assertIn("seed 17  wins 4 of 4", run.stdout)
         self.assertIn("rule holds", run.stdout)
         result = json.loads(out.read_text(encoding="utf-8"))
         self.assertEqual(result["samples"]["parent"], [100.0, 102.0, 101.0, 103.0])
@@ -125,6 +126,18 @@ class EndToEndTest(unittest.TestCase):
         self.assertRegex(run.stdout,
                          r"setup_s\s+parent median\s+2\s+change median\s+3\s+change\s+\+50\.00%\s+worse")
         self.assertEqual(set(result["verdicts"]), {"sim_per_wall", "setup_s"})
+        self.assertEqual(result["seed"], 17)
+
+    def test_a_named_seed_reaches_every_run(self):
+        out = self.dir / "seed.json"
+        run = self.run_tool([100.0, 101.0], [110.0, 111.0], "--pairs", "2", "--seed", "29",
+                            "--json", str(out), env=dict(os.environ, STUB_SEED="29"))
+        self.assertEqual(run.returncode, 0, run.stderr)
+        self.assertIn("seed 29  wins 2 of 2", run.stdout)
+        self.assertEqual(json.loads(out.read_text(encoding="utf-8"))["seed"], 29)
+        # The stub refuses any other seed, so a dropped flag fails the run.
+        run = self.run_tool([100.0], [110.0], "--pairs", "1", "--seed", "29")
+        self.assertEqual(run.returncode, 1)
 
     def verdicts(self, parent, change):
         out = self.dir / "verdicts.json"

@@ -5,7 +5,8 @@ Each side is a git revision (exported with `git archive` into the work
 directory, so the repository's own git state is never touched) or an
 existing checkout directory. Each side's perfbench builds inside its own
 checkout on first use (`perfbench/run.py`). The tool then runs N pairs of
-one workload at seed 17, alternating which side goes first, and reads the
+one workload at one seed (17 unless `--seed` names another, such as the
+held-out seed 29), alternating which side goes first, and reads the
 metrics from the last JSON line of each run.
 
 For `sim_per_wall` it prints each side's median and quartiles, the
@@ -26,7 +27,7 @@ against the metric's `better` direction and `bound`:
 
 Usage:
     python3 tools/bench_pairs.py --parent REV_OR_DIR --change REV_OR_DIR \\
-        --workload federation_k4 [--pairs 10] [--seconds 50] \\
+        --workload federation_k4 [--pairs 10] [--seconds 50] [--seed 17] \\
         [--workdir DIR] [--json OUT]
 
 `--parent-cmd` / `--change-cmd` replace a side's checkout with a command
@@ -48,7 +49,6 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHMARK = os.path.join(REPO, "BENCHMARK.json")
 METRIC = "sim_per_wall"
-SEED = 17
 
 
 def quantile(values, q):
@@ -156,6 +156,7 @@ def main(argv):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=50)
+    ap.add_argument("--seed", type=int, default=17)
     ap.add_argument("--workdir", default=None)
     ap.add_argument("--json", default=None)
     opts = ap.parse_args(argv)
@@ -174,7 +175,7 @@ def main(argv):
             root = checkout(spec, workdir)
             cmds[name] = [sys.executable, os.path.join(root, "perfbench", "run.py")]
 
-    args = ["--workload", opts.workload, "--seed", str(SEED),
+    args = ["--workload", opts.workload, "--seed", str(opts.seed),
             "--seconds", "%g" % opts.seconds, "--trace", "0"]
     samples = {"parent": [], "change": []}
     runs = {"parent": [], "change": []}
@@ -191,8 +192,8 @@ def main(argv):
     for name in ("parent", "change"):
         s = stats[name]
         print("%-6s  median %12.4f  q1 %12.4f  q3 %12.4f" % (name, s["median"], s["q1"], s["q3"]))
-    print("wins %d of %d  median gap %.4f  parent IQR %.4f  rule %s" % (
-        stats["wins"], stats["pairs"], stats["median_gap"], stats["parent_iqr"],
+    print("seed %d  wins %d of %d  median gap %.4f  parent IQR %.4f  rule %s" % (
+        opts.seed, stats["wins"], stats["pairs"], stats["median_gap"], stats["parent_iqr"],
         "holds" if stats["rule_holds"] else "fails"))
     printed = set.intersection(*(set(r) for r in runs["parent"] + runs["change"]))
     with open(BENCHMARK, encoding="utf-8") as f:
@@ -207,7 +208,7 @@ def main(argv):
               % (metric, v["parent"], v["change"], 100 * v["relative_change"], v["verdict"]))
     if opts.json:
         stats.update(workload=opts.workload, metric=METRIC, seconds=opts.seconds,
-                     seed=SEED, samples=samples, runs=runs)
+                     seed=opts.seed, samples=samples, runs=runs)
         with open(opts.json, "w", encoding="utf-8") as f:
             json.dump(stats, f, indent=2)
             f.write("\n")
