@@ -51,6 +51,14 @@ ClusterConfig validated(ClusterConfig cfg) {
   return false;
 }
 
+/// The first entry of a (key, value) list sorted by key whose key is not
+/// below `key`: the slot maps' one search.
+template <class Pairs, class Key>
+auto lower_bound_key(Pairs& pairs, Key key) {
+  return std::lower_bound(pairs.begin(), pairs.end(), key,
+                          [](const auto& e, Key k) { return e.first < k; });
+}
+
 }  // namespace
 
 RecoveryStats summarize_recoveries(const std::vector<VmRecovery>& recoveries) {
@@ -95,10 +103,13 @@ Cluster::Cluster(ClusterConfig config)
     hc.ladder = classes[h].ladder;
     hc.power = classes[h].power;
     auto host = std::make_unique<hv::Host>(std::move(hc), std::move(scheduler));
+    // The agent is Dom0's migration helper; the paper runs Dom0 at the
+    // highest priority.
+    constexpr int kAgentPriority = 1;
     hv::VmConfig agent_cfg;
     agent_cfg.name = "hv-agent-" + std::to_string(h);
     agent_cfg.credit = cfg_.agent_credit;
-    agent_cfg.priority = cfg_.agent_priority;
+    agent_cfg.priority = kAgentPriority;
     auto agent = std::make_unique<HypervisorAgent>();
     agents_.push_back(agent.get());
     const common::VmId slot_id = host->add_vm(agent_cfg, std::move(agent));
@@ -204,39 +215,32 @@ void Cluster::set_federation_lock(GlobalVmId vm) {
 
 void Cluster::record_slot(HostId host, GlobalVmId vm, common::VmId slot) {
   auto& hs = host_slots_[host];
-  hs.insert(std::lower_bound(hs.begin(), hs.end(), vm,
-                             [](const auto& e, GlobalVmId g) { return e.first < g; }),
-            {vm, slot});
+  hs.insert(lower_bound_key(hs, vm), {vm, slot});
   auto& vs = vm_slots_[vm];
-  vs.insert(std::lower_bound(vs.begin(), vs.end(), host,
-                             [](const auto& e, HostId h) { return e.first < h; }),
-            {host, slot});
+  vs.insert(lower_bound_key(vs, host), {host, slot});
   auto& owners = slot_vm_[host];
   if (owners.size() <= slot) owners.resize(slot + 1, kNoSlotOwner);
   owners[slot] = vm;
 }
 
-bool Cluster::has_slot(HostId host, GlobalVmId vm) const {
+std::optional<common::VmId> Cluster::find_slot(HostId host, GlobalVmId vm) const {
   const auto& hs = host_slots_.at(host);
-  const auto it = std::lower_bound(hs.begin(), hs.end(), vm,
-                                   [](const auto& e, GlobalVmId g) { return e.first < g; });
-  return it != hs.end() && it->first == vm;
-}
-
-common::VmId Cluster::slot_on(HostId host, GlobalVmId vm) const {
-  const auto& hs = host_slots_.at(host);
-  const auto it = std::lower_bound(hs.begin(), hs.end(), vm,
-                                   [](const auto& e, GlobalVmId g) { return e.first < g; });
-  if (it == hs.end() || it->first != vm)
-    throw std::invalid_argument("Cluster: VM has no slot on that host");
+  const auto it = lower_bound_key(hs, vm);
+  if (it == hs.end() || it->first != vm) return std::nullopt;
   return it->second;
 }
 
+bool Cluster::has_slot(HostId host, GlobalVmId vm) const {
+  return find_slot(host, vm).has_value();
+}
+
+common::VmId Cluster::slot_on(HostId host, GlobalVmId vm) const {
+  if (const auto slot = find_slot(host, vm)) return *slot;
+  throw std::invalid_argument("Cluster: VM has no slot on that host");
+}
+
 common::VmId Cluster::ensure_slot(HostId host, GlobalVmId vm) {
-  const auto& hs = host_slots_[host];
-  const auto it = std::lower_bound(hs.begin(), hs.end(), vm,
-                                   [](const auto& e, GlobalVmId g) { return e.first < g; });
-  if (it != hs.end() && it->first == vm) return it->second;
+  if (const auto slot = find_slot(host, vm)) return *slot;
   // First touch: park an IdleGuest in a freshly created slot. Mid-run this
   // is the Host::add_vm between-segments path.
   const common::VmId slot = hosts_[host]->add_vm(vm_cfgs_[vm].vm,

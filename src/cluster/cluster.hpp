@@ -132,10 +132,8 @@ struct ClusterConfig {
   /// Factory for each host's scheduler; defaults to the paper's credit
   /// scheduler when empty.
   std::function<std::unique_ptr<hv::Scheduler>()> make_scheduler;
-  /// Credit/priority of each host's hypervisor agent (Dom0's migration
-  /// helper; the paper runs Dom0 at the highest priority).
+  /// Credit of each host's hypervisor agent (Dom0's migration helper).
   common::Percent agent_credit = 10.0;
-  int agent_priority = 1;
 };
 
 /// Lifecycle of a cluster VM under faults and external control. Healthy,
@@ -457,6 +455,9 @@ class Cluster {
   /// first touch.
   common::VmId ensure_slot(HostId host, GlobalVmId vm);
   void record_slot(HostId host, GlobalVmId vm, common::VmId slot);
+  /// The VM's slot on `host`, or nullopt if it never touched that host:
+  /// the one lookup behind has_slot, slot_on and ensure_slot.
+  [[nodiscard]] std::optional<common::VmId> find_slot(HostId host, GlobalVmId vm) const;
 
   ClusterConfig cfg_;
   std::vector<std::unique_ptr<hv::Host>> hosts_;

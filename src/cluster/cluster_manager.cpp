@@ -269,8 +269,11 @@ void ClusterManager::apply_dvfs(Cluster& cluster) {
     std::size_t target = ladder.max_index();
     if (cfg_.dvfs == ClusterManagerConfig::Dvfs::kPas && cluster.powered_on(h)) {
       // Listing 1.1 against the smoothed absolute load, with headroom so a
-      // saturated-at-capacity host escalates instead of flapping.
-      const double load = host.monitor().avg_absolute_load_pct() + cfg_.load_margin_pct;
+      // saturated-at-capacity host escalates instead of flapping: the
+      // capacity margin (absolute % points) the chosen P-state must leave
+      // above the observed load.
+      constexpr double kLoadMarginPct = 5.0;
+      const double load = host.monitor().avg_absolute_load_pct() + kLoadMarginPct;
       target = core::compute_new_freq_index(ladder, load);
     }
     const std::size_t applied = host.cpufreq().request(target);

@@ -55,10 +55,6 @@ struct ClusterManagerConfig {
     kPas,        // per-host PAS frequency choice + eq. 4 credit compensation
   };
   Dvfs dvfs = Dvfs::kPas;
-  /// Capacity margin (absolute % points) the chosen P-state must leave
-  /// above the observed load — the down-scaling headroom that prevents
-  /// saturate/escalate flapping.
-  double load_margin_pct = 5.0;
   /// Issue migrations at all (off = DVFS-only / static-placement baseline).
   bool consolidate = true;
   /// Power empty hosts off / needed hosts on.

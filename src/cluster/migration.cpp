@@ -38,8 +38,7 @@ void check_inputs(double memory_mb, double dirty_mb_per_s, const MigrationConfig
 void plan_rounds(MigrationPlan& plan, std::vector<common::SimTime>& round_starts,
                  double pending, common::SimTime t, common::SimTime start, double memory_mb,
                  double dirty_mb_per_s, const MigrationConfig& config) {
-  const std::size_t budget = std::max<std::size_t>(config.max_precopy_rounds, 1);
-  while (plan.round_mb.size() < budget &&
+  while (plan.round_mb.size() < kMaxPrecopyRounds &&
          (plan.round_mb.empty() || pending > config.stop_copy_threshold_mb)) {
     plan.round_mb.push_back(pending);
     round_starts.push_back(t);

@@ -64,14 +64,15 @@ using HostId = std::uint32_t;
 /// Cluster-wide VM index (its slot on every host is kFirstGuestSlot + id).
 using GlobalVmId = std::uint32_t;
 
+/// Pre-copy round budget; a guest dirtying faster than the link never
+/// converges, so the residue is pushed after this many rounds regardless.
+inline constexpr std::size_t kMaxPrecopyRounds = 8;
+
 struct MigrationConfig {
   /// Effective migration-link bandwidth (a dedicated 10 GbE does ~1 GB/s).
   double link_mb_per_s = 1000.0;
   /// Residual dirty set small enough to stop-and-copy.
   double stop_copy_threshold_mb = 32.0;
-  /// Pre-copy round budget; a guest dirtying faster than the link never
-  /// converges, so the residue is pushed after this many rounds regardless.
-  std::size_t max_precopy_rounds = 8;
   /// Fixed switch-over cost on top of the residual transfer (ARP updates,
   /// device re-attach).
   common::SimTime switch_latency = common::msec(20);

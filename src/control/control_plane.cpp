@@ -10,11 +10,6 @@ namespace pas::ctl {
 
 ControlPlane::ControlPlane(std::vector<Task> tasks) : tasks_(std::move(tasks)) {}
 
-ControlPlane::ControlPlane(std::unique_ptr<Communicator> comm, FleetDims dims)
-    : comm_(std::move(comm)) {
-  tasks_ = parse_tasks(comm_->receive_tasks(), comm_->origin(), dims);
-}
-
 void ControlPlane::arm(cluster::Cluster& cluster, sim::EventQueue& events) {
   cluster_ = &cluster;
   events_ = &events;
@@ -31,10 +26,6 @@ bool ControlPlane::submit(const Task& task) {
   const Task* stored = submitted_.back().get();
   events_->schedule(task.at, [this, stored](common::SimTime now) { apply(*stored, now); });
   return true;
-}
-
-void ControlPlane::publish() {
-  if (comm_) comm_->publish_results(result_log());
 }
 
 std::size_t ControlPlane::count(TaskStatus status) const {

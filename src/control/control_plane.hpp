@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "control/communicator.hpp"
 #include "control/task.hpp"
 
 namespace pas::sim {
@@ -64,13 +63,8 @@ namespace pas::ctl {
 
 class ControlPlane {
  public:
-  /// Scripted stream (tests, bench, scenario wiring).
+  /// The accepted stream (parse_tasks output, or scripted in tests).
   explicit ControlPlane(std::vector<Task> tasks);
-
-  /// Pulls the stream through a Communicator: receive_tasks() is parsed
-  /// strictly against `dims` (throws origin:line on malformed input), and
-  /// publish() later pushes the result log back. The communicator is owned.
-  ControlPlane(std::unique_ptr<Communicator> comm, FleetDims dims);
 
   /// Schedules every task onto `events` against `cluster`. Called by
   /// Cluster::run_until exactly once, when the run starts; the plane must
@@ -81,10 +75,6 @@ class ControlPlane {
   /// path). Fires at task.at, or immediately at the next event boundary if
   /// that is already in the past. Returns false before arm().
   bool submit(const Task& task);
-
-  /// Publishes the serialized result log through the communicator (no-op
-  /// for the scripted constructor).
-  void publish();
 
   [[nodiscard]] const std::vector<Task>& tasks() const { return tasks_; }
   /// Fired-task outcomes in fire order (time, then insertion-seq).
@@ -100,7 +90,6 @@ class ControlPlane {
   void apply(const Task& task, common::SimTime now);
   [[nodiscard]] std::size_t count(TaskStatus status) const;
 
-  std::unique_ptr<Communicator> comm_;
   std::vector<Task> tasks_;
   /// REPL-submitted tasks; heap-pinned so the scheduled lambdas' pointers
   /// survive growth (tasks_ itself is frozen once arm() runs).

@@ -94,7 +94,7 @@ enum class TaskStatus : std::uint8_t {
 
 [[nodiscard]] const char* to_string(TaskStatus status);
 
-/// Outcome of one fired task, published back through the Communicator.
+/// Outcome of one fired task, published back in the result log.
 struct TaskResult {
   std::uint64_t id = 0;
   common::SimTime at{};

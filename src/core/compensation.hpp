@@ -58,8 +58,8 @@ namespace pas::core {
                                                  const cpu::FrequencyLadder& ladder,
                                                  std::size_t state_index);
 
-/// Listing 1.1 with two stability amendments (both documented deviations —
-/// see DESIGN.md §6):
+/// Listing 1.1 with two stability amendments (both deviations from the
+/// paper):
 ///
 /// 1. Saturation escalation. A saturated host (global load pinned at
 ///    ~100 %) measures an absolute load exactly equal to the current
@@ -69,7 +69,8 @@ namespace pas::core {
 ///    deterministic simulator deadlocks). When the global load is at or
 ///    above `saturation_threshold_pct` and a higher state exists, force at
 ///    least one step up; repeated ticks climb to a state that actually
-///    absorbs the demand.
+///    absorbs the demand. PasController and UserLevelDvfsCreditManager
+///    both run with the default 98 %; tests vary it.
 ///
 /// 2. Down-scaling headroom. Moving DOWN to a state whose capacity only
 ///    marginally exceeds the absolute load re-saturates the host (the

@@ -27,19 +27,6 @@ struct PasConfig {
   /// Tick period. The paper hooks the Xen scheduler tick; we default to the
   /// credit scheduler's 30 ms accounting period.
   common::SimTime period = common::msec(30);
-  /// Use the three-window averaged load (paper footnote 5). Disable only
-  /// for ablation: the raw last-window load makes PAS twitchy.
-  bool use_averaged_load = true;
-  /// Exempt VMs whose configured credit is 0 (uncapped null-credit VMs have
-  /// no SLA to preserve).
-  bool skip_uncapped = true;
-  /// Saturation escalation (see compute_new_freq_index_saturating): when
-  /// the smoothed global load reaches this, force at least one state up.
-  double saturation_threshold_pct = 98.0;
-  /// Down-moves must hold for this many consecutive ticks before they are
-  /// applied (~3 s at the 30 ms tick — the smoothing horizon). Upward moves
-  /// are immediate: QoS beats energy.
-  int down_patience_ticks = 100;
 };
 
 class PasController final : public hv::Controller {
@@ -51,15 +38,12 @@ class PasController final : public hv::Controller {
   void attach(const hv::HostView& view) override;
   void on_tick(common::SimTime now, const hv::HostView& view) override;
 
-  /// Last frequency decision (diagnostics).
-  [[nodiscard]] std::size_t last_freq_index() const { return last_index_; }
   /// Number of ticks during which the credits were rescaled.
   [[nodiscard]] std::uint64_t tick_count() const { return ticks_; }
 
  private:
   PasConfig cfg_;
   std::vector<common::Percent> initial_credits_;
-  std::size_t last_index_ = 0;
   std::uint64_t ticks_ = 0;
   int down_streak_ = 0;
 };

@@ -8,6 +8,16 @@
 
 namespace pas::fed {
 
+namespace {
+
+/// links_'s key for the unordered pair {a, b}: (min, max).
+std::pair<ShardId, ShardId> link_key(ShardId a, ShardId b) {
+  if (a == b) throw std::invalid_argument("Federation: no self link");
+  return std::minmax(a, b);
+}
+
+}  // namespace
+
 Federation::Federation(FederationConfig config,
                        std::vector<std::unique_ptr<cluster::Cluster>> shards)
     : cfg_(std::move(config)), shards_(std::move(shards)) {
@@ -42,10 +52,10 @@ Federation::Federation(FederationConfig config,
     for (ShardId b = a + 1; b < n; ++b) {
       const bool same_rack = !cfg_.racks.empty() && cfg_.racks[a] == cfg_.racks[b];
       Link link;
-      link.model = same_rack ? cfg_.cross_rack : cfg_.wan;
+      link.model = same_rack ? cross_rack_link() : wan_link();
       link.engine =
           std::make_unique<cluster::MigrationEngine>(link.model.migration, events_);
-      links_.emplace(std::make_pair(a, b), std::move(link));
+      links_.emplace(link_key(a, b), std::move(link));
     }
   }
 }
@@ -53,13 +63,11 @@ Federation::Federation(FederationConfig config,
 Federation::~Federation() = default;
 
 Federation::Link& Federation::link_between(ShardId a, ShardId b) {
-  if (a == b) throw std::invalid_argument("Federation: no self link");
-  return links_.at(a < b ? std::make_pair(a, b) : std::make_pair(b, a));
+  return links_.at(link_key(a, b));
 }
 
 const LinkModel& Federation::link(ShardId a, ShardId b) const {
-  if (a == b) throw std::invalid_argument("Federation: no self link");
-  return links_.at(a < b ? std::make_pair(a, b) : std::make_pair(b, a)).model;
+  return links_.at(link_key(a, b)).model;
 }
 
 std::uint32_t Federation::global_host_id(ShardId shard, cluster::HostId host) const {
@@ -136,8 +144,9 @@ bool Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm, ShardId to_
   cluster::MigrationEngine::Endpoint dest{&dst.host(to_host),
                                           dst.slot_on(to_host, dst_vm),
                                           &dst.agent(to_host), 0};
-  flights_.emplace(fed, FedFlight{fed, from_shard, to_shard, vm, dst_vm, from_host,
-                                  to_host, link.model.kind, cfg.memory_mb});
+  flights_.emplace(fed, FedFlight{{fed, from_shard, to_shard, from_host, to_host, vm, dst_vm,
+                                   link.model.kind, {}},
+                                  cfg.memory_mb});
   pending_in_mb_[to_shard] += cfg.memory_mb;
   // The link's own engine runs the classic pre-copy over the federation
   // queue; class-aware surcharges land as a stretched dirty rate and a
@@ -156,22 +165,23 @@ bool Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm, ShardId to_
 void Federation::on_link_detach(FedVmId vm) {
   // Stop-and-copy began: the engine drained the source slot; the source
   // shard now sees the VM as departed (no SLA, no planning, no recovery).
-  const FedFlight& f = flights_.at(vm);
+  const FedMigrationRecord& f = flights_.at(vm).record;
   shards_[f.from_shard]->mark_departed(f.src_vm);
 }
 
 void Federation::on_link_done(FedVmId vm, const cluster::MigrationRecord& record) {
   const auto it = flights_.find(vm);
-  const FedFlight f = it->second;
+  FedFlight f = std::move(it->second);
   flights_.erase(it);
-  pending_in_mb_[f.to_shard] -= f.memory_mb;
+  FedMigrationRecord& r = f.record;
+  pending_in_mb_[r.to_shard] -= f.memory_mb;
   // The engine's attach already delivered workload + credit into the
   // destination slot; complete_inbound flips kInbound -> kRunning and
   // charges the pause.
-  shards_[f.to_shard]->complete_inbound(f.dst_vm, record.downtime);
-  vm_loc_[f.vm] = FedVmRef{f.to_shard, f.dst_vm};
-  records_.push_back(FedMigrationRecord{f.vm, f.from_shard, f.to_shard, f.from_host,
-                                        f.to_host, f.src_vm, f.dst_vm, f.link, record});
+  shards_[r.to_shard]->complete_inbound(r.dst_vm, record.downtime);
+  vm_loc_[r.vm] = FedVmRef{r.to_shard, r.dst_vm};
+  r.record = record;
+  records_.push_back(std::move(r));
 }
 
 void Federation::set_link_bandwidth(ShardId a, ShardId b, double mb_per_s) {
@@ -209,7 +219,13 @@ void Federation::planner_tick(common::SimTime /*now*/) {
   std::vector<ShardLoad> loads(n);
   for (ShardId s = 0; s < n; ++s) loads[s] = shard_load(s);
 
-  std::size_t budget = cfg_.planner.max_cross_shard_per_tick;
+  // Cross-shard migration budget per planner tick (mass WAN reshuffles
+  // are how federated fleets melt down).
+  constexpr std::size_t kMaxCrossShardPerTick = 2;
+  // Minimum reserved-memory utilization gap (fraction of capacity) between
+  // the most- and least-loaded shard before a move is issued.
+  constexpr double kImbalanceThreshold = 0.10;
+  std::size_t budget = kMaxCrossShardPerTick;
   while (budget > 0) {
     // Most- and least-utilized shard; ties break to the lowest id (strict
     // comparisons), keeping the choice deterministic.
@@ -220,9 +236,7 @@ void Federation::planner_tick(common::SimTime /*now*/) {
       if (loads[s].utilization() < loads[lo].utilization()) lo = s;
     }
     if (hi == lo) break;
-    if (loads[hi].utilization() - loads[lo].utilization() <
-        cfg_.planner.imbalance_threshold)
-      break;
+    if (loads[hi].utilization() - loads[lo].utilization() < kImbalanceThreshold) break;
 
     // Destination: the least-loaded shard's live host with the most free
     // reserved memory (running + inbound residents subtracted; ties to the

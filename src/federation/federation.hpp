@@ -45,10 +45,11 @@
 //
 // Planner: each tick reads per-shard aggregates — one deterministic scan
 // of each shard's live hosts and running VMs (shard_load) — and issues at
-// most max_cross_shard_per_tick moves from the most- to the least-utilized
-// shard while their reserved-memory utilization gap exceeds the
-// threshold. The global tier balances shard AGGREGATES; placement inside
-// a shard stays the shard manager's own business.
+// most kMaxCrossShardPerTick moves from the most- to the least-utilized
+// shard while their reserved-memory utilization gap exceeds
+// kImbalanceThreshold (both constants live in planner_tick). The global
+// tier balances shard AGGREGATES; placement inside a shard stays the shard
+// manager's own business.
 #pragma once
 
 #include <cstddef>
@@ -74,23 +75,15 @@ using FedVmId = std::uint32_t;
 
 struct FederationPlannerConfig {
   common::SimTime period = common::seconds(120);
-  /// Cross-shard migration budget per planner tick (mass WAN reshuffles
-  /// are how federated fleets melt down).
-  std::size_t max_cross_shard_per_tick = 2;
-  /// Minimum reserved-memory utilization gap (fraction of capacity)
-  /// between the most- and least-loaded shard before a move is issued.
-  double imbalance_threshold = 0.10;
 };
 
 struct FederationConfig {
   FederationPlannerConfig planner;
-  /// Rack id per shard: same-rack shard pairs talk over `cross_rack`,
-  /// different racks over `wan`. Empty = every shard its own rack
+  /// Rack id per shard: same-rack shard pairs talk over cross_rack_link(),
+  /// different racks over wan_link(). Empty = every shard its own rack
   /// (all-WAN). (A shard's internal link — its ClusterConfig::migration —
   /// is the intra-rack tier.)
   std::vector<std::uint32_t> racks;
-  LinkModel cross_rack = cross_rack_link();
-  LinkModel wan = wan_link();
   /// Executors advancing shards between federation events, with the
   /// meaning of cluster::ExecutionPolicy::threads (0 = one per hardware
   /// thread). The pool is capped at the shard count: a shard is the unit
@@ -190,15 +183,10 @@ class Federation {
     LinkModel model;
     std::unique_ptr<cluster::MigrationEngine> engine;
   };
+  /// An unresolved cross-shard move: its ledger entry, whose engine
+  /// record is filled in when the link completes it.
   struct FedFlight {
-    FedVmId vm = 0;
-    ShardId from_shard = 0;
-    ShardId to_shard = 0;
-    cluster::GlobalVmId src_vm = 0;
-    cluster::GlobalVmId dst_vm = 0;
-    cluster::HostId from_host = 0;
-    cluster::HostId to_host = 0;
-    LinkKind link = LinkKind::kWan;
+    FedMigrationRecord record;
     double memory_mb = 0.0;
   };
 

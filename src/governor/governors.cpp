@@ -44,9 +44,13 @@ std::size_t StableOndemandGovernor::decide(const Sample& sample,
   // Decisions use the three-window averaged load, not the instantaneous
   // sample; QoS-critical up-scaling is immediate, energy-saving
   // down-scaling waits for a consistent streak.
+  // Demand must fit within kUpFill of the candidate state's capacity...
+  constexpr double kUpFill = 0.80;
+  // ...and a step down needs it to fit within kDownFill of the *lower* state.
+  constexpr double kDownFill = 0.70;
   const double demand = absolute_demand(sample.avg_util, ladder, sample.current_index);
   const std::size_t cur = sample.current_index;
-  const std::size_t fit = lowest_fitting_state(demand, cfg_.up_fill, ladder);
+  const std::size_t fit = lowest_fitting_state(demand, kUpFill, ladder);
   if (fit > cur) {
     down_streak_ = 0;
     return fit;  // scale up as far as needed, immediately
@@ -55,7 +59,7 @@ std::size_t StableOndemandGovernor::decide(const Sample& sample,
     down_streak_ = 0;
     return cur;
   }
-  const bool lower_fits = ladder.capacity_pct(cur - 1) / 100.0 * cfg_.down_fill >= demand;
+  const bool lower_fits = ladder.capacity_pct(cur - 1) / 100.0 * kDownFill >= demand;
   if (lower_fits) {
     if (++down_streak_ >= cfg_.down_patience) {
       down_streak_ = 0;

@@ -81,11 +81,8 @@ class OndemandGovernor final : public Governor {
 
 struct StableOndemandConfig {
   common::SimTime sampling_period = common::seconds(1);
-  /// Demand must fit within up_fill of the candidate state's capacity.
-  double up_fill = 0.80;
-  /// Step down only if demand fits within down_fill of the *lower* state.
-  double down_fill = 0.70;
-  /// ...for this many consecutive samples.
+  /// Step down only after the lower state fits for this many consecutive
+  /// samples.
   int down_patience = 3;
 };
 

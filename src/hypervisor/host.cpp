@@ -11,12 +11,12 @@
 namespace pas::hv {
 
 Host::Host(HostConfig config, std::unique_ptr<Scheduler> scheduler)
-    : cfg_(config),
-      cpu_(config.ladder),
-      cpufreq_(cpu_, config.cpufreq_transition_latency),
+    : cpu_(config.ladder),
+      cpufreq_(cpu_),
       scheduler_(std::move(scheduler)),
-      monitor_(config.monitor_window, config.monitor_depth),
-      energy_(config.power) {
+      monitor_(config.monitor_window),
+      energy_(config.power),
+      cfg_(config) {
   if (scheduler_ == nullptr) throw std::invalid_argument("Host: scheduler required");
   if (cfg_.quantum.us() <= 0) throw std::invalid_argument("Host: quantum must be positive");
   if (cfg_.speed_override) cpu_.set_speed_override(cfg_.speed_override);

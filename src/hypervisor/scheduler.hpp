@@ -8,7 +8,8 @@
 //             does when the frequency changes).
 //
 // Implementations: sched::CreditScheduler (fixed credit, Xen Credit with a
-// cap), sched::SedfScheduler (variable credit, Xen SEDF). The PAS
+// cap), sched::SedfScheduler (variable credit, Xen SEDF),
+// sched::Credit2Scheduler (weighted share with caps). The PAS
 // contribution is NOT a separate scheduler class: per the paper it is the
 // credit scheduler plus a credit/DVFS controller (core::PasController).
 //
@@ -37,9 +38,11 @@
 //     threads), and all time arrives through the `now` parameters. A
 //     static counter or wall-clock read breaks run-to-run determinism.
 //
-// Registration: add the class to sched/scheduler_factory.{hpp,cpp} and to
-// the cluster fuzz generator's scheduler switch so the differential tests
-// cover it. See docs/ARCHITECTURE.md ("A new scheduler").
+// Registration: add a SchedulerKind and its case to
+// sched/scheduler_factory.{hpp,cpp} (the one place a kind is built, so the
+// two-VM scenario can run it), and add the class to the cluster fuzz
+// generator's scheduler switch so the differential tests cover it. See
+// docs/ARCHITECTURE.md ("A new scheduler").
 #pragma once
 
 #include <cstddef>

@@ -10,8 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <stdexcept>
 #include <vector>
 
 namespace pas::metrics {
@@ -37,16 +35,6 @@ class ClusterEnergyMeter {
   [[nodiscard]] double host_joules(std::size_t host, double host_joules_now) const {
     const PerHost& h = per_host_.at(host);
     return h.accumulated + (h.on ? host_joules_now - h.baseline : 0.0);
-  }
-
-  /// Cluster total; `host_joules_now[i]` is host i's meter reading.
-  [[nodiscard]] double total_joules(std::span<const double> host_joules_now) const {
-    if (host_joules_now.size() != per_host_.size())
-      throw std::invalid_argument("ClusterEnergyMeter: reading count mismatch");
-    double total = 0.0;
-    for (std::size_t i = 0; i < per_host_.size(); ++i)
-      total += host_joules(i, host_joules_now[i]);
-    return total;
   }
 
  private:

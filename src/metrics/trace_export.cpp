@@ -41,9 +41,4 @@ wl::Trace vm_demand_trace(const TraceRecorder& recorder, common::VmId vm,
   return wl::Trace{std::move(points), std::move(name)};
 }
 
-void export_vm_demand_csv(const TraceRecorder& recorder, common::VmId vm,
-                          const std::string& path, std::string name) {
-  vm_demand_trace(recorder, vm, std::move(name)).save(path);
-}
-
 }  // namespace pas::metrics

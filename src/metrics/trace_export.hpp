@@ -30,8 +30,4 @@ namespace pas::metrics {
 [[nodiscard]] wl::Trace vm_demand_trace(const TraceRecorder& recorder, common::VmId vm,
                                         std::string name = "vm");
 
-/// vm_demand_trace + Trace::save.
-void export_vm_demand_csv(const TraceRecorder& recorder, common::VmId vm,
-                          const std::string& path, std::string name = "vm");
-
 }  // namespace pas::metrics

@@ -58,12 +58,6 @@ void TraceRecorder::append_idle_rows(std::span<const common::SimTime> ts, double
     vm_credit_.insert(vm_credit_.end(), vm_credit.begin(), vm_credit.end());
 }
 
-void TraceRecorder::add(const TraceSample& sample) {
-  append(sample.t, sample.freq_mhz, sample.global_load_pct, sample.absolute_load_pct,
-         sample.vm_global_pct, sample.vm_absolute_pct, sample.vm_credit_pct,
-         sample.vm_saturated);
-}
-
 TraceRecorder::SampleView TraceRecorder::sample(std::size_t row) const {
   assert(row < t_.size());
   const std::size_t base = row * vm_count_;

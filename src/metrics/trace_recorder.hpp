@@ -24,22 +24,6 @@
 
 namespace pas::metrics {
 
-/// Assembled row, used to feed add() (tests/tools). The recorder itself
-/// stores columns, not these.
-struct TraceSample {
-  common::SimTime t;
-  double freq_mhz = 0.0;
-  double global_load_pct = 0.0;    // whole host, last window
-  double absolute_load_pct = 0.0;  // whole host, last window
-  std::vector<double> vm_global_pct;
-  std::vector<double> vm_absolute_pct;
-  std::vector<double> vm_credit_pct;  // current scheduler cap per VM
-  /// 1.0 if the VM was saturated (wanted the CPU essentially the whole
-  /// window) when sampled, else 0.0. Drives SLA accounting: only a
-  /// saturated VM exercises its SLA.
-  std::vector<double> vm_saturated;
-};
-
 class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t vm_count) : vm_count_(vm_count) {}
@@ -50,9 +34,6 @@ class TraceRecorder {
               double absolute_load_pct, std::span<const double> vm_global,
               std::span<const double> vm_absolute, std::span<const double> vm_credit,
               std::span<const double> vm_saturated);
-
-  /// Row-struct convenience wrapper over append().
-  void add(const TraceSample& sample);
 
   /// Bulk-appends one row per element of `ts` for a host whose monitor
   /// reads all-zero: frequency and per-VM credits are constant across the
@@ -73,11 +54,14 @@ class TraceRecorder {
   struct SampleView {
     common::SimTime t;
     double freq_mhz = 0.0;
-    double global_load_pct = 0.0;
-    double absolute_load_pct = 0.0;
+    double global_load_pct = 0.0;    // whole host, last window
+    double absolute_load_pct = 0.0;  // whole host, last window
     std::span<const double> vm_global_pct;
     std::span<const double> vm_absolute_pct;
-    std::span<const double> vm_credit_pct;
+    std::span<const double> vm_credit_pct;  // current scheduler cap per VM
+    /// 1.0 if the VM was saturated (wanted the CPU essentially the whole
+    /// window) when sampled, else 0.0. Drives SLA accounting: only a
+    /// saturated VM exercises its SLA.
     std::span<const double> vm_saturated;
   };
 
@@ -103,9 +87,8 @@ class TraceRecorder {
     std::size_t row_;
   };
 
-  /// Lightweight range over all rows; behaves like the old
-  /// `const std::vector<TraceSample>&` return (size/front/back/[]/
-  /// iteration), but materializes views on demand.
+  /// Lightweight range over all rows; behaves like a vector of rows
+  /// (size/front/back/[]/iteration), but materializes views on demand.
   class SampleRange {
    public:
     explicit SampleRange(const TraceRecorder* rec) : rec_(rec) {}

@@ -79,7 +79,9 @@ double run_pi_sec(const PlatformProfile& p, const Table2Config& cfg, bool ondema
   }
 
   // Dom0 idle; V20 runs the pi-app; V70 configured but lazy — the paper's
-  // Table 2 scenario.
+  // Table 2 scenario, with its §5 credits.
+  constexpr common::Percent kV20Credit = 20.0;
+  constexpr common::Percent kV70Credit = 70.0;
   hv::VmConfig dom0;
   dom0.name = "Dom0";
   dom0.credit = 10.0;
@@ -88,17 +90,17 @@ double run_pi_sec(const PlatformProfile& p, const Table2Config& cfg, bool ondema
 
   hv::VmConfig v20;
   v20.name = "V20";
-  v20.credit = cfg.v20_credit;
+  v20.credit = kV20Credit;
   auto app = std::make_unique<wl::PiApp>(cfg.pi_work);
   const wl::PiApp* app_ptr = app.get();
   host.add_vm(v20, std::move(app));
 
   hv::VmConfig v70;
   v70.name = "V70";
-  v70.credit = cfg.v70_credit;
+  v70.credit = kV70Credit;
   host.add_vm(v70, std::make_unique<wl::IdleGuest>());
 
-  const double worst_capacity = cfg.v20_credit / 100.0 * host.cpu().ladder().ratio(0);
+  const double worst_capacity = kV20Credit / 100.0 * host.cpu().ladder().ratio(0);
   const double bound_sec = cfg.pi_work.mf_seconds() / worst_capacity * 2.0 + 120.0;
   const common::SimTime bound = common::seconds(static_cast<std::int64_t>(bound_sec));
   const common::SimTime chunk = common::seconds(30);

@@ -62,8 +62,6 @@ struct Table2Config {
   /// pi-app size. 311.8 max-frequency seconds makes the fixed-credit
   /// Performance rows land near the paper's ~1550–1600 s.
   common::Work pi_work = common::mf_seconds(311.8);
-  common::Percent v20_credit = 20.0;
-  common::Percent v70_credit = 70.0;
 };
 
 /// Runs one platform row (both governor modes).

@@ -14,10 +14,9 @@ std::unique_ptr<fed::Federation> build_federation(
   if (config.shards == 0)
     throw std::invalid_argument("build_federation: need at least one shard");
 
-  const std::size_t extra =
-      (config.shards > 1 && config.skew) ? config.base.vms / 4 : 0;
-  if (extra > config.base.vms)
-    throw std::invalid_argument("build_federation: skew exceeds shard population");
+  // Skew: move base.vms/4 tenants from the last shard to shard 0 (shards
+  // > 1 only) so the planner has an imbalance to work on.
+  const std::size_t extra = config.shards > 1 ? config.base.vms / 4 : 0;
 
   // base.threads is the whole run's budget (see the header for the split).
   const std::size_t budget = config.base.threads == 0

@@ -4,8 +4,8 @@
 // Shard 0 is built from `base` UNCHANGED — with shards = 1 the federation
 // run is byte-exact to the bare hosting cluster, the degradation contract
 // the determinism suite pins. Further shards re-seed the tenant draws
-// (seed + s·1000) so the fleets differ, and by default the VM population
-// is SKEWED: a quarter of the tenants are moved from the last shard onto
+// (seed + s·1000) so the fleets differ, and the VM population is
+// SKEWED: a quarter of the tenants are moved from the last shard onto
 // shard 0, handing the global planner a reserved-memory imbalance above
 // its threshold — a federation bench that never crosses a link measures
 // nothing.
@@ -30,9 +30,6 @@ struct FederationScenarioConfig {
   /// fleet_seed + s when a fleet seed is set).
   HostingClusterConfig base;
   std::size_t shards = 2;
-  /// Move base.vms/4 tenants from the last shard to shard 0 (shards > 1
-  /// only) so the planner has an imbalance to work on.
-  bool skew = true;
   /// Federation knobs; `threads` is overwritten from base.threads.
   fed::FederationConfig federation;
 };

@@ -16,6 +16,16 @@ namespace pas::scenario {
 
 namespace {
 
+/// The class behind FleetPreset::kUniform, memory included — a fleet is
+/// always a class list: the historical 8 GB host with the paper's ladder
+/// and power model.
+platform::HostClass default_uniform_class() {
+  platform::HostClass c;
+  c.name = "host";
+  c.memory_mb = 8192.0;
+  return c;
+}
+
 /// Manager + chaos + control install, shared by both workload presets.
 /// Chaos and commands are strictly additive: chaos_seed == 0 / an empty
 /// command stream installs nothing, so every historical (seed → scenario)
@@ -45,7 +55,7 @@ std::unique_ptr<cluster::Cluster> build_hosting_cluster(const HostingClusterConf
   } else if (config.fleet == FleetPreset::kMixed) {
     cc.host_classes = platform::mixed_fleet_classes(config.hosts, config.fleet_seed);
   } else {
-    cc.host_classes = platform::uniform_fleet_classes(config.hosts, config.uniform_class);
+    cc.host_classes = platform::uniform_fleet_classes(config.hosts, default_uniform_class());
   }
   if (cc.host_classes.size() != config.hosts)
     throw std::invalid_argument(

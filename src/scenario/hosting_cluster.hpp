@@ -28,7 +28,7 @@ namespace pas::scenario {
 /// Fleet composition behind build_hosting_cluster when no explicit class
 /// list is given.
 enum class FleetPreset {
-  kUniform,  // `hosts` copies of `uniform_class`
+  kUniform,  // `hosts` copies of the historical 8 GB host
   kMixed,    // platform::mixed_fleet_classes(hosts, fleet_seed)
 };
 
@@ -60,10 +60,6 @@ struct HostingClusterConfig {
   /// Class-mixing seed for FleetPreset::kMixed: 0 = the round-robin
   /// catalog preset, anything else draws per-host classes from an Rng.
   std::uint64_t fleet_seed = 0;
-  /// The class behind FleetPreset::kUniform, memory included — a fleet is
-  /// always a class list. The default is the historical 8 GB host with the
-  /// paper's ladder and power model.
-  platform::HostClass uniform_class = default_uniform_class();
   /// Tenant demand model. kTrace assigns each VM a trace from `traces`
   /// (which must then be non-empty), drawn deterministically from
   /// `fleet_seed` — the same run-shaping seed the mixed fleet uses, so one
@@ -90,13 +86,6 @@ struct HostingClusterConfig {
   /// stream installs nothing and every historical scenario reproduces
   /// byte-identically.
   std::vector<ctl::Task> commands;
-
-  [[nodiscard]] static platform::HostClass default_uniform_class() {
-    platform::HostClass c;
-    c.name = "host";
-    c.memory_mb = 8192.0;
-    return c;
-  }
 };
 
 [[nodiscard]] std::unique_ptr<cluster::Cluster> build_hosting_cluster(

@@ -13,9 +13,6 @@
 #include "governor/governors.hpp"
 #include "hypervisor/host.hpp"
 #include "metrics/sla_checker.hpp"
-#include "sched/credit2_scheduler.hpp"
-#include "sched/credit_scheduler.hpp"
-#include "sched/sedf_scheduler.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/web_app.hpp"
 
@@ -23,20 +20,10 @@ namespace pas::scenario {
 
 namespace {
 
-std::unique_ptr<hv::Scheduler> build_scheduler(const TwoVmConfig& cfg) {
-  switch (cfg.scheduler) {
-    case sched::SchedulerKind::kCredit:
-      return std::make_unique<sched::CreditScheduler>();
-    case sched::SchedulerKind::kSedf: {
-      sched::SedfSchedulerConfig sc;
-      sc.extra_work_efficiency = cfg.sedf_extra_efficiency;
-      return std::make_unique<sched::SedfScheduler>(sc);
-    }
-    case sched::SchedulerKind::kCredit2:
-      return std::make_unique<sched::Credit2Scheduler>();
-  }
-  throw std::invalid_argument("build_scheduler: bad kind");
-}
+/// The paper's credits (§5): V20 and V70 plus Dom0's remaining 10 %.
+constexpr common::Percent kV20Credit = 20.0;
+constexpr common::Percent kV70Credit = 70.0;
+constexpr common::Percent kDom0Credit = 10.0;
 
 std::unique_ptr<hv::Controller> build_controller(ControllerKind kind) {
   switch (kind) {
@@ -85,7 +72,7 @@ TwoVmResult run_two_vm(const TwoVmConfig& cfg) {
   hv::HostConfig hc;
   hc.ladder = cfg.ladder;
   hc.trace_stride = cfg.trace_stride;
-  hv::Host host{hc, build_scheduler(cfg)};
+  hv::Host host{hc, sched::make_scheduler(cfg.scheduler)};
   if (!cfg.governor.empty()) host.set_governor(gov::make_governor(cfg.governor));
   if (auto ctrl = build_controller(cfg.controller)) host.set_controller(std::move(ctrl));
 
@@ -97,7 +84,7 @@ TwoVmResult run_two_vm(const TwoVmConfig& cfg) {
     const double rate = wl::WebApp::rate_for_demand(cfg.dom0_demand, wc.request_cost);
     hv::VmConfig dom0;
     dom0.name = "Dom0";
-    dom0.credit = cfg.dom0_credit;
+    dom0.credit = kDom0Credit;
     dom0.priority = 1;
     host.add_vm(dom0, std::make_unique<wl::WebApp>(
                           wl::LoadProfile::pulse(cfg.v20_from, cfg.v20_until, rate), wc));
@@ -105,15 +92,15 @@ TwoVmResult run_two_vm(const TwoVmConfig& cfg) {
   {
     hv::VmConfig v20;
     v20.name = "V20";
-    v20.credit = cfg.v20_credit;
-    host.add_vm(v20, build_guest_load(cfg, cfg.v20_from, cfg.v20_until, cfg.v20_credit,
+    v20.credit = kV20Credit;
+    host.add_vm(v20, build_guest_load(cfg, cfg.v20_from, cfg.v20_until, kV20Credit,
                                       cfg.seed * 1000 + 2));
   }
   {
     hv::VmConfig v70;
     v70.name = "V70";
-    v70.credit = cfg.v70_credit;
-    host.add_vm(v70, build_guest_load(cfg, cfg.v70_from, cfg.v70_until, cfg.v70_credit,
+    v70.credit = kV70Credit;
+    host.add_vm(v70, build_guest_load(cfg, cfg.v70_from, cfg.v70_until, kV70Credit,
                                       cfg.seed * 1000 + 3));
   }
 
@@ -175,9 +162,9 @@ TwoVmResult run_two_vm(const TwoVmConfig& cfg) {
 
   // --- SLA accounting over trace samples ---
   metrics::SlaChecker sla;
-  sla.register_vm(res.dom0, cfg.dom0_credit);
-  sla.register_vm(res.v20, cfg.v20_credit);
-  sla.register_vm(res.v70, cfg.v70_credit);
+  sla.register_vm(res.dom0, kDom0Credit);
+  sla.register_vm(res.v20, kV20Credit);
+  sla.register_vm(res.v70, kV70Credit);
   for (const auto& s : res.trace.samples()) {
     for (common::VmId vm : {res.v20, res.v70}) {
       sla.record_window(vm, cfg.trace_stride, s.vm_absolute_pct[vm],

@@ -41,16 +41,10 @@ struct TwoVmConfig {
   common::SimTime v70_from = common::seconds(2500);
   common::SimTime v70_until = common::seconds(5000);
 
-  common::Percent v20_credit = 20.0;
-  common::Percent v70_credit = 70.0;
-  common::Percent dom0_credit = 10.0;
   /// Dom0's own CPU demand (absolute %) while any guest is active: backend
   /// I/O processing. Exact-load runs keep it small; thrashing web traffic
   /// loads the backend harder.
   common::Percent dom0_demand = 2.0;
-
-  /// SEDF extra-time efficiency (see sched::SedfSchedulerConfig).
-  double sedf_extra_efficiency = 1.0;
 
   common::SimTime trace_stride = common::seconds(10);
   std::uint64_t seed = 7;

@@ -46,6 +46,9 @@ common::VmId Credit2Scheduler::pick(common::SimTime /*now*/,
     if (runnable_stamp_[i] != stamp_epoch_) vms_[i].was_runnable = false;
   }
   // Wakeup clamp: a VM that just became runnable must not replay idle time.
+  // Its vruntime is raised to at least
+  // (min runnable vruntime - kBurstAllowance/weight).
+  constexpr common::SimTime kBurstAllowance = common::msec(30);
   double min_vrt = 0.0;
   bool have_min = false;
   for (const common::VmId id : runnable) {
@@ -61,8 +64,7 @@ common::VmId Credit2Scheduler::pick(common::SimTime /*now*/,
     Entry& e = vms_.at(id);
     if (!e.was_runnable) {
       if (have_min) {
-        const double allowance =
-            static_cast<double>(cfg_.burst_allowance.us()) / e.weight;
+        const double allowance = static_cast<double>(kBurstAllowance.us()) / e.weight;
         e.vruntime = std::max(e.vruntime, min_vrt - allowance);
       }
       e.was_runnable = true;

@@ -32,9 +32,6 @@ struct Credit2SchedulerConfig {
   /// Enforce VmConfig::credit as a hard cap (Xen's `xl sched-credit2 --cap`
   /// analogue). Without caps the scheduler is fully work-conserving.
   bool enforce_caps = true;
-  /// Wakeup clamp: a waking VM's vruntime is raised to at least
-  /// (min runnable vruntime - burst_allowance/weight).
-  common::SimTime burst_allowance = common::msec(30);
 };
 
 class Credit2Scheduler final : public hv::Scheduler {

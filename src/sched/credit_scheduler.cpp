@@ -11,16 +11,13 @@ namespace pas::sched {
 CreditScheduler::CreditScheduler(CreditSchedulerConfig config) : cfg_(config) {
   if (cfg_.accounting_period.us() <= 0)
     throw std::invalid_argument("CreditScheduler: accounting period must be positive");
-  if (cfg_.burst_periods <= 0.0)
-    throw std::invalid_argument("CreditScheduler: burst_periods must be positive");
 }
 
 void CreditScheduler::recompute_refill(Entry& e) const {
   e.refill_us = static_cast<std::int64_t>(
       std::llround(e.cap_pct / 100.0 * static_cast<double>(cfg_.accounting_period.us())));
   e.burst_us = static_cast<std::int64_t>(std::llround(
-      cfg_.burst_periods * e.cap_pct / 100.0 *
-      static_cast<double>(cfg_.accounting_period.us())));
+      kBurstPeriods * e.cap_pct / 100.0 * static_cast<double>(cfg_.accounting_period.us())));
 }
 
 void CreditScheduler::rebuild_tiers() {

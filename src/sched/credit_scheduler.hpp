@@ -26,16 +26,17 @@ namespace pas::sched {
 struct CreditSchedulerConfig {
   /// Xen's credit accounting runs every 30 ms.
   common::SimTime accounting_period = common::msec(30);
+};
+
+class CreditScheduler final : public hv::Scheduler {
+ public:
   /// Maximum hoardable balance, in accounting periods' worth of refill.
   /// The half-period of slack above one refill matters: scheduling quanta
   /// do not divide a VM's per-period slice evenly, so an unclamped
   /// fractional leftover must survive the refill or the VM permanently
   /// loses it (a 70 % VM would converge to 66.7 % with a tight clamp).
-  double burst_periods = 1.5;
-};
+  static constexpr double kBurstPeriods = 1.5;
 
-class CreditScheduler final : public hv::Scheduler {
- public:
   explicit CreditScheduler(CreditSchedulerConfig config = {});
 
   [[nodiscard]] std::string_view name() const override { return "credit"; }

@@ -16,27 +16,4 @@ std::unique_ptr<hv::Scheduler> make_scheduler(SchedulerKind kind) {
   throw std::invalid_argument("make_scheduler: bad kind");
 }
 
-SchedulerKind scheduler_kind_from_name(const std::string& name) {
-  if (name == "credit") return SchedulerKind::kCredit;
-  if (name == "sedf") return SchedulerKind::kSedf;
-  if (name == "credit2") return SchedulerKind::kCredit2;
-  throw std::invalid_argument("scheduler_kind_from_name: unknown scheduler '" + name + "'");
-}
-
-std::unique_ptr<hv::Scheduler> make_scheduler(const std::string& name) {
-  return make_scheduler(scheduler_kind_from_name(name));
-}
-
-std::string to_string(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kCredit:
-      return "credit";
-    case SchedulerKind::kSedf:
-      return "sedf";
-    case SchedulerKind::kCredit2:
-      return "credit2";
-  }
-  return "?";
-}
-
 }  // namespace pas::sched

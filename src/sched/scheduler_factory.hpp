@@ -1,8 +1,8 @@
-// String-driven scheduler construction for benches and examples.
+// Scheduler construction by kind: the one place a SchedulerKind becomes a
+// scheduler.
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "hypervisor/scheduler.hpp"
 #include "sched/credit2_scheduler.hpp"
@@ -18,10 +18,5 @@ enum class SchedulerKind {
 };
 
 [[nodiscard]] std::unique_ptr<hv::Scheduler> make_scheduler(SchedulerKind kind);
-
-/// "credit" or "sedf"; throws std::invalid_argument otherwise.
-[[nodiscard]] std::unique_ptr<hv::Scheduler> make_scheduler(const std::string& name);
-[[nodiscard]] SchedulerKind scheduler_kind_from_name(const std::string& name);
-[[nodiscard]] std::string to_string(SchedulerKind kind);
 
 }  // namespace pas::sched

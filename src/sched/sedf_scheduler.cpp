@@ -8,8 +8,6 @@
 namespace pas::sched {
 
 SedfScheduler::SedfScheduler(SedfSchedulerConfig config) : cfg_(config) {
-  if (cfg_.default_period.us() <= 0)
-    throw std::invalid_argument("SedfScheduler: period must be positive");
   if (cfg_.extra_work_efficiency <= 0.0 || cfg_.extra_work_efficiency > 1.0)
     throw std::invalid_argument("SedfScheduler: extra_work_efficiency must be in (0,1]");
 }
@@ -18,8 +16,9 @@ void SedfScheduler::add_vm(common::VmId id, const hv::VmConfig& config) {
   if (id != vms_.size()) throw std::invalid_argument("SedfScheduler: VM ids must be dense");
   Entry e;
   e.cap_pct = config.credit;
-  e.period_us =
-      (config.sedf_period.us() > 0 ? config.sedf_period : cfg_.default_period).us();
+  /// Default period p when the VmConfig does not override it.
+  constexpr common::SimTime kDefaultPeriod = common::msec(100);
+  e.period_us = (config.sedf_period.us() > 0 ? config.sedf_period : kDefaultPeriod).us();
   e.slice_us = static_cast<std::int64_t>(
       std::llround(e.cap_pct / 100.0 * static_cast<double>(e.period_us)));
   e.extra = config.sedf_extra;

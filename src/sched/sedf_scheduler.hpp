@@ -26,8 +26,6 @@
 namespace pas::sched {
 
 struct SedfSchedulerConfig {
-  /// Default period p when the VmConfig does not override it.
-  common::SimTime default_period = common::msec(100);
   /// Accounting tick (diagnostics only; SEDF refills per-VM periods lazily).
   common::SimTime accounting_period = common::msec(30);
   /// Useful-work fraction of extra-time grants, in (0,1].

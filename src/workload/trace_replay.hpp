@@ -136,9 +136,6 @@ class TraceReplay final : public Workload {
   [[nodiscard]] common::Work demand_delivered() const { return delivered_; }
   /// Work actually served by the scheduler so far (supply side).
   [[nodiscard]] common::Work total_consumed() const { return consumed_; }
-  /// True once every work-delivering interval was delivered AND served (no
-  /// backlog left).
-  [[nodiscard]] bool fully_served() const { return finished(); }
 
  private:
   Trace trace_;

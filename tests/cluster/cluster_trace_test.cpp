@@ -155,7 +155,7 @@ TEST(ClusterTraceTest, RecordedClusterRunReplaysByteIdentical) {
       replay.run_until(cfg.horizon);
 
       const auto& w = dynamic_cast<const wl::TraceReplay&>(replay.workload(0));
-      EXPECT_TRUE(w.fully_served()) << "host " << h << " slot " << slot;
+      EXPECT_TRUE(w.finished()) << "host " << h << " slot " << slot;
       const wl::Trace re_exported = metrics::vm_demand_trace(replay.trace(), 0, "rt");
       ASSERT_EQ(re_exported.to_csv(), exported.to_csv())
           << "host " << h << " slot " << slot;

@@ -65,7 +65,7 @@ TEST(MigrationPlanTest, NonConvergentGuestHitsRoundBudget) {
   MigrationConfig cfg;
   // Dirtying faster than the link: rounds never shrink.
   const MigrationPlan plan = plan_migration(1024.0, 2000.0, cfg);
-  EXPECT_EQ(plan.round_mb.size(), cfg.max_precopy_rounds);
+  EXPECT_EQ(plan.round_mb.size(), kMaxPrecopyRounds);
   // The residue is the whole memory: downtime is a full-memory push.
   EXPECT_NEAR(plan.stop_copy_mb, 1024.0, 1e-9);
   EXPECT_EQ(plan.downtime, common::usec(1'024'000) + cfg.switch_latency);
@@ -77,7 +77,7 @@ TEST(MigrationPlanTest, DirtyRateAtLinkBandwidthNeverShrinks) {
   // so rounds never shrink and the budget is the only thing that stops the
   // loop — the boundary case between convergent and non-convergent guests.
   const MigrationPlan plan = plan_migration(1024.0, cfg.link_mb_per_s, cfg);
-  ASSERT_EQ(plan.round_mb.size(), cfg.max_precopy_rounds);
+  ASSERT_EQ(plan.round_mb.size(), kMaxPrecopyRounds);
   for (const double mb : plan.round_mb) EXPECT_DOUBLE_EQ(mb, 1024.0);
   EXPECT_NEAR(plan.stop_copy_mb, 1024.0, 1e-9);
 }

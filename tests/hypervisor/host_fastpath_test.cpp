@@ -590,9 +590,9 @@ void expect_saturated_runs_match(
   const auto replay = [&](common::VmId v) -> const wl::TraceReplay& {
     return dynamic_cast<const wl::TraceReplay&>(fast->workload(v));
   };
-  EXPECT_TRUE(replay(3).fully_served());
-  EXPECT_TRUE(replay(4).fully_served());
-  EXPECT_TRUE(replay(5).fully_served());
+  EXPECT_TRUE(replay(3).finished());
+  EXPECT_TRUE(replay(4).finished());
+  EXPECT_TRUE(replay(5).finished());
   EXPECT_NEAR(fast->vm(5).total_busy.sec(), 0.4, 1e-3);
   EXPECT_GT(fast->vm(6).total_busy, common::msec(300));
   EXPECT_GT(fast->vm(0).total_busy + fast->vm(1).total_busy + fast->vm(2).total_busy,

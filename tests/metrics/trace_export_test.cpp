@@ -129,7 +129,7 @@ TEST(TraceExportTest, RecordReplayReExportIsByteIdentical) {
     replay->run_until(horizon);
 
     const auto& w = dynamic_cast<const wl::TraceReplay&>(replay->workload(0));
-    EXPECT_TRUE(w.fully_served()) << "vm " << vm;
+    EXPECT_TRUE(w.finished()) << "vm " << vm;
 
     const wl::Trace re_exported = vm_demand_trace(replay->trace(), 0, "rt");
     EXPECT_EQ(re_exported.to_csv(), exported.to_csv()) << "vm " << vm;

@@ -5,27 +5,25 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 namespace pas::metrics {
 namespace {
 
-TraceSample make_sample(double t_sec, double freq, double v0, double v1) {
-  TraceSample s;
-  s.t = common::seconds(static_cast<std::int64_t>(t_sec));
-  s.freq_mhz = freq;
-  s.global_load_pct = v0 + v1;
-  s.absolute_load_pct = (v0 + v1) * freq / 2667.0;
-  s.vm_global_pct = {v0, v1};
-  s.vm_absolute_pct = {v0 * freq / 2667.0, v1 * freq / 2667.0};
-  s.vm_credit_pct = {20.0, 70.0};
-  s.vm_saturated = {1.0, 0.0};
-  return s;
+/// Appends one two-VM row: V0 and V1 at global loads v0/v1, credits 20/70.
+void append_sample(TraceRecorder& tr, double t_sec, double freq, double v0, double v1) {
+  const std::vector<double> global{v0, v1};
+  const std::vector<double> absolute{v0 * freq / 2667.0, v1 * freq / 2667.0};
+  const std::vector<double> credit{20.0, 70.0};
+  const std::vector<double> saturated{1.0, 0.0};
+  tr.append(common::seconds(static_cast<std::int64_t>(t_sec)), freq, v0 + v1,
+            (v0 + v1) * freq / 2667.0, global, absolute, credit, saturated);
 }
 
 TEST(TraceRecorderTest, SeriesExtraction) {
   TraceRecorder tr{2};
-  tr.add(make_sample(10, 1600, 20, 0));
-  tr.add(make_sample(20, 2667, 20, 70));
+  append_sample(tr, 10, 1600, 20, 0);
+  append_sample(tr, 20, 2667, 20, 70);
   EXPECT_EQ(tr.samples().size(), 2u);
   EXPECT_EQ(tr.series_freq(), (std::vector<double>{1600, 2667}));
   EXPECT_EQ(tr.series_vm_global(0), (std::vector<double>{20, 20}));
@@ -42,7 +40,7 @@ TEST(TraceRecorderTest, EmptyTrace) {
 
 TEST(TraceRecorderTest, WriteCsv) {
   TraceRecorder tr{2};
-  tr.add(make_sample(10, 1600, 20, 0));
+  append_sample(tr, 10, 1600, 20, 0);
   const std::string path = ::testing::TempDir() + "/pas_trace_test.csv";
   tr.write_csv(path);
   std::ifstream in{path};
@@ -59,7 +57,7 @@ TEST(TraceRecorderTest, WriteCsv) {
 
 TEST(TraceRecorderTest, AbsoluteSeries) {
   TraceRecorder tr{2};
-  tr.add(make_sample(10, 1600, 20, 0));
+  append_sample(tr, 10, 1600, 20, 0);
   const auto abs0 = tr.series_vm_absolute(0);
   ASSERT_EQ(abs0.size(), 1u);
   EXPECT_NEAR(abs0[0], 20.0 * 1600 / 2667, 1e-9);

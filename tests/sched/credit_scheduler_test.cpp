@@ -57,7 +57,7 @@ TEST(CreditSchedulerTest, BalanceClampedToBurstLimit) {
   CreditScheduler s;
   s.add_vm(0, vm_cfg(20.0));
   for (int i = 0; i < 10; ++i) s.account(msec(30 * i));
-  EXPECT_EQ(s.balance(0), msec(9));  // burst_periods = 1.5
+  EXPECT_EQ(s.balance(0), msec(9));  // kBurstPeriods = 1.5
 }
 
 TEST(CreditSchedulerTest, FractionalLeftoverSurvivesRefill) {

@@ -140,7 +140,7 @@ struct EagerCredit {
     const auto period = static_cast<double>(cfg.accounting_period.us());
     v.cap = cap;
     v.refill = std::llround(cap / 100.0 * period);
-    v.burst = std::llround(cfg.burst_periods * cap / 100.0 * period);
+    v.burst = std::llround(CreditScheduler::kBurstPeriods * cap / 100.0 * period);
   }
   void add(double cap) {
     Vm v;

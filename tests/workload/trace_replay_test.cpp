@@ -194,7 +194,7 @@ TEST(TraceReplayTest, DeliversIntervalBatchesAndDrains) {
   EXPECT_FALSE(w.finished());
   w.advance_to(seconds(40));
   EXPECT_DOUBLE_EQ(w.consume(seconds(40), common::mf_seconds(10.0)).mf_seconds(), 6.0);
-  EXPECT_TRUE(w.fully_served());
+  EXPECT_TRUE(w.finished());
   EXPECT_TRUE(w.finished());
   EXPECT_DOUBLE_EQ(w.total_consumed().mf_seconds(), 8.0);
   EXPECT_DOUBLE_EQ(w.demand_delivered().mf_seconds(), 8.0);
@@ -288,7 +288,7 @@ TEST(TraceReplayTest, UnservedDemandAccumulatesAsBacklog) {
   TraceReplay w{Trace{ramp_points()}};
   w.advance_to(seconds(40));  // nothing ever served
   EXPECT_TRUE(w.runnable());
-  EXPECT_FALSE(w.fully_served());
+  EXPECT_FALSE(w.finished());
   EXPECT_FALSE(w.finished());
   EXPECT_DOUBLE_EQ(w.pending().mf_seconds(), 8.0);
 }
@@ -326,7 +326,7 @@ TEST(TraceReplayTest, HostRunsIdenticalFastAndSlow) {
   EXPECT_GT(slow->idle_time().sec(), 20.0);
   // With 95 % credit against a peak demand of 50 %, the backlog drains.
   const auto& replay = dynamic_cast<const TraceReplay&>(fast->workload(0));
-  EXPECT_TRUE(replay.fully_served());
+  EXPECT_TRUE(replay.finished());
   EXPECT_EQ(replay.total_consumed(), replay.demand_delivered());
 }
 

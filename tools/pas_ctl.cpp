@@ -3,15 +3,17 @@
 //
 // Two modes over the same ctl::ControlPlane:
 //
-//   batch (default)   Reads a whole task log through a ctl::FileCommunicator
-//                     (a regular file, or a named pipe — the read blocks
-//                     until the writer closes it), parses it strictly
-//                     against the fleet dims (malformed input exits 1 with
-//                     the origin:line diagnostic), runs the scenario to the
-//                     horizon, and publishes the result log to --results
-//                     (stdout when omitted). Deterministic end to end: the
-//                     same stream over the same scenario yields the same
-//                     result log, byte for byte, in every engine.
+//   batch (default)   Reads the whole task log before the run (a regular
+//                     file, or a named pipe — the read blocks until the
+//                     writer closes it), parses it strictly against the
+//                     fleet dims (malformed input exits 1 with the
+//                     origin:line diagnostic), runs the scenario to the
+//                     horizon, and writes the result log to --results
+//                     (stdout when omitted). Reading everything up front
+//                     fixes every command's (time, insertion-seq) queue
+//                     position before the first event fires, so the same
+//                     stream over the same scenario yields the same result
+//                     log, byte for byte, in every engine.
 //
 //   --repl            Line-oriented interactive driver on stdin:
 //                         {"id": 1, "at_s": 10, "task": "migrate", ...}
@@ -21,10 +23,13 @@
 //                         status
 //                             one-line fleet summary
 //                         quit
-//                             publish the result log and exit
+//                             write the result log and exit
 //                     Tasks queued with at_s in the past fire at the next
 //                     event boundary (ControlPlane::submit). Feeding the
 //                     same line sequence replays the same session.
+//
+// Both modes write the result log the same way; a --results path that
+// cannot be written exits 1 with "pas_ctl: cannot write PATH".
 //
 // Usage: pas_ctl --commands=FILE [--results=FILE] [--repl]
 //          [--hosts=8] [--vms=64] [--horizon=400] [--seed=17]
@@ -36,6 +41,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,7 +49,6 @@
 #include "cluster/cluster.hpp"
 #include "common/flags.hpp"
 #include "common/units.hpp"
-#include "control/communicator.hpp"
 #include "control/control_plane.hpp"
 #include "control/task.hpp"
 #include "scenario/hosting_cluster.hpp"
@@ -84,10 +89,29 @@ void print_status(pas::cluster::Cluster& cluster) {
               cluster.crashed_count(), cluster.running_vm_count(), cluster.lost_vm_count());
 }
 
+/// Reads the command stream to EOF (on a FIFO, until the writer closes it).
+std::string read_stream(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Writes the result log to `path`, or to stdout when `path` is empty.
+void write_results(const std::string& path, const std::string& log) {
+  if (path.empty()) {
+    std::fwrite(log.data(), 1, log.size(), stdout);
+    return;
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << log;
+  if (!out) throw std::runtime_error("cannot write " + path);
+}
+
 int run_batch(const Options& opt) {
-  auto comm = std::make_unique<pas::ctl::FileCommunicator>(opt.commands, opt.results);
-  auto plane = std::make_unique<pas::ctl::ControlPlane>(
-      std::move(comm), pas::ctl::FleetDims{opt.hosts, opt.vms});
+  auto plane = std::make_unique<pas::ctl::ControlPlane>(pas::ctl::parse_tasks(
+      read_stream(opt.commands), opt.commands, {opt.hosts, opt.vms}));
   const std::size_t tasks = plane->tasks().size();
 
   auto cluster = build(opt);
@@ -95,7 +119,7 @@ int run_batch(const Options& opt) {
   cluster->install_control(std::move(plane));
   cluster->run_until(seconds(static_cast<long long>(opt.horizon_s)));
 
-  ctl->publish();
+  write_results(opt.results, ctl->result_log());
   std::fprintf(stderr, "pas_ctl: %zu task(s), %zu fired: %zu ok, %zu rejected, %zu superseded\n",
                tasks, ctl->results().size(), ctl->accepted(), ctl->rejected(),
                ctl->superseded());
@@ -155,13 +179,7 @@ int run_repl(const Options& opt) {
     }
   }
 
-  const std::string log = ctl->result_log();
-  if (opt.results.empty()) {
-    std::fputs(log.c_str(), stdout);
-  } else {
-    std::ofstream out(opt.results, std::ios::binary);
-    out << log;
-  }
+  write_results(opt.results, ctl->result_log());
   std::fprintf(stderr, "pas_ctl: %zu fired: %zu ok, %zu rejected, %zu superseded\n",
                ctl->results().size(), ctl->accepted(), ctl->rejected(), ctl->superseded());
   return 0;
