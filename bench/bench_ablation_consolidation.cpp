@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
   const common::Flags flags{argc, argv};
   const auto vm_count = static_cast<int>(flags.get_count("vms", 24));
 
-  const auto fleet =
-      platform::planner_fleet(static_cast<std::size_t>(vm_count), platform::optiplex_755());
+  const auto fleet = platform::uniform_fleet_classes(static_cast<std::size_t>(vm_count),
+                                                     platform::optiplex_755());
 
   std::printf("=== Ablation D: consolidation is memory-bound; DVFS is complementary ===\n");
   std::printf("%d VMs, 12 %% CPU demand each, 4 GB hosts; sweeping memory per VM.\n\n",

@@ -176,7 +176,7 @@ Options parse(const pas::common::Flags& flags) {
     o.base.fleet = pas::scenario::FleetPreset::kMixed;
     o.base.fleet_seed = static_cast<std::uint64_t>(flags.get_int("fleet-seed", 0));
   }
-  // --threads follows ExecutionPolicy semantics: 1 (the default) = serial
+  // --threads follows ClusterConfig::threads semantics: 1 (the default) = serial
   // only, no parallel measurement; 0 = hardware concurrency; N > 1 = N.
   o.threads = flags.get_count("threads", 1);
   if (o.threads == 0) o.threads = pas::common::ThreadPool::hardware_threads();

@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
   std::printf("paper row:    X3440 0.94867 | L5420 0.99903 | E5-2620 0.80338 | "
               "Opteron-6164HE 0.99508 | i7-3770 0.86206\n");
   std::printf("mechanism: turbo parts run above nominal at the top P-state, so the\n");
-  std::printf("nominal frequency ratio overestimates low-state slowdowns (DESIGN.md)\n\n");
+  std::printf("nominal frequency ratio overestimates low-state slowdowns "
+              "(calibration/machine_model.hpp)\n\n");
 
   const auto reports = calib::calibrate_table1(cfg);
   const double paper[] = {0.94867, 0.99903, 0.80338, 0.99508, 0.86206};

@@ -29,8 +29,9 @@ int main(int argc, char** argv) {
   }
   platform::HostClass uniform = platform::optiplex_755();
   uniform.memory_mb = flags.get_double("host-mem", 4096.0);
-  const auto fleet = mixed ? platform::fleet_specs(platform::mixed_fleet_classes(host_count))
-                           : platform::planner_fleet(host_count, uniform);
+  const auto fleet = platform::numbered_fleet(
+      mixed ? platform::mixed_fleet_classes(host_count)
+            : platform::uniform_fleet_classes(host_count, uniform));
 
   // A plausible mixed fleet: web (small mem, modest CPU), app (mid), db
   // (big mem, hungrier CPU), drawn deterministically.

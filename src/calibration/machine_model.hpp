@@ -39,7 +39,7 @@ struct MachineSpec {
 };
 
 /// The five processors of Table 1, parameters chosen so the *modeled*
-/// ground-truth cf matches the paper's measured value (see DESIGN.md §2).
+/// ground-truth cf matches the paper's measured value (mechanism above).
 [[nodiscard]] std::vector<MachineSpec> table1_machines();
 
 /// Ground-truth cf of the machine's lowest state under this model:

@@ -25,10 +25,7 @@ ClusterConfig validated(ClusterConfig cfg) {
   for (const auto& c : cfg.host_classes) {
     if (c.memory_mb <= 0.0)
       throw std::invalid_argument("Cluster: class memory must be positive");
-    if (c.numa_nodes == 0)
-      throw std::invalid_argument("Cluster: class needs at least one NUMA node");
-    if (c.numa_spill_penalty < 0.0)
-      throw std::invalid_argument("Cluster: negative NUMA spill penalty");
+    platform::validate_class(c);
   }
   return cfg;
 }
@@ -84,7 +81,7 @@ RecoveryStats summarize_recoveries(const std::vector<VmRecovery>& recoveries) {
 
 Cluster::Cluster(ClusterConfig config)
     : cfg_(validated(std::move(config))),
-      pool_(cfg_.execution.threads),
+      pool_(cfg_.threads),
       meter_(cfg_.host_classes.size()) {
   const std::vector<platform::HostClass>& classes = cfg_.host_classes;
   engine_ = std::make_unique<MigrationEngine>(cfg_.migration, events_);
@@ -610,7 +607,7 @@ void Cluster::run_until(common::SimTime until) {
   // Hosts reach each cluster-event instant first (firing their own timers
   // up to and including it); cluster events themselves always run serially
   // on this thread, in the queue's deterministic (time, insertion-sequence)
-  // order, whatever ExecutionPolicy says.
+  // order, whatever ClusterConfig::threads says.
   sim::run_lockstep(events_, now_, until,
                     [this](common::SimTime target) { advance_hosts(target); });
 }

@@ -21,7 +21,7 @@
 // Because hosts share no mutable state within a segment (the contract
 // hv::Host documents and enforces), the "advance every host" half of the
 // loop is embarrassingly parallel: the cluster always steps its hosts on a
-// common::ThreadPool of ExecutionPolicy::threads executors (one executor
+// common::ThreadPool of ClusterConfig::threads executors (one executor
 // spawns no thread and runs a plain loop), barriers, and then fires the
 // cluster events serially on the coordinating thread in the queue's
 // (time, insertion-sequence) order. Each host's computation is a pure
@@ -91,16 +91,6 @@ struct ClusterVmConfig {
   double dirty_mb_per_s = 50.0;
 };
 
-/// How the "advance every host to the next cluster event" half of the run
-/// loop executes. Purely a wall-clock knob: every thread count computes
-/// byte-identical results (see the file header).
-struct ExecutionPolicy {
-  /// Total executors stepping host segments (common::ThreadPool): 1 = the
-  /// calling thread alone, no worker threads; 0 = one executor per
-  /// hardware thread; N > 1 = N-1 workers plus the coordinating thread.
-  std::size_t threads = 1;
-};
-
 /// Sparse-driver telemetry: of the host-segments each run_until cut, how
 /// many were really dispatched (Host::run_until) vs bulk-skipped on a
 /// quiescence certificate (Host::skip_idle_to). A consolidated fleet
@@ -121,7 +111,12 @@ struct ClusterConfig {
   /// stride, event_driven_fast_path, ... Its ladder and power model are
   /// ignored — each host takes those from its class.
   hv::HostConfig host;
-  ExecutionPolicy execution;
+  /// Total executors stepping host segments (common::ThreadPool): 1 = the
+  /// calling thread alone, no worker threads; 0 = one executor per
+  /// hardware thread; N > 1 = N-1 workers plus the coordinating thread.
+  /// Purely a wall-clock knob: every thread count computes byte-identical
+  /// results (see the file header).
+  std::size_t threads = 1;
   /// The fleet, one entry per host: entry h defines host h's frequency
   /// ladder, power model, memory, planner capacity and NUMA layout. Must be
   /// non-empty. A uniform fleet is N copies of one class
@@ -187,12 +182,11 @@ struct VmRecovery {
 /// VmRecovery records — the chaos bench's SLO block.
 struct RecoveryStats {
   std::size_t count = 0;
-  /// Lower-median nearest-rank p50 of the latencies; zero when count == 0.
-  /// Deliberately NOT stats::percentile_sorted's linear interpolation: an
+  /// Lower-median nearest-rank p50 of the latencies (even n picks
+  /// sorted[(n-1)/2]); zero when count == 0. Never an interpolation: an
   /// interpolated median of an even-count sample is a latency that never
-  /// happened, and SimTime truncation of it would not be byte-stable. The
-  /// divergence (even n: nearest rank picks sorted[(n-1)/2], interpolation
-  /// averages the middle pair) is pinned in tests/common/stats_test.cpp.
+  /// happened, and SimTime truncation of it would not be byte-stable.
+  /// Pinned in tests/cluster/recovery_stats_test.cpp.
   common::SimTime p50{};
   common::SimTime max{};
   double mean_s = 0.0;
@@ -426,7 +420,7 @@ class Cluster {
   /// window (a paused VM delivers nothing, whatever it bought).
   [[nodiscard]] const metrics::SlaChecker& sla() const { return sla_; }
 
-  /// Executors stepping host segments: ExecutionPolicy::threads, with 0
+  /// Executors stepping host segments: ClusterConfig::threads, with 0
   /// resolved to the hardware thread count.
   [[nodiscard]] std::size_t execution_threads() const { return pool_.thread_count(); }
 

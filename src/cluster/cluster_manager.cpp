@@ -51,19 +51,14 @@ void ClusterManager::add_brownout(common::SimTime from, common::SimTime until) {
   brownouts_.emplace_back(from, until);
 }
 
-consolidation::HostSpec ClusterManager::plan_host_spec(const Cluster& cluster,
-                                                       HostId host) {
-  // Host specs come from each host's *actual* platform class — ladder,
-  // power model, memory and NUMA layout per machine, not one template —
-  // so the plan sees the fleet the paper's Table 2 describes: machines
-  // that differ.
-  const platform::HostClass& cls = cluster.host_class(host);
-  consolidation::HostSpec spec = platform::to_host_spec(cls);
-  spec.name += '-';
-  spec.name += std::to_string(host);
-  // Reserve the hypervisor agent's credit out of the schedulable
-  // capacity, like Dom0 in the paper's single-host budget.
-  spec.cpu_capacity_pct = cls.cpu_capacity_pct - cluster.config().agent_credit;
+platform::HostClass ClusterManager::plan_host_spec(const Cluster& cluster, HostId host) {
+  // The planner packs each host's *actual* platform class — ladder, power
+  // model, memory and NUMA layout per machine, not one template — so the
+  // plan sees the fleet the paper's Table 2 describes: machines that
+  // differ. The hypervisor agent's credit is reserved out of the
+  // schedulable capacity, like Dom0 in the paper's single-host budget.
+  platform::HostClass spec = cluster.host_class(host);
+  spec.cpu_capacity_pct -= cluster.config().agent_credit;
   return spec;
 }
 
@@ -116,8 +111,8 @@ void ClusterManager::recover_orphans(common::SimTime now, Cluster& cluster) {
       if (!cluster.crashed(h)) order.push_back(h);
     if (cfg_.efficient_first) {
       std::stable_sort(order.begin(), order.end(), [&](HostId a, HostId b) {
-        return consolidation::packing_cost(platform::to_host_spec(cluster.host_class(a))) <
-               consolidation::packing_cost(platform::to_host_spec(cluster.host_class(b)));
+        return consolidation::packing_cost(cluster.host_class(a)) <
+               consolidation::packing_cost(cluster.host_class(b));
       });
     }
     HostId target = 0;

@@ -132,12 +132,12 @@ class ClusterManager {
   /// indices back to GlobalVmId/HostId.
   [[nodiscard]] const consolidation::HostBook& book() const { return book_; }
 
-  /// The planner's view of a host (its class, named "<class>-<id>", with
-  /// the hypervisor agent's credit reserved) and of a VM (purchased credit
-  /// + memory) — what the book is fed, and what a from-scratch place_ffd
-  /// oracle over the live fleet must be fed to reproduce its plan.
-  [[nodiscard]] static consolidation::HostSpec plan_host_spec(const Cluster& cluster,
-                                                              HostId host);
+  /// The planner's view of a host (its class, with the hypervisor agent's
+  /// credit reserved) and of a VM (purchased credit + memory) — what the
+  /// book is fed, and what a from-scratch place_ffd oracle over the live
+  /// fleet must be fed to reproduce its plan.
+  [[nodiscard]] static platform::HostClass plan_host_spec(const Cluster& cluster,
+                                                          HostId host);
   [[nodiscard]] static consolidation::VmSpec plan_vm_spec(const Cluster& cluster,
                                                           GlobalVmId vm);
 

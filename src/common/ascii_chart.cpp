@@ -91,23 +91,4 @@ std::string render_chart(std::span<const ChartSeries> series, const ChartOptions
   return out;
 }
 
-std::string render_bars(std::span<const Bar> bars, double max_value, std::string_view unit,
-                        int width) {
-  std::string out;
-  std::size_t label_w = 0;
-  for (const auto& b : bars) label_w = std::max(label_w, b.label.size());
-  const double denom = max_value > 0 ? max_value : 1.0;
-  char buf[128];
-  for (const auto& b : bars) {
-    const int n =
-        static_cast<int>(std::lround(std::clamp(b.value / denom, 0.0, 1.0) * width));
-    std::snprintf(buf, sizeof(buf), "  %-*s |", static_cast<int>(label_w), b.label.c_str());
-    out += buf;
-    out.append(static_cast<std::size_t>(n), '#');
-    std::snprintf(buf, sizeof(buf), " %.4g %s\n", b.value, std::string(unit).c_str());
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace pas::common

@@ -8,7 +8,6 @@
 
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace pas::common {
@@ -38,13 +37,5 @@ struct ChartOptions {
 /// preserves plateaus and makes oscillation show up as a dense band.
 [[nodiscard]] std::string render_chart(std::span<const ChartSeries> series,
                                        const ChartOptions& options);
-
-/// Renders a simple horizontal bar chart (used for the table benches).
-struct Bar {
-  std::string label;
-  double value = 0.0;
-};
-[[nodiscard]] std::string render_bars(std::span<const Bar> bars, double max_value,
-                                      std::string_view unit, int width = 60);
 
 }  // namespace pas::common

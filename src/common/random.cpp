@@ -71,8 +71,6 @@ double Rng::normal(double mean, double stddev) {
 
 bool Rng::chance(double p) { return next_double() < p; }
 
-Rng Rng::split() { return Rng{next_u64()}; }
-
 Rng substream(std::uint64_t seed, std::string_view tag) {
   // FNV-1a 64 over the tag bytes: simple, cross-platform deterministic,
   // and good enough dispersion once pushed through the seeder's splitmix64

@@ -41,9 +41,6 @@ class Rng {
   /// Bernoulli trial.
   bool chance(double p);
 
-  /// Derives an independent stream (for giving each VM its own generator).
-  Rng split();
-
  private:
   std::uint64_t s_[4];
 };

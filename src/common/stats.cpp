@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace pas::common {
@@ -27,82 +26,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double percentile_sorted(std::span<const double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.p50 = percentile_sorted(sorted, 0.50);
-  s.p95 = percentile_sorted(sorted, 0.95);
-  s.p99 = percentile_sorted(sorted, 0.99);
-  return s;
-}
-
-LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
-  assert(xs.size() == ys.size());
-  LinearFit fit;
-  const std::size_t n = xs.size();
-  if (n < 2) return fit;
-
-  double sx = 0, sy = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sx += xs[i];
-    sy += ys[i];
-  }
-  const double mx = sx / static_cast<double>(n);
-  const double my = sy / static_cast<double>(n);
-
-  double sxx = 0, sxy = 0, syy = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxx += dx * dx;
-    sxy += dx * dy;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0) return fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  fit.r2 = (syy == 0.0) ? 1.0 : (sxy * sxy) / (sxx * syy);
-  return fit;
-}
 
 }  // namespace pas::common

@@ -1,13 +1,11 @@
-// Small statistics helpers: streaming moments and batch summaries.
+// Streaming moments for the simulator's summaries.
 //
-// Used by the benches to summarize per-phase loads ("mean absolute load of
-// V20 during phase 1") and by the calibration module to average cf
-// measurements across workloads.
+// Used by the two-VM scenario to summarize per-phase loads ("mean absolute
+// load of V20 during phase 1"), by the calibration module to average cf
+// measurements across workloads, and by WebApp for its request latencies.
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 namespace pas::common {
 
@@ -28,11 +26,6 @@ class RunningStats {
   [[nodiscard]] double max() const { return n_ > 0 ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }
 
-  void reset() { *this = RunningStats{}; }
-
-  /// Pools two streams (parallel-merge form of Welford).
-  void merge(const RunningStats& other);
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -41,40 +34,5 @@ class RunningStats {
   double max_ = 0.0;
   double sum_ = 0.0;
 };
-
-/// Batch summary of a sample vector.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-/// Computes a Summary (copies and sorts internally; fine for bench-sized
-/// vectors).
-[[nodiscard]] Summary summarize(std::span<const double> xs);
-
-/// Linear-interpolated percentile of a *sorted* sample, q in [0, 1]
-/// (R type-7: pos = q*(n-1), lerp between the two neighboring order
-/// statistics; q=0 is the min, q=1 the max, n=1 returns the sample, q is
-/// clamped, empty input returns 0). Deliberately NOT the same definition
-/// as the recovery-latency p50 in cluster::summarize_recoveries, which is
-/// the lower-median nearest rank: that one must be an integer-microsecond
-/// latency that actually occurred (byte-stable across engines), while
-/// this helper smooths bench summaries. Both definitions are pinned in
-/// tests/common/stats_test.cpp so neither can silently drift.
-[[nodiscard]] double percentile_sorted(std::span<const double> sorted, double q);
-
-/// Ordinary least squares fit y = a + b*x. Returns {a, b, r2}.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-  double r2 = 0.0;
-};
-[[nodiscard]] LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys);
 
 }  // namespace pas::common

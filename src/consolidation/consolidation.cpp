@@ -8,31 +8,26 @@
 
 namespace pas::consolidation {
 
-double packing_cost(const HostSpec& host) {
+double packing_cost(const platform::HostClass& host) {
   return host.power.idle_watts() / std::max(1e-9, host.memory_mb);
 }
 
-bool numa_spills(const VmSpec& vm, const HostSpec& host) {
+bool numa_spills(const VmSpec& vm, const platform::HostClass& host) {
   if (host.numa_nodes <= 1) return false;
   return vm.memory_mb > host.memory_mb / static_cast<double>(host.numa_nodes);
 }
 
-double effective_credit_pct(const VmSpec& vm, const HostSpec& host) {
+double effective_credit_pct(const VmSpec& vm, const platform::HostClass& host) {
   return vm.credit * (1.0 + (numa_spills(vm, host) ? host.numa_spill_penalty : 0.0));
 }
 
-Placement place_ffd(const std::vector<VmSpec>& vms, const std::vector<HostSpec>& hosts,
-                    const FfdOptions& options) {
+Placement place_ffd(const std::vector<VmSpec>& vms,
+                    const std::vector<platform::HostClass>& hosts, const FfdOptions& options) {
   for (const auto& vm : vms) {
     if (vm.memory_mb < 0 || vm.credit < 0 || vm.cpu_demand_pct < 0)
       throw std::invalid_argument("place_ffd: negative VM resource");
   }
-  for (const auto& h : hosts) {
-    if (h.numa_nodes == 0)
-      throw std::invalid_argument("place_ffd: host needs at least one NUMA node");
-    if (h.numa_spill_penalty < 0)
-      throw std::invalid_argument("place_ffd: negative NUMA spill penalty");
-  }
+  for (const auto& h : hosts) platform::validate_class(h);
 
   // Sort VM indices by memory, decreasing (classic FFD on the binding
   // dimension).
@@ -91,7 +86,8 @@ Placement place_ffd(const std::vector<VmSpec>& vms, const std::vector<HostSpec>&
 }
 
 ClusterOutcome evaluate(const Placement& placement, const std::vector<VmSpec>& vms,
-                        const std::vector<HostSpec>& hosts, bool allow_unplaced) {
+                        const std::vector<platform::HostClass>& hosts,
+                        bool allow_unplaced) {
   if (placement.assignment.size() != vms.size())
     throw std::invalid_argument("evaluate: placement does not match VM list");
 
@@ -153,24 +149,6 @@ ClusterOutcome evaluate(const Placement& placement, const std::vector<VmSpec>& v
   out.mean_active_load_pct =
       out.hosts_on > 0 ? load_sum / static_cast<double>(out.hosts_on) : 0.0;
   return out;
-}
-
-std::vector<HostSpec> fleet_from_classes(std::size_t count,
-                                         const std::vector<HostSpec>& classes) {
-  if (classes.empty())
-    throw std::invalid_argument("fleet_from_classes: need at least one class");
-  std::vector<HostSpec> fleet;
-  fleet.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    HostSpec h = classes[i % classes.size()];
-    h.name += "-" + std::to_string(i);
-    fleet.push_back(std::move(h));
-  }
-  return fleet;
-}
-
-std::vector<HostSpec> uniform_fleet(std::size_t count, const HostSpec& spec) {
-  return fleet_from_classes(count, {spec});
 }
 
 }  // namespace pas::consolidation

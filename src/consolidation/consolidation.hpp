@@ -25,9 +25,9 @@
 // ClusterManager does exactly that: it leaves unplaced VMs resident where
 // they are and reports them via last_plan_unplaced().
 //
-// Heterogeneous fleets: hosts need not be clones. Each HostSpec carries its
-// own ladder, power model, capacity, memory and NUMA layout (usually cut
-// from a platform::HostClass). The planner reacts in two ways:
+// Heterogeneous fleets: hosts need not be clones. The planner reads each
+// host's platform::HostClass — its own ladder, power model, capacity,
+// memory and NUMA layout — and reacts in two ways:
 //
 //   * efficient-first packing (FfdOptions::efficient_first, the default):
 //     candidate hosts are tried in ascending packing_cost() order — idle
@@ -50,32 +50,19 @@
 #include <string>
 #include <vector>
 
-#include "cpu/frequency_ladder.hpp"
-#include "cpu/power_model.hpp"
+#include "platform/host_class.hpp"
 
 namespace pas::consolidation {
 
-struct HostSpec {
-  std::string name;
-  /// CPU capacity in percent of one max-frequency processor (100 = the
-  /// paper's single-core host).
-  double cpu_capacity_pct = 100.0;
-  double memory_mb = 4096.0;
-  cpu::FrequencyLadder ladder = cpu::FrequencyLadder::paper_default();
-  cpu::PowerModel power = cpu::PowerModel::desktop_2008();
-  /// NUMA layout: memory_mb is split evenly over this many nodes. 1 = UMA.
-  std::size_t numa_nodes = 1;
-  /// Extra CPU fraction a cross-node VM costs on this host (remote-memory
-  /// efficiency loss). Applied to both reserved credit and charged demand
-  /// whenever a VM spills — see numa_spills().
-  double numa_spill_penalty = 0.0;
-};
+/// Kept for perfbench/src/probes.cpp, which still names it; the planner
+/// takes platform::HostClass.
+using HostSpec = platform::HostClass;
 
 /// Idle watts per MB of memory — the key efficient-first packing sorts
 /// hosts by: what a host charges in committed standby power per unit of
-/// the binding resource it contributes. Identical specs yield identical
+/// the binding resource it contributes. Identical classes yield identical
 /// costs, so uniform fleets keep index order.
-[[nodiscard]] double packing_cost(const HostSpec& host);
+[[nodiscard]] double packing_cost(const platform::HostClass& host);
 
 struct VmSpec {
   std::string name;
@@ -88,12 +75,13 @@ struct VmSpec {
 
 /// True if the VM cannot be node-local on this host: its footprint exceeds
 /// one NUMA node's share of the host memory. Single-node hosts never spill.
-[[nodiscard]] bool numa_spills(const VmSpec& vm, const HostSpec& host);
+[[nodiscard]] bool numa_spills(const VmSpec& vm, const platform::HostClass& host);
 
 /// The credit the planner must reserve for this VM on this host: the
 /// purchased credit, inflated by the NUMA spill penalty when the VM's
 /// footprint crosses node capacity.
-[[nodiscard]] double effective_credit_pct(const VmSpec& vm, const HostSpec& host);
+[[nodiscard]] double effective_credit_pct(const VmSpec& vm,
+                                           const platform::HostClass& host);
 
 inline constexpr std::size_t kUnplaced = std::numeric_limits<std::size_t>::max();
 
@@ -114,9 +102,10 @@ struct FfdOptions {
 /// First-fit decreasing by memory footprint. A VM fits a host if both its
 /// memory and its *effective credit* (not merely its demand — SLAs must be
 /// honorable, and a NUMA-spilled VM reserves its penalty too) fit the
-/// remaining capacity.
+/// remaining capacity. Throws std::invalid_argument on a negative VM
+/// resource or a host that fails platform::validate_class.
 [[nodiscard]] Placement place_ffd(const std::vector<VmSpec>& vms,
-                                  const std::vector<HostSpec>& hosts,
+                                  const std::vector<platform::HostClass>& hosts,
                                   const FfdOptions& options = {});
 
 struct HostOutcome {
@@ -187,17 +176,7 @@ struct ClusterOutcome {
 ///     }
 [[nodiscard]] ClusterOutcome evaluate(const Placement& placement,
                                       const std::vector<VmSpec>& vms,
-                                      const std::vector<HostSpec>& hosts,
+                                      const std::vector<platform::HostClass>& hosts,
                                       bool allow_unplaced = false);
-
-/// Expands per-host "classes" into a named fleet: entry i is a clone of
-/// classes[i % classes.size()] with "-i" appended to its name. Throws on an
-/// empty class list.
-[[nodiscard]] std::vector<HostSpec> fleet_from_classes(
-    std::size_t count, const std::vector<HostSpec>& classes);
-
-/// Convenience: a fleet of identical hosts — the single-class catalog case
-/// of fleet_from_classes.
-[[nodiscard]] std::vector<HostSpec> uniform_fleet(std::size_t count, const HostSpec& spec);
 
 }  // namespace pas::consolidation

@@ -18,11 +18,8 @@ bool HostBook::has_vm(std::size_t id) const {
   return id < vm_alive_.size() && vm_alive_[id] != 0;
 }
 
-void HostBook::add_host(std::size_t id, const HostSpec& spec) {
-  if (spec.numa_nodes == 0)
-    throw std::invalid_argument("HostBook: host needs at least one NUMA node");
-  if (spec.numa_spill_penalty < 0)
-    throw std::invalid_argument("HostBook: negative NUMA spill penalty");
+void HostBook::add_host(std::size_t id, const platform::HostClass& host) {
+  platform::validate_class(host);
   if (has_host(id)) throw std::invalid_argument("HostBook: add_host on a live host id");
   if (id >= host_alive_.size()) {
     const std::size_t n = id + 1;
@@ -34,11 +31,11 @@ void HostBook::add_host(std::size_t id, const HostSpec& spec) {
     host_nodes_.resize(n, 1);
   }
   host_alive_[id] = 1;
-  host_mem_[id] = spec.memory_mb;
-  host_cap_[id] = spec.cpu_capacity_pct;
-  host_penalty_[id] = spec.numa_spill_penalty;
-  host_nodes_[id] = spec.numa_nodes;
-  host_cost_[id] = packing_cost(spec);
+  host_mem_[id] = host.memory_mb;
+  host_cap_[id] = host.cpu_capacity_pct;
+  host_penalty_[id] = host.numa_spill_penalty;
+  host_nodes_[id] = host.numa_nodes;
+  host_cost_[id] = packing_cost(host);
   hosts_dirty_ = true;
 }
 

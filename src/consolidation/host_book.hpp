@@ -1,6 +1,6 @@
-// Persistent consolidation planning: a book of host and VM specs, keyed by
-// caller-chosen ids, whose plan() is byte-identical to a from-scratch
-// place_ffd over the same inputs.
+// Persistent consolidation planning: a book of host classes and VM specs,
+// keyed by caller-chosen ids, whose plan() is byte-identical to a
+// from-scratch place_ffd over the same inputs.
 //
 // Why a book: ClusterManager mutates the planner's inputs a few ids at a
 // time (a crash removes a host, a recovery re-adds a VM), and most planning
@@ -67,7 +67,7 @@ class HostBook {
   explicit HostBook(FfdOptions options = {});
 
   // --- mutations (validation mirrors place_ffd) ---
-  void add_host(std::size_t id, const HostSpec& spec);
+  void add_host(std::size_t id, const platform::HostClass& host);
   void remove_host(std::size_t id);
   void add_vm(std::size_t id, const VmSpec& spec);
   void remove_vm(std::size_t id);

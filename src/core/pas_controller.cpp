@@ -4,8 +4,6 @@
 
 namespace pas::core {
 
-PasController::PasController(PasConfig config) : cfg_(config) {}
-
 void PasController::attach(const hv::HostView& view) {
   // Snapshot the configured credits: these are the SLAs that compensation
   // preserves, regardless of whatever the caps currently are.

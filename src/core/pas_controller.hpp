@@ -23,18 +23,14 @@
 
 namespace pas::core {
 
-struct PasConfig {
-  /// Tick period. The paper hooks the Xen scheduler tick; we default to the
-  /// credit scheduler's 30 ms accounting period.
-  common::SimTime period = common::msec(30);
-};
-
 class PasController final : public hv::Controller {
  public:
-  explicit PasController(PasConfig config = {});
+  /// Tick period. The paper hooks the Xen scheduler tick; this is the
+  /// credit scheduler's 30 ms accounting period.
+  static constexpr common::SimTime kPeriod = common::msec(30);
 
   [[nodiscard]] std::string_view name() const override { return "pas"; }
-  [[nodiscard]] common::SimTime period() const override { return cfg_.period; }
+  [[nodiscard]] common::SimTime period() const override { return kPeriod; }
   void attach(const hv::HostView& view) override;
   void on_tick(common::SimTime now, const hv::HostView& view) override;
 
@@ -42,7 +38,6 @@ class PasController final : public hv::Controller {
   [[nodiscard]] std::uint64_t tick_count() const { return ticks_; }
 
  private:
-  PasConfig cfg_;
   std::vector<common::Percent> initial_credits_;
   std::uint64_t ticks_ = 0;
   int down_streak_ = 0;

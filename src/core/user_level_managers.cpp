@@ -2,8 +2,6 @@
 
 namespace pas::core {
 
-UserLevelCreditManager::UserLevelCreditManager(UserLevelConfig config) : cfg_(config) {}
-
 void UserLevelCreditManager::attach(const hv::HostView& view) {
   initial_credits_.assign(view.initial_credits.begin(), view.initial_credits.end());
 }
@@ -18,8 +16,6 @@ void UserLevelCreditManager::on_tick(common::SimTime /*now*/, const hv::HostView
     view.scheduler->set_cap(view.vms[i], compensated_credit(init, ladder, cur));
   }
 }
-
-UserLevelDvfsCreditManager::UserLevelDvfsCreditManager(UserLevelConfig config) : cfg_(config) {}
 
 void UserLevelDvfsCreditManager::attach(const hv::HostView& view) {
   initial_credits_.assign(view.initial_credits.begin(), view.initial_credits.end());

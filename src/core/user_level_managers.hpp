@@ -24,41 +24,33 @@
 
 namespace pas::core {
 
-struct UserLevelConfig {
-  /// Daemon wake-up period. Real monitoring daemons poll on the order of
-  /// seconds; the paper calls the approach "quite intrusive ... and it may
-  /// lack reactivity".
-  common::SimTime period = common::seconds(2);
-};
+/// Daemon wake-up period of both designs. Real monitoring daemons poll on
+/// the order of seconds; the paper calls the approach "quite intrusive ...
+/// and it may lack reactivity".
+inline constexpr common::SimTime kUserLevelPeriod = common::seconds(2);
 
 class UserLevelCreditManager final : public hv::Controller {
  public:
-  explicit UserLevelCreditManager(UserLevelConfig config = {});
-
   [[nodiscard]] std::string_view name() const override { return "userlevel-credit"; }
-  [[nodiscard]] common::SimTime period() const override { return cfg_.period; }
+  [[nodiscard]] common::SimTime period() const override { return kUserLevelPeriod; }
   void attach(const hv::HostView& view) override;
   /// Reads the frequency the governor chose and rewrites credits (eq. 4).
   void on_tick(common::SimTime now, const hv::HostView& view) override;
 
  private:
-  UserLevelConfig cfg_;
   std::vector<common::Percent> initial_credits_;
 };
 
 class UserLevelDvfsCreditManager final : public hv::Controller {
  public:
-  explicit UserLevelDvfsCreditManager(UserLevelConfig config = {});
-
   [[nodiscard]] std::string_view name() const override { return "userlevel-dvfs-credit"; }
-  [[nodiscard]] common::SimTime period() const override { return cfg_.period; }
+  [[nodiscard]] common::SimTime period() const override { return kUserLevelPeriod; }
   void attach(const hv::HostView& view) override;
   /// Computes the fitting frequency from the observed absolute load, then
   /// sets both frequency and credits.
   void on_tick(common::SimTime now, const hv::HostView& view) override;
 
  private:
-  UserLevelConfig cfg_;
   std::vector<common::Percent> initial_credits_;
 };
 

@@ -5,11 +5,10 @@
 
 namespace pas::cpu {
 
-Cpufreq::Cpufreq(CpuModel& cpu, common::SimTime transition_latency)
-    : cpu_(cpu), transition_latency_(transition_latency), ceiling_(cpu.ladder().max_index()) {}
+Cpufreq::Cpufreq(CpuModel& cpu) : cpu_(cpu) {}
 
 std::size_t Cpufreq::request(std::size_t index) {
-  index = std::clamp(index, floor_, ceiling_);
+  index = std::clamp(index, floor_, cpu_.ladder().max_index());
   if (index != cpu_.current_index()) {
     cpu_.set_index(index);
     ++transitions_;
@@ -20,15 +19,7 @@ std::size_t Cpufreq::request(std::size_t index) {
 void Cpufreq::set_floor(std::size_t index) {
   assert(index < cpu_.ladder().size());
   floor_ = index;
-  if (ceiling_ < floor_) ceiling_ = floor_;
   if (cpu_.current_index() < floor_) request(floor_);
-}
-
-void Cpufreq::set_ceiling(std::size_t index) {
-  assert(index < cpu_.ladder().size());
-  ceiling_ = index;
-  if (floor_ > ceiling_) floor_ = ceiling_;
-  if (cpu_.current_index() > ceiling_) request(ceiling_);
 }
 
 }  // namespace pas::cpu

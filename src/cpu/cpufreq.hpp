@@ -3,8 +3,7 @@
 //
 // Mirrors the Linux/Xen cpufreq layer the paper builds on (§2.2): policies
 // request a target state; the subsystem applies it, enforces an optional
-// floor/ceiling (platform power policies — see platform/), counts
-// transitions and models transition latency as lost capacity.
+// floor (platform power policies — see platform/) and counts transitions.
 #pragma once
 
 #include <cstddef>
@@ -16,41 +15,28 @@ namespace pas::cpu {
 
 class Cpufreq {
  public:
-  /// `transition_latency` models the stall while the PLL relocks; the
-  /// aggregate is reported via stolen_time() (tens of microseconds per
-  /// transition — a diagnostic for governor stability, not charged against
-  /// simulated capacity).
-  explicit Cpufreq(CpuModel& cpu, common::SimTime transition_latency = common::usec(50));
+  explicit Cpufreq(CpuModel& cpu);
 
   [[nodiscard]] const CpuModel& cpu() const { return cpu_; }
   [[nodiscard]] std::size_t current_index() const { return cpu_.current_index(); }
   [[nodiscard]] common::Mhz current_freq() const { return cpu_.current_freq(); }
   [[nodiscard]] const FrequencyLadder& ladder() const { return cpu_.ladder(); }
 
-  /// Requests a P-state. The request is clamped to [floor, ceiling]; a
+  /// Requests a P-state. The request is clamped to [floor, max]; a
   /// request equal to the current state is a no-op (not counted as a
   /// transition). Returns the state actually applied.
   std::size_t request(std::size_t index);
 
-  /// Platform power-policy bounds (e.g. ESXi's "balanced" policy never
+  /// Platform power-policy bound (e.g. ESXi's "balanced" policy never
   /// descends below a mid P-state; see platform/catalog).
   void set_floor(std::size_t index);
-  void set_ceiling(std::size_t index);
   [[nodiscard]] std::size_t floor() const { return floor_; }
-  [[nodiscard]] std::size_t ceiling() const { return ceiling_; }
 
   [[nodiscard]] std::uint64_t transition_count() const { return transitions_; }
-  /// Total wall time lost to transitions so far.
-  [[nodiscard]] common::SimTime stolen_time() const {
-    return transition_latency_ * static_cast<std::int64_t>(transitions_);
-  }
-  [[nodiscard]] common::SimTime transition_latency() const { return transition_latency_; }
 
  private:
   CpuModel& cpu_;
-  common::SimTime transition_latency_;
   std::size_t floor_ = 0;
-  std::size_t ceiling_;
   std::uint64_t transitions_ = 0;
 };
 

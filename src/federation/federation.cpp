@@ -95,9 +95,10 @@ void Federation::run_until(common::SimTime until) {
     // advance_shards per call — byte-exact to driving the bare Cluster,
     // because extra segment cuts would reorder its FP energy summation.
     if (shards_.size() > 1) {
-      const common::SimTime p = cfg_.planner.period;
+      constexpr common::SimTime kPlannerPeriod = common::seconds(120);
       planner_task_ = std::make_unique<sim::PeriodicTask>(
-          events_, p, p, [this](common::SimTime t) { planner_tick(t); });
+          events_, kPlannerPeriod, kPlannerPeriod,
+          [this](common::SimTime t) { planner_tick(t); });
     }
     started_ = true;
   }

@@ -43,13 +43,14 @@
 // Cluster::crash_host refuses a host holding a fed-locked running VM or a
 // kInbound one, the same refusal contract as the last live host.
 //
-// Planner: each tick reads per-shard aggregates — one deterministic scan
-// of each shard's live hosts and running VMs (shard_load) — and issues at
-// most kMaxCrossShardPerTick moves from the most- to the least-utilized
-// shard while their reserved-memory utilization gap exceeds
-// kImbalanceThreshold (both constants live in planner_tick). The global
-// tier balances shard AGGREGATES; placement inside a shard stays the shard
-// manager's own business.
+// Planner: a tick every kPlannerPeriod (120 s, in run_until) reads
+// per-shard aggregates — one deterministic scan of each shard's live hosts
+// and running VMs (shard_load) — and issues at most kMaxCrossShardPerTick
+// moves from the most- to the least-utilized shard while their
+// reserved-memory utilization gap exceeds kImbalanceThreshold (both
+// constants live in planner_tick). The global tier balances shard
+// AGGREGATES; placement inside a shard stays the shard manager's own
+// business.
 #pragma once
 
 #include <cstddef>
@@ -73,19 +74,14 @@ using ShardId = std::uint32_t;
 /// GlobalVmId changes when it crosses a link; this id never does).
 using FedVmId = std::uint32_t;
 
-struct FederationPlannerConfig {
-  common::SimTime period = common::seconds(120);
-};
-
 struct FederationConfig {
-  FederationPlannerConfig planner;
   /// Rack id per shard: same-rack shard pairs talk over cross_rack_link(),
   /// different racks over wan_link(). Empty = every shard its own rack
   /// (all-WAN). (A shard's internal link — its ClusterConfig::migration —
   /// is the intra-rack tier.)
   std::vector<std::uint32_t> racks;
   /// Executors advancing shards between federation events, with the
-  /// meaning of cluster::ExecutionPolicy::threads (0 = one per hardware
+  /// meaning of cluster::ClusterConfig::threads (0 = one per hardware
   /// thread). The pool is capped at the shard count: a shard is the unit
   /// of work, so executors beyond K would only idle.
   std::size_t threads = 1;

@@ -2,15 +2,6 @@
 
 namespace pas::fed {
 
-const char* to_string(LinkKind kind) {
-  switch (kind) {
-    case LinkKind::kIntraRack: return "intra_rack";
-    case LinkKind::kCrossRack: return "cross_rack";
-    case LinkKind::kWan: return "wan";
-  }
-  return "unknown";
-}
-
 double LinkModel::dirty_factor(const platform::HostClass& src,
                                const platform::HostClass& dst) const {
   return src.name == dst.name ? 1.0 : cross_class_dirty_factor;
@@ -19,17 +10,6 @@ double LinkModel::dirty_factor(const platform::HostClass& src,
 common::SimTime LinkModel::switch_penalty(const platform::HostClass& src,
                                           const platform::HostClass& dst) const {
   return src.name == dst.name ? common::SimTime{} : cross_class_switch_latency;
-}
-
-LinkModel intra_rack_link() {
-  LinkModel link;
-  link.name = "intra-rack";
-  link.kind = LinkKind::kIntraRack;
-  // MigrationConfig defaults ARE the intra-rack tier (dedicated 10 GbE,
-  // 20 ms switch) — the single-cluster engine has always priced this link.
-  link.cross_class_dirty_factor = 1.1;
-  link.cross_class_switch_latency = common::msec(20);
-  return link;
 }
 
 LinkModel cross_rack_link() {

@@ -35,8 +35,6 @@ namespace pas::fed {
 
 enum class LinkKind : std::uint8_t { kIntraRack = 0, kCrossRack, kWan };
 
-[[nodiscard]] const char* to_string(LinkKind kind);
-
 struct LinkModel {
   std::string name = "intra-rack";
   LinkKind kind = LinkKind::kIntraRack;
@@ -60,9 +58,9 @@ struct LinkModel {
 };
 
 /// Presets, cheapest to dearest. A shard's internal link (its own
-/// ClusterConfig::migration) is the intra-rack tier; the federation wires
+/// ClusterConfig::migration, whose defaults are the intra-rack tier:
+/// dedicated 10 GbE, 20 ms switch) is the cheapest; the federation wires
 /// cross_rack between same-rack shards and wan between racks.
-[[nodiscard]] LinkModel intra_rack_link();
 [[nodiscard]] LinkModel cross_rack_link();
 [[nodiscard]] LinkModel wan_link();
 

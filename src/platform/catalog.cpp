@@ -19,7 +19,7 @@ cpu::FrequencyLadder table2_ladder() {
 
 std::vector<PlatformProfile> table2_platforms() {
   // Floors / efficiencies calibrated from the paper's Performance column
-  // and OnDemand floor behaviour (DESIGN.md §5, Table 2 mechanism):
+  // and OnDemand floor behaviour (the paper's Table 2; mechanism in catalog.hpp):
   //  * Hyper-V's power policy descends to ratio 0.50  (paper ×2.01 loss);
   //  * ESXi "balanced" stops at a mid P-state, ratio 0.727 (paper ×1.375);
   //  * Xen ondemand reaches ratio 0.60 on this load     (paper ×1.667);

@@ -6,6 +6,15 @@
 
 namespace pas::platform {
 
+void validate_class(const HostClass& host_class) {
+  if (host_class.numa_nodes == 0)
+    throw std::invalid_argument("HostClass \"" + host_class.name +
+                                "\": needs at least one NUMA node");
+  if (host_class.numa_spill_penalty < 0.0)
+    throw std::invalid_argument("HostClass \"" + host_class.name +
+                                "\": negative NUMA spill penalty");
+}
+
 HostClass optiplex_755() {
   HostClass c;
   c.name = "optiplex-755";
@@ -68,32 +77,10 @@ std::vector<HostClass> mixed_fleet_classes(std::size_t count, std::uint64_t seed
   return fleet;
 }
 
-consolidation::HostSpec to_host_spec(const HostClass& host_class) {
-  consolidation::HostSpec spec;
-  spec.name = host_class.name;
-  spec.cpu_capacity_pct = host_class.cpu_capacity_pct;
-  spec.memory_mb = host_class.memory_mb;
-  spec.ladder = host_class.ladder;
-  spec.power = host_class.power;
-  spec.numa_nodes = host_class.numa_nodes;
-  spec.numa_spill_penalty = host_class.numa_spill_penalty;
-  return spec;
-}
-
-std::vector<consolidation::HostSpec> fleet_specs(const std::vector<HostClass>& per_host) {
-  std::vector<consolidation::HostSpec> specs;
-  specs.reserve(per_host.size());
-  for (std::size_t i = 0; i < per_host.size(); ++i) {
-    consolidation::HostSpec spec = to_host_spec(per_host[i]);
-    spec.name += "-" + std::to_string(i);
-    specs.push_back(std::move(spec));
-  }
-  return specs;
-}
-
-std::vector<consolidation::HostSpec> planner_fleet(std::size_t count,
-                                                   const HostClass& host_class) {
-  return consolidation::fleet_from_classes(count, {to_host_spec(host_class)});
+std::vector<HostClass> numbered_fleet(std::vector<HostClass> per_host) {
+  for (std::size_t i = 0; i < per_host.size(); ++i)
+    per_host[i].name += "-" + std::to_string(i);
+  return per_host;
 }
 
 }  // namespace pas::platform

@@ -10,12 +10,13 @@
 // layout with the cross-node efficiency penalty the planner charges when a
 // VM cannot be node-local.
 //
-// The stock classes below are cut from those measured machines; the fleet
-// catalog and the mixing helpers turn them into per-host class lists that
-// cluster::ClusterConfig, scenario::HostingClusterConfig and the
-// consolidation planner all consume. Every helper is deterministic — mixes
-// are a pure function of (count, seed) — so heterogeneous runs keep the
-// repo's byte-identity contracts.
+// HostClass is the one description of a machine: cluster::ClusterConfig,
+// scenario::HostingClusterConfig and the consolidation planner (place_ffd,
+// evaluate, HostBook) all read it directly. The stock classes below are cut
+// from those measured machines; the fleet catalog and the mixing helpers
+// turn them into per-host class lists. Every helper is deterministic —
+// mixes are a pure function of (count, seed) — so heterogeneous runs keep
+// the repo's byte-identity contracts.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "consolidation/consolidation.hpp"
 #include "cpu/frequency_ladder.hpp"
 #include "cpu/power_model.hpp"
 
@@ -41,9 +41,16 @@ struct HostClass {
   /// NUMA node count; memory_mb splits evenly across nodes. 1 = UMA.
   std::size_t numa_nodes = 1;
   /// Extra CPU fraction a VM costs when its footprint exceeds one node
-  /// (consolidation::numa_spills) — the cross-node efficiency penalty.
+  /// (consolidation::numa_spills) — the cross-node efficiency penalty,
+  /// applied to both the credit the planner reserves and the demand it
+  /// charges.
   double numa_spill_penalty = 0.0;
 };
+
+/// Throws std::invalid_argument unless the NUMA layout can exist: at least
+/// one node and a non-negative spill penalty. Cluster, place_ffd and
+/// HostBook::add_host all validate their classes through this.
+void validate_class(const HostClass& host_class);
 
 // --- stock classes (the paper's machines) ----------------------------------
 
@@ -82,19 +89,13 @@ struct HostClass {
 [[nodiscard]] std::vector<HostClass> mixed_fleet_classes(std::size_t count,
                                                          std::uint64_t seed = 0);
 
-// --- planner bridges -------------------------------------------------------
+/// A copy of `per_host` with entry i renamed "<class>-i" — labels for the
+/// static planner's printouts. Never feed the result to a Cluster:
+/// fed::LinkModel prices cross-class flights by comparing class names.
+[[nodiscard]] std::vector<HostClass> numbered_fleet(std::vector<HostClass> per_host);
 
-/// The consolidation planner's view of a class (name carried verbatim; use
-/// fleet_specs / planner_fleet for per-host "-i" suffixed names).
-[[nodiscard]] consolidation::HostSpec to_host_spec(const HostClass& host_class);
-
-/// Per-host class list -> planner fleet, entry i named "<class>-i".
-[[nodiscard]] std::vector<consolidation::HostSpec> fleet_specs(
-    const std::vector<HostClass>& per_host);
-
-/// `count` planner hosts cut from one class — the shared setup behind the
-/// consolidation example and the ablation bench.
-[[nodiscard]] std::vector<consolidation::HostSpec> planner_fleet(
-    std::size_t count, const HostClass& host_class);
+/// Kept for perfbench/src/probes.cpp, which still calls it; the planner
+/// reads HostClass directly, so this returns its argument.
+[[nodiscard]] inline HostClass to_host_spec(const HostClass& host_class) { return host_class; }
 
 }  // namespace pas::platform

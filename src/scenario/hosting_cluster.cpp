@@ -47,7 +47,7 @@ std::unique_ptr<cluster::Cluster> build_hosting_cluster(const HostingClusterConf
   cluster::ClusterConfig cc;
   cc.host.trace_stride = config.trace_stride;
   cc.host.event_driven_fast_path = config.fast_path;
-  cc.execution.threads = config.threads;
+  cc.threads = config.threads;
   // The fleet is always a per-host class list: explicit, mixed from the
   // platform catalog, or `hosts` clones of the uniform class.
   if (!config.host_classes.empty()) {

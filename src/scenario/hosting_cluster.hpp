@@ -46,7 +46,7 @@ struct HostingClusterConfig {
   common::SimTime horizon = common::seconds(4000);
   std::uint64_t seed = 17;
   bool fast_path = true;
-  /// Executor threads for host segments (cluster::ExecutionPolicy): 1 =
+  /// Executor threads for host segments (cluster::ClusterConfig::threads): 1 =
   /// the calling thread alone, 0 = hardware concurrency. Wall-clock only —
   /// results are byte-identical at any value.
   std::size_t threads = 1;

@@ -227,7 +227,7 @@ inline ScenarioSpec draw_scenario(std::uint64_t seed, bool hetero = false,
   return s;
 }
 
-/// `threads` feeds cluster::ExecutionPolicy: the pool's executor count
+/// `threads` feeds cluster::ClusterConfig::threads: the pool's executor count
 /// (1 = the calling thread alone, 0 = hardware concurrency). A spec with no
 /// classes runs on HostClass{} hosts.
 inline std::unique_ptr<Cluster> build_cluster(const ScenarioSpec& s, bool fast_path,
@@ -238,7 +238,7 @@ inline std::unique_ptr<Cluster> build_cluster(const ScenarioSpec& s, bool fast_p
   cc.host.trace_stride = s.trace_stride;
   cc.host.monitor_window = s.monitor_window;
   cc.host.event_driven_fast_path = fast_path;
-  cc.execution.threads = threads;
+  cc.threads = threads;
   cc.migration = s.migration;
   cc.make_scheduler = [kind = s.sched]() -> std::unique_ptr<hv::Scheduler> {
     switch (kind) {

@@ -8,18 +8,20 @@
 //   * fast path ≡ reference slow-stepped loop (contract 1),
 //
 // both swept over seeded random mixed fleets with managers (efficient-
-// first FFD against per-class HostSpecs), live migrations between hosts of
+// first FFD against per-host classes), live migrations between hosts of
 // DIFFERENT classes, VOVO and per-host PAS on per-class ladders — the xeon
 // class's cf < 1 states included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "cluster_fuzz_common.hpp"
 #include "common/thread_pool.hpp"
+#include "consolidation/consolidation.hpp"
 
 namespace pas::cluster {
 namespace {
@@ -107,6 +109,52 @@ TEST(ClusterHeteroTest, HostsBuiltFromTheirClasses) {
     }
     EXPECT_EQ(cluster->host_memory_mb(h), cls.memory_mb) << "host " << h;
   }
+}
+
+// Crash recovery is efficient-first too: an orphan restarts on the live
+// host with the lowest packing_cost that has room for it — on the mixed
+// catalog fleet (xeon, optiplex, elite, xeon) that is the elite-8300 —
+// and, with efficient_first off, on the lowest-index host that fits.
+// Returns where the VM homed on the crashed optiplex (host 1) restarted.
+HostId restart_host_after_crash(bool efficient_first) {
+  ClusterConfig cc;
+  cc.host_classes = platform::mixed_fleet_classes(4);
+  cc.host.trace_stride = common::SimTime{};  // pure accounting
+  Cluster cluster{std::move(cc)};
+  ClusterVmConfig vc;
+  vc.vm.name = "tenant";
+  vc.vm.credit = 10.0;
+  vc.memory_mb = 1024.0;
+  cluster.add_vm(std::move(vc), std::make_unique<wl::BusyLoop>(), 1);
+  ClusterManagerConfig mc;
+  mc.period = common::seconds(10);
+  mc.consolidate = false;  // recovery alone decides where the VM lands
+  mc.vovo = false;
+  mc.efficient_first = efficient_first;
+  cluster.install_manager(std::make_unique<ClusterManager>(mc));
+
+  cluster.run_until(common::seconds(5));
+  EXPECT_TRUE(cluster.crash_host(1, /*restart_orphans=*/true));
+  EXPECT_EQ(cluster.vm_state(0), VmState::kOrphaned);
+  cluster.run_until(common::seconds(30));
+  EXPECT_EQ(cluster.vm_state(0), VmState::kRunning);
+  EXPECT_EQ(cluster.recoveries().size(), 1u);
+  return cluster.residence(0);
+}
+
+TEST(ClusterHeteroTest, RecoveryRestartsOnTheCheapestHostThatFits) {
+  const std::vector<platform::HostClass> fleet = platform::mixed_fleet_classes(4);
+  ASSERT_EQ(fleet[1].name, "optiplex-755") << "the crashed host";
+  const HostId efficient = restart_host_after_crash(/*efficient_first=*/true);
+  EXPECT_EQ(fleet[efficient].name, "elite-8300");
+  for (HostId h = 0; h < fleet.size(); ++h) {
+    if (h == 1) continue;  // crashed
+    EXPECT_LE(consolidation::packing_cost(fleet[efficient]),
+              consolidation::packing_cost(fleet[h]))
+        << "host " << h;
+  }
+  EXPECT_EQ(restart_host_after_crash(/*efficient_first=*/false), 0u)
+      << "index order: the lowest live host that fits";
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ void expect_served_plan_is_ffd(const Cluster& cluster, bool skipped, const std::
     vms.push_back(ClusterManager::plan_vm_spec(cluster, g));
     vm_ids.push_back(g);
   }
-  std::vector<consolidation::HostSpec> hosts;
+  std::vector<platform::HostClass> hosts;
   std::vector<std::size_t> host_ids;
   for (HostId h = 0; h < cluster.host_count(); ++h) {
     if (cluster.crashed(h)) continue;

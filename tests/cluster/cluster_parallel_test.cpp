@@ -115,7 +115,7 @@ TEST(ClusterParallelTest, ThrowingHostStopsNoOtherHost) {
     ClusterConfig cc;
     cc.host_classes = platform::uniform_fleet_classes(4, {});
     cc.host.trace_stride = common::SimTime{};
-    cc.execution.threads = threads;
+    cc.threads = threads;
     Cluster cluster{std::move(cc)};
     for (HostId h = 0; h < 4; ++h) {
       std::unique_ptr<wl::Workload> guest;

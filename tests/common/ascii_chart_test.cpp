@@ -88,19 +88,5 @@ TEST(AsciiChartTest, ResamplingPreservesPlateauMean) {
   EXPECT_EQ(stars, 10u);
 }
 
-TEST(RenderBarsTest, Basic) {
-  std::vector<Bar> bars{{"short", 10.0}, {"long", 100.0}};
-  const std::string out = render_bars(bars, 100.0, "s", 20);
-  EXPECT_NE(out.find("short"), std::string::npos);
-  EXPECT_NE(out.find("long"), std::string::npos);
-  // The long bar has 20 hashes, the short one 2.
-  EXPECT_NE(out.find("####################"), std::string::npos);
-}
-
-TEST(RenderBarsTest, ZeroMaxDoesNotDivideByZero) {
-  std::vector<Bar> bars{{"x", 0.0}};
-  EXPECT_FALSE(render_bars(bars, 0.0, "J").empty());
-}
-
 }  // namespace
 }  // namespace pas::common

@@ -2,11 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <vector>
-
-#include "cluster/cluster.hpp"  // summarize_recoveries divergence pin
-
 namespace pas::common {
 namespace {
 
@@ -35,137 +30,6 @@ TEST(RunningStatsTest, SingleSampleVarianceIsZero) {
   s.add(3.14);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   EXPECT_DOUBLE_EQ(s.mean(), 3.14);
-}
-
-TEST(RunningStatsTest, MergeMatchesPooled) {
-  RunningStats a, b, pooled;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i * 0.7) * 10 + i * 0.1;
-    if (i % 2 == 0) a.add(x); else b.add(x);
-    pooled.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), pooled.count());
-  EXPECT_NEAR(a.mean(), pooled.mean(), 1e-10);
-  EXPECT_NEAR(a.variance(), pooled.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), pooled.min());
-  EXPECT_DOUBLE_EQ(a.max(), pooled.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(SummarizeTest, Percentiles) {
-  std::vector<double> xs;
-  for (int i = 1; i <= 100; ++i) xs.push_back(i);
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.mean, 50.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.p50, 50.5, 1e-9);
-  EXPECT_NEAR(s.p95, 95.05, 1e-9);
-  EXPECT_NEAR(s.p99, 99.01, 1e-9);
-}
-
-TEST(SummarizeTest, Empty) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(PercentileTest, Bounds) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 1.0), 3.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0.5), 2.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, -1.0), 1.0);  // clamped
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 2.0), 3.0);   // clamped
-}
-
-// Edge cases pinned so the interpolated definition cannot silently change:
-// n=1, q in {0, 1}, and the even-n midpoint (the case where interpolation
-// and nearest rank genuinely differ).
-
-TEST(PercentileTest, SingleSampleIsAlwaysThatSample) {
-  const std::vector<double> xs{42.0};
-  for (double q : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    EXPECT_DOUBLE_EQ(percentile_sorted(xs, q), 42.0) << "q=" << q;
-  }
-}
-
-TEST(PercentileTest, EvenCountInterpolatesMiddlePair) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0.5), 2.5);  // (2+3)/2 — R type-7
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 1.0), 4.0);
-  // Quarter position lands between sorted[0] and sorted[1]: 1 + 0.75.
-  EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0.25), 1.75);
-}
-
-TEST(PercentileTest, EmptyReturnsZero) {
-  EXPECT_DOUBLE_EQ(percentile_sorted({}, 0.5), 0.0);
-}
-
-// The recovery-latency p50 (cluster::summarize_recoveries) is deliberately
-// the LOWER-MEDIAN NEAREST RANK, not this interpolation: for an even
-// sample it reports a latency that actually occurred, byte-stable in
-// integer microseconds. Document the divergence by computing both on the
-// same even-count sample.
-TEST(PercentileTest, NearestRankLowerMedianDivergesOnEvenCount) {
-  const std::vector<double> sorted{1.0, 2.0, 3.0, 4.0};
-  const double interpolated = percentile_sorted(sorted, 0.5);
-  const double nearest_rank = sorted[(sorted.size() - 1) / 2];  // cluster's rule
-  EXPECT_DOUBLE_EQ(interpolated, 2.5);
-  EXPECT_DOUBLE_EQ(nearest_rank, 2.0);
-  // Odd counts agree:
-  const std::vector<double> odd{1.0, 2.0, 9.0};
-  EXPECT_DOUBLE_EQ(percentile_sorted(odd, 0.5), odd[(odd.size() - 1) / 2]);
-}
-
-// And pin the real implementation, not a transcription of its rule: an
-// even-count recovery sample must report the lower middle latency.
-TEST(PercentileTest, SummarizeRecoveriesUsesLowerMedianNearestRank) {
-  using pas::cluster::VmRecovery;
-  std::vector<VmRecovery> recs;
-  for (long s : {4, 1, 3, 2}) {  // unsorted on purpose
-    recs.push_back({0, common::SimTime{}, common::seconds(s)});
-  }
-  const auto stats = pas::cluster::summarize_recoveries(recs);
-  EXPECT_EQ(stats.count, 4u);
-  EXPECT_EQ(stats.p50, common::seconds(2));  // lower median, not 2.5 s
-  EXPECT_EQ(stats.max, common::seconds(4));
-  EXPECT_DOUBLE_EQ(stats.mean_s, 2.5);
-
-  recs.resize(1);  // n=1: the only latency is every percentile
-  const auto one = pas::cluster::summarize_recoveries(recs);
-  EXPECT_EQ(one.p50, common::seconds(4));
-  EXPECT_EQ(one.max, common::seconds(4));
-}
-
-TEST(LinearFitTest, ExactLine) {
-  const std::vector<double> xs{1, 2, 3, 4, 5};
-  const std::vector<double> ys{3, 5, 7, 9, 11};  // y = 1 + 2x
-  const LinearFit f = fit_linear(xs, ys);
-  EXPECT_NEAR(f.intercept, 1.0, 1e-9);
-  EXPECT_NEAR(f.slope, 2.0, 1e-9);
-  EXPECT_NEAR(f.r2, 1.0, 1e-9);
-}
-
-TEST(LinearFitTest, DegenerateInput) {
-  const LinearFit f = fit_linear(std::vector<double>{1.0}, std::vector<double>{2.0});
-  EXPECT_DOUBLE_EQ(f.slope, 0.0);
-  const std::vector<double> same_x{2, 2, 2};
-  const std::vector<double> ys{1, 2, 3};
-  EXPECT_DOUBLE_EQ(fit_linear(same_x, ys).slope, 0.0);
 }
 
 }  // namespace

@@ -38,20 +38,20 @@ VmSpec make_vm(std::mt19937& rng) {
   return v;
 }
 
-HostSpec make_host(std::mt19937& rng, bool hetero) {
-  if (!hetero) return platform::to_host_spec(platform::optiplex_755());
+platform::HostClass make_host(std::mt19937& rng, bool hetero) {
+  if (!hetero) return platform::optiplex_755();
   const auto catalog = platform::fleet_catalog();
-  return platform::to_host_spec(catalog[rng() % catalog.size()]);
+  return catalog[rng() % catalog.size()];
 }
 
 /// The oracle: dense spec lists in ascending-id order, planned from
 /// scratch. Asserts assignment, hosts_used and unplaced are exactly equal,
 /// and that the book's dense maps are the ascending active ids.
 void expect_matches_full(HostBook& book, const std::map<std::size_t, VmSpec>& vms,
-                         const std::map<std::size_t, HostSpec>& hosts,
+                         const std::map<std::size_t, platform::HostClass>& hosts,
                          const FfdOptions& opt) {
   std::vector<VmSpec> dense_vms;
-  std::vector<HostSpec> dense_hosts;
+  std::vector<platform::HostClass> dense_hosts;
   std::vector<std::size_t> vm_ids;
   std::vector<std::size_t> host_ids;
   for (const auto& [id, spec] : vms) {
@@ -80,9 +80,9 @@ struct SequenceTally {
 /// Loads dense spec lists into `book` under ids equal to their indices and
 /// checks its plan against place_ffd.
 void load_and_match(HostBook& book, const std::vector<VmSpec>& vms,
-                    const std::vector<HostSpec>& hosts, const FfdOptions& opt) {
+                    const std::vector<platform::HostClass>& hosts, const FfdOptions& opt) {
   std::map<std::size_t, VmSpec> vm_map;
-  std::map<std::size_t, HostSpec> host_map;
+  std::map<std::size_t, platform::HostClass> host_map;
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     book.add_host(i, hosts[i]);
     host_map.emplace(i, hosts[i]);
@@ -107,15 +107,15 @@ SequenceTally run_sequence(std::uint32_t seed, bool hetero, bool efficient_first
   opt.efficient_first = efficient_first;
   HostBook book(opt);
   std::map<std::size_t, VmSpec> vms;
-  std::map<std::size_t, HostSpec> hosts;
-  std::map<std::size_t, HostSpec> crashed;  // removed hosts, restorable
+  std::map<std::size_t, platform::HostClass> hosts;
+  std::map<std::size_t, platform::HostClass> crashed;  // removed hosts, restorable
   std::size_t next_vm = 0;
   std::size_t next_host = 0;
 
   const std::size_t host_n = 6 + rng() % 7;
   const std::size_t vm_n = 15 + rng() % 26;
   for (std::size_t i = 0; i < host_n; ++i) {
-    const HostSpec spec = make_host(rng, hetero);
+    const platform::HostClass spec = make_host(rng, hetero);
     hosts.emplace(next_host, spec);
     book.add_host(next_host, spec);
     ++next_host;
@@ -179,7 +179,7 @@ SequenceTally run_sequence(std::uint32_t seed, bool hetero, bool efficient_first
         book.add_host(id, crashed.at(id));
         crashed.erase(id);
       } else {
-        const HostSpec spec = make_host(rng, hetero);
+        const platform::HostClass spec = make_host(rng, hetero);
         hosts.emplace(next_host, spec);
         book.add_host(next_host, spec);
         ++next_host;
@@ -187,7 +187,7 @@ SequenceTally run_sequence(std::uint32_t seed, bool hetero, bool efficient_first
     } else if (roll < 92) {
       // Class flip: re-spec a live host under the same id.
       const std::size_t id = random_live(hosts);
-      const HostSpec spec = make_host(rng, hetero);
+      const platform::HostClass spec = make_host(rng, hetero);
       hosts.at(id) = spec;
       book.remove_host(id);
       book.add_host(id, spec);
@@ -238,7 +238,7 @@ TEST(ConsolidationDeltaTest, IndexWithNoLiveHosts) {
   EXPECT_EQ(book.last_plan().unplaced, vms.size());
 
   // A fleet that existed and is gone again: stale arenas, no live leaf.
-  book.add_host(4, platform::to_host_spec(platform::optiplex_755()));
+  book.add_host(4, platform::optiplex_755());
   ASSERT_EQ(book.plan().unplaced, 0u);
   book.remove_host(4);
   const Placement want = place_ffd(vms, {});
@@ -256,7 +256,7 @@ TEST(ConsolidationDeltaTest, IndexOverNonPowerOfTwoFleets) {
         SCOPED_TRACE(testing::Message() << n << " hosts, hetero " << hetero
                                         << ", efficient_first " << efficient_first);
         std::mt19937 rng(static_cast<std::uint32_t>(n));
-        std::vector<HostSpec> hosts;
+        std::vector<platform::HostClass> hosts;
         for (std::size_t i = 0; i < n; ++i) hosts.push_back(make_host(rng, hetero));
         std::vector<VmSpec> vms;
         for (std::size_t i = 0; i < 4 * n + 3; ++i) vms.push_back(make_vm(rng));
@@ -272,7 +272,7 @@ TEST(ConsolidationDeltaTest, IndexOverNonPowerOfTwoFleets) {
 TEST(ConsolidationDeltaTest, OnlyLastHostInScanOrderFits) {
   // Identical power and memory tie every packing_cost, so the scan order
   // is ascending id; only the last host has the credit the VM needs.
-  std::vector<HostSpec> hosts(7, platform::to_host_spec(platform::optiplex_755()));
+  std::vector<platform::HostClass> hosts(7, platform::optiplex_755());
   for (std::size_t i = 0; i + 1 < hosts.size(); ++i) hosts[i].cpu_capacity_pct = 10;
   HostBook book;
   load_and_match(book, {vm_of(512, 50)}, hosts, FfdOptions{});
@@ -284,11 +284,10 @@ TEST(ConsolidationDeltaTest, SpillingVmFailsLeafButFitsLaterHost) {
   // 80 * 1.5 = 120 credit, more than its 100, although the raw 80 passes
   // every max-credit bound above it. Host 1 is UMA and takes the VM at 80.
   // The small VM fits host 0 node-locally.
-  HostSpec numa = platform::to_host_spec(platform::optiplex_755());
+  platform::HostClass numa = platform::optiplex_755();
   numa.numa_nodes = 2;
   numa.numa_spill_penalty = 0.5;
-  const std::vector<HostSpec> hosts = {numa,
-                                       platform::to_host_spec(platform::optiplex_755())};
+  const std::vector<platform::HostClass> hosts = {numa, platform::optiplex_755()};
   HostBook book;
   load_and_match(book, {vm_of(3000, 80), vm_of(1024, 10)}, hosts, FfdOptions{});
   EXPECT_EQ(book.last_plan().assignment, (std::vector<std::size_t>{1, 0}));
@@ -298,12 +297,12 @@ TEST(ConsolidationDeltaTest, EveryVmUnplacedBacktracksToRoot) {
   // Memory-rich hosts lack credit and credit-rich hosts lack memory: the
   // root bounds pass on both resources, yet no leaf fits, so each descent
   // explores below the root and returns kUnplaced from it.
-  HostSpec mem_rich = platform::to_host_spec(platform::optiplex_755());
+  platform::HostClass mem_rich = platform::optiplex_755();
   mem_rich.memory_mb = 8192;
   mem_rich.cpu_capacity_pct = 10;
-  HostSpec cpu_rich = platform::to_host_spec(platform::optiplex_755());
+  platform::HostClass cpu_rich = platform::optiplex_755();
   cpu_rich.memory_mb = 256;
-  std::vector<HostSpec> hosts;
+  std::vector<platform::HostClass> hosts;
   for (std::size_t i = 0; i < 6; ++i) hosts.push_back(i % 2 == 0 ? mem_rich : cpu_rich);
   const std::vector<VmSpec> vms(5, vm_of(1024, 50));
   for (const bool efficient_first : {true, false}) {
@@ -322,7 +321,7 @@ TEST(ConsolidationDeltaTest, IndexWorkIsLogarithmic) {
   // Each first-fit query may visit at most two nodes per tree level plus
   // the root and a little slack, or the index has degraded to a scan.
   constexpr std::size_t kHosts = 4096;  // log2 = 12
-  const std::vector<HostSpec> hosts(kHosts, platform::to_host_spec(platform::optiplex_755()));
+  const std::vector<platform::HostClass> hosts(kHosts, platform::optiplex_755());
   std::mt19937 rng(7);
   std::vector<VmSpec> vms;
   for (std::size_t i = 0; i < 2 * kHosts; ++i) vms.push_back(make_vm(rng));
@@ -335,7 +334,7 @@ TEST(ConsolidationDeltaTest, IndexWorkIsLogarithmic) {
 
 TEST(ConsolidationDeltaTest, CachedPlanIsVerbatim) {
   HostBook book;
-  book.add_host(0, platform::to_host_spec(platform::optiplex_755()));
+  book.add_host(0, platform::optiplex_755());
   VmSpec v;
   v.credit = 10;
   v.memory_mb = 512;
@@ -349,7 +348,7 @@ TEST(ConsolidationDeltaTest, CachedPlanIsVerbatim) {
 
 TEST(ConsolidationDeltaTest, HostMutationFallsBackToFullRebuild) {
   HostBook book;
-  const HostSpec h = platform::to_host_spec(platform::optiplex_755());
+  const platform::HostClass h = platform::optiplex_755();
   book.add_host(0, h);
   book.add_host(1, h);
   VmSpec v;
@@ -364,14 +363,14 @@ TEST(ConsolidationDeltaTest, HostMutationFallsBackToFullRebuild) {
   EXPECT_EQ(book.stats().delta_plans, 1u);  // VM-only change
 
   book.remove_host(1);
-  book.add_host(1, platform::to_host_spec(platform::xeon_e5_2620()));
+  book.add_host(1, platform::xeon_e5_2620());
   (void)book.plan();
   EXPECT_EQ(book.stats().full_rebuilds, 2u);  // class flip: host change
 }
 
 TEST(ConsolidationDeltaTest, ValidationMirrorsPlaceFfd) {
   HostBook book;
-  HostSpec bad_host;
+  platform::HostClass bad_host;
   bad_host.numa_nodes = 0;
   EXPECT_THROW(book.add_host(0, bad_host), std::invalid_argument);
   bad_host.numa_nodes = 2;
@@ -382,8 +381,8 @@ TEST(ConsolidationDeltaTest, ValidationMirrorsPlaceFfd) {
   EXPECT_THROW(book.add_vm(0, bad_vm), std::invalid_argument);
   EXPECT_THROW(book.remove_vm(7), std::invalid_argument);
   EXPECT_THROW(book.remove_host(7), std::invalid_argument);
-  book.add_host(3, platform::to_host_spec(platform::optiplex_755()));
-  EXPECT_THROW(book.add_host(3, platform::to_host_spec(platform::optiplex_755())),
+  book.add_host(3, platform::optiplex_755());
+  EXPECT_THROW(book.add_host(3, platform::optiplex_755()),
                std::invalid_argument);
 }
 

@@ -26,7 +26,7 @@ void report(double watts, double saving) {
 TEST(ConsolidationDocExampleTest, ShortfallBranchRunsAsDocumented) {
   alerted.clear();
   // One 4 GB host, two VMs of which one cannot fit anywhere.
-  std::vector<HostSpec> hosts(1);
+  std::vector<platform::HostClass> hosts(1);
   std::vector<VmSpec> vms(2);
   vms[0].name = "whale";
   vms[0].credit = 10.0;
@@ -60,7 +60,7 @@ TEST(ConsolidationDocExampleTest, ShortfallBranchRunsAsDocumented) {
 
 TEST(ConsolidationDocExampleTest, AllPlacedBranchRunsAsDocumented) {
   reported_watts = reported_saving = -1.0;
-  std::vector<HostSpec> hosts(2);
+  std::vector<platform::HostClass> hosts(2);
   std::vector<VmSpec> vms(1);
   vms[0].name = "tenant";
   vms[0].credit = 20.0;

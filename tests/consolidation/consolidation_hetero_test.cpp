@@ -12,9 +12,11 @@
 namespace pas::consolidation {
 namespace {
 
-HostSpec host(double idle_w, double busy_w, double mem,
-              std::size_t nodes = 1, double penalty = 0.0) {
-  HostSpec h;
+using platform::HostClass;
+
+HostClass host(double idle_w, double busy_w, double mem,
+               std::size_t nodes = 1, double penalty = 0.0) {
+  HostClass h;
   h.name = "host";
   h.memory_mb = mem;
   h.power = cpu::PowerModel{idle_w, busy_w, 3.0};
@@ -41,7 +43,7 @@ TEST(PackingCostTest, IdleWattsPerMemory) {
 
 TEST(EfficientFirstTest, PrefersCheapStandbyPower) {
   // Host 0 is the power hog; efficient-first must land the VM on host 1.
-  const std::vector<HostSpec> hosts{host(120, 235, 4096), host(30, 90, 4096)};
+  const std::vector<HostClass> hosts{host(120, 235, 4096), host(30, 90, 4096)};
   const std::vector<VmSpec> vms{vm(10, 512, 10)};
   const Placement efficient = place_ffd(vms, hosts);  // default option
   EXPECT_EQ(efficient.assignment[0], 1u);
@@ -54,8 +56,8 @@ TEST(EfficientFirstTest, PrefersCheapStandbyPower) {
 TEST(EfficientFirstTest, OverflowsUpTheCostOrder) {
   // Two VMs that cannot share the efficient host: the second lands on the
   // next-cheapest, not on index order.
-  const std::vector<HostSpec> hosts{host(120, 235, 4096), host(45, 105, 4096),
-                                    host(30, 90, 4096)};
+  const std::vector<HostClass> hosts{host(120, 235, 4096), host(45, 105, 4096),
+                                     host(30, 90, 4096)};
   const std::vector<VmSpec> vms{vm(10, 3000, 10), vm(10, 3000, 10)};
   const Placement p = place_ffd(vms, hosts);
   EXPECT_EQ(p.assignment[0], 2u);  // cheapest standby W/MB
@@ -68,7 +70,7 @@ TEST(EfficientFirstTest, UniformFleetDegradesToIndexOrder) {
   // random tenant books.
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     common::Rng rng{seed};
-    const auto hosts = uniform_fleet(4, host(45, 105, 4096));
+    const auto hosts = platform::uniform_fleet_classes(4, host(45, 105, 4096));
     std::vector<VmSpec> vms;
     const std::size_t n = 4 + rng.next_below(12);
     for (std::size_t i = 0; i < n; ++i)
@@ -86,8 +88,8 @@ TEST(EfficientFirstTest, UniformFleetDegradesToIndexOrder) {
 }
 
 TEST(NumaSpillTest, SpillsOnlyPastNodeCapacity) {
-  const HostSpec uma = host(45, 105, 4096);
-  const HostSpec numa = host(45, 105, 4096, 2, 0.2);  // 2 x 2048 MB nodes
+  const HostClass uma = host(45, 105, 4096);
+  const HostClass numa = host(45, 105, 4096, 2, 0.2);  // 2 x 2048 MB nodes
   EXPECT_FALSE(numa_spills(vm(10, 2048, 10), numa));  // fits one node exactly
   EXPECT_TRUE(numa_spills(vm(10, 2049, 10), numa));
   // UMA hosts never spill, whatever the footprint.
@@ -101,8 +103,8 @@ TEST(NumaSpillTest, PenaltyReservedInPlacement) {
   // but on a 4-node host (2048 MB nodes) a 3000 MB footprint spills, and
   // at 30 % penalty (2 x 52 = 104) the second VM must overflow to the next
   // host even though the memory fits.
-  const std::vector<HostSpec> hosts{host(45, 105, 8192, 4, 0.3),
-                                    host(45, 105, 8192, 4, 0.3)};
+  const std::vector<HostClass> hosts{host(45, 105, 8192, 4, 0.3),
+                                     host(45, 105, 8192, 4, 0.3)};
   const std::vector<VmSpec> vms{vm(40, 3000, 10), vm(40, 3000, 10)};
   const Placement p = place_ffd(vms, hosts);
   EXPECT_EQ(p.unplaced, 0u);
@@ -111,14 +113,14 @@ TEST(NumaSpillTest, PenaltyReservedInPlacement) {
 
   // Without node structure the same book shares one host (80 % credit,
   // 6000 MB of 8192).
-  const std::vector<HostSpec> uma{host(45, 105, 8192), host(45, 105, 8192)};
+  const std::vector<HostClass> uma{host(45, 105, 8192), host(45, 105, 8192)};
   const Placement q = place_ffd(vms, uma);
   EXPECT_EQ(q.assignment[0], q.assignment[1]);
   EXPECT_EQ(q.hosts_used, 1u);
 }
 
 TEST(NumaSpillTest, EvaluateChargesThePenalty) {
-  const std::vector<HostSpec> hosts{host(45, 105, 8192, 2, 0.25)};
+  const std::vector<HostClass> hosts{host(45, 105, 8192, 2, 0.25)};
   const std::vector<VmSpec> vms{vm(40, 5000, 40), vm(10, 1000, 10)};
   const auto outcome = evaluate(place_ffd(vms, hosts), vms, hosts);
   ASSERT_EQ(outcome.hosts_on, 1u);
@@ -130,41 +132,12 @@ TEST(NumaSpillTest, EvaluateChargesThePenalty) {
   EXPECT_DOUBLE_EQ(outcome.hosts[0].credit_reserved_pct, 50.0 + 10.0);
 }
 
-TEST(NumaSpillTest, RejectsBadNumaSpecs) {
-  HostSpec zero_nodes = host(45, 105, 4096);
+TEST(NumaSpillTest, RejectsBadNumaClasses) {
+  HostClass zero_nodes = host(45, 105, 4096);
   zero_nodes.numa_nodes = 0;
   EXPECT_THROW((void)place_ffd({vm(10, 512, 5)}, {zero_nodes}), std::invalid_argument);
-  HostSpec negative = host(45, 105, 4096, 2, -0.1);
+  HostClass negative = host(45, 105, 4096, 2, -0.1);
   EXPECT_THROW((void)place_ffd({vm(10, 512, 5)}, {negative}), std::invalid_argument);
-}
-
-TEST(FleetFromClassesTest, RoundRobinsAndNames) {
-  const std::vector<HostSpec> classes{host(120, 235, 16384), host(30, 90, 8192)};
-  auto a = classes[0];
-  a.name = "big";
-  auto b = classes[1];
-  b.name = "small";
-  const auto fleet = fleet_from_classes(5, {a, b});
-  ASSERT_EQ(fleet.size(), 5u);
-  EXPECT_EQ(fleet[0].name, "big-0");
-  EXPECT_EQ(fleet[1].name, "small-1");
-  EXPECT_EQ(fleet[4].name, "big-4");
-  EXPECT_DOUBLE_EQ(fleet[2].memory_mb, 16384.0);
-  EXPECT_THROW((void)fleet_from_classes(3, {}), std::invalid_argument);
-}
-
-TEST(FleetFromClassesTest, PlannerFleetMatchesUniformFleet) {
-  // The shared platform helper and the classic uniform_fleet agree: the
-  // example/bench de-dup changed spelling, not fleets.
-  const auto via_platform = platform::planner_fleet(3, platform::optiplex_755());
-  auto spec = platform::to_host_spec(platform::optiplex_755());
-  const auto via_uniform = uniform_fleet(3, spec);
-  ASSERT_EQ(via_platform.size(), via_uniform.size());
-  for (std::size_t i = 0; i < via_platform.size(); ++i) {
-    EXPECT_EQ(via_platform[i].name, via_uniform[i].name);
-    EXPECT_DOUBLE_EQ(via_platform[i].memory_mb, via_uniform[i].memory_mb);
-    EXPECT_DOUBLE_EQ(via_platform[i].cpu_capacity_pct, via_uniform[i].cpu_capacity_pct);
-  }
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 namespace pas::consolidation {
 namespace {
 
-HostSpec host_4g() {
-  HostSpec h;
+platform::HostClass host_4g() {
+  platform::HostClass h;
   h.name = "host";
   h.memory_mb = 4096;
   h.cpu_capacity_pct = 100.0;
@@ -23,7 +23,7 @@ VmSpec vm(double credit, double mem, double demand) {
 }
 
 TEST(PlacementTest, SingleVmSingleHost) {
-  const auto hosts = uniform_fleet(3, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(3, host_4g());
   const std::vector<VmSpec> vms{vm(20, 512, 10)};
   const Placement p = place_ffd(vms, hosts);
   EXPECT_EQ(p.assignment[0], 0u);
@@ -34,7 +34,7 @@ TEST(PlacementTest, SingleVmSingleHost) {
 TEST(PlacementTest, MemoryBindsBeforeCpu) {
   // Four 2 GB VMs at 10 % credit each: CPU-wise they all fit one host,
   // memory forces two hosts — the §2.3 scenario.
-  const auto hosts = uniform_fleet(4, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(4, host_4g());
   const std::vector<VmSpec> vms{vm(10, 2048, 10), vm(10, 2048, 10), vm(10, 2048, 10),
                                 vm(10, 2048, 10)};
   const Placement p = place_ffd(vms, hosts);
@@ -44,7 +44,7 @@ TEST(PlacementTest, MemoryBindsBeforeCpu) {
 
 TEST(PlacementTest, CreditReservationRespected) {
   // Credits must fit even when demands are tiny: SLAs are honorable.
-  const auto hosts = uniform_fleet(2, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(2, host_4g());
   const std::vector<VmSpec> vms{vm(60, 256, 5), vm(60, 256, 5)};
   const Placement p = place_ffd(vms, hosts);
   EXPECT_NE(p.assignment[0], p.assignment[1]);
@@ -53,9 +53,9 @@ TEST(PlacementTest, CreditReservationRespected) {
 
 TEST(PlacementTest, DecreasingOrderPacksBetter) {
   // FFD: 3+3+2+2 GB into 2 hosts of 5 GB requires pairing large with small.
-  HostSpec h = host_4g();
+  platform::HostClass h = host_4g();
   h.memory_mb = 5120;
-  const auto hosts = uniform_fleet(2, h);
+  const auto hosts = platform::uniform_fleet_classes(2, h);
   const std::vector<VmSpec> vms{vm(5, 2048, 5), vm(5, 3072, 5), vm(5, 2048, 5),
                                 vm(5, 3072, 5)};
   const Placement p = place_ffd(vms, hosts);
@@ -64,7 +64,7 @@ TEST(PlacementTest, DecreasingOrderPacksBetter) {
 }
 
 TEST(PlacementTest, UnplaceableVmCounted) {
-  const auto hosts = uniform_fleet(1, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(1, host_4g());
   const std::vector<VmSpec> vms{vm(10, 8192, 5)};
   const Placement p = place_ffd(vms, hosts);
   EXPECT_EQ(p.assignment[0], kUnplaced);
@@ -73,12 +73,12 @@ TEST(PlacementTest, UnplaceableVmCounted) {
 }
 
 TEST(PlacementTest, RejectsNegativeResources) {
-  const auto hosts = uniform_fleet(1, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(1, host_4g());
   EXPECT_THROW((void)place_ffd({vm(-1, 512, 5)}, hosts), std::invalid_argument);
 }
 
 TEST(EvaluateTest, PoweredOffHostsDrawNothing) {
-  const auto hosts = uniform_fleet(3, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(3, host_4g());
   const std::vector<VmSpec> vms{vm(20, 512, 20)};
   const auto outcome = evaluate(place_ffd(vms, hosts), vms, hosts);
   EXPECT_EQ(outcome.hosts_on, 1u);
@@ -88,7 +88,7 @@ TEST(EvaluateTest, PoweredOffHostsDrawNothing) {
 }
 
 TEST(EvaluateTest, DvfsSavingPositiveWhenUnderloaded) {
-  const auto hosts = uniform_fleet(1, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(1, host_4g());
   const std::vector<VmSpec> vms{vm(20, 512, 20)};
   const auto outcome = evaluate(place_ffd(vms, hosts), vms, hosts);
   // Load 20 % -> PAS picks 1600 MHz -> cheaper than pinning max.
@@ -97,7 +97,7 @@ TEST(EvaluateTest, DvfsSavingPositiveWhenUnderloaded) {
 }
 
 TEST(EvaluateTest, DvfsUselessOnFullHost) {
-  const auto hosts = uniform_fleet(1, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(1, host_4g());
   const std::vector<VmSpec> vms{vm(95, 512, 95)};
   const auto outcome = evaluate(place_ffd(vms, hosts), vms, hosts);
   EXPECT_EQ(outcome.hosts[0].freq_index, hosts[0].ladder.max_index());
@@ -105,7 +105,7 @@ TEST(EvaluateTest, DvfsUselessOnFullHost) {
 }
 
 TEST(EvaluateTest, MeanActiveLoad) {
-  const auto hosts = uniform_fleet(2, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(2, host_4g());
   const std::vector<VmSpec> vms{vm(30, 3000, 30), vm(50, 3000, 50)};
   const auto outcome = evaluate(place_ffd(vms, hosts), vms, hosts);
   ASSERT_EQ(outcome.hosts_on, 2u);
@@ -116,7 +116,7 @@ TEST(EvaluateTest, MemoryPressureIncreasesDvfsValue) {
   // The paper's §2.3 claim as a property: growing memory-per-VM (same CPU
   // demand) spreads VMs across more hosts, lowers per-host load, and grows
   // the DVFS saving.
-  const auto hosts = uniform_fleet(16, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(16, host_4g());
   double last_saving = -1.0;
   std::size_t last_hosts = 0;
   for (const double mem : {256.0, 1024.0, 2048.0}) {
@@ -134,7 +134,7 @@ TEST(EvaluateTest, MemoryPressureIncreasesDvfsValue) {
 TEST(EvaluateTest, ThrowsOnUnplacedByDefault) {
   // Unplaced VMs are unserved demand, not free capacity: a caller that does
   // not opt into partial placements must not get a silently smaller bill.
-  const auto hosts = uniform_fleet(1, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(1, host_4g());
   const std::vector<VmSpec> vms{vm(10, 8192, 5), vm(10, 512, 10)};
   const Placement p = place_ffd(vms, hosts);
   ASSERT_EQ(p.unplaced, 1u);
@@ -142,7 +142,7 @@ TEST(EvaluateTest, ThrowsOnUnplacedByDefault) {
 }
 
 TEST(EvaluateTest, UnplacedExplicitWhenAllowed) {
-  const auto hosts = uniform_fleet(1, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(1, host_4g());
   const std::vector<VmSpec> vms{vm(10, 8192, 5), vm(10, 512, 10)};
   const Placement p = place_ffd(vms, hosts);
   const auto outcome = evaluate(p, vms, hosts, /*allow_unplaced=*/true);
@@ -158,7 +158,7 @@ TEST(EvaluateTest, UnplacedExplicitWhenAllowed) {
 }
 
 TEST(EvaluateTest, FullyPlacedReportsAllPlaced) {
-  const auto hosts = uniform_fleet(1, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(1, host_4g());
   const std::vector<VmSpec> vms{vm(10, 512, 10)};
   const auto outcome = evaluate(place_ffd(vms, hosts), vms, hosts);
   EXPECT_TRUE(outcome.all_placed());
@@ -166,16 +166,10 @@ TEST(EvaluateTest, FullyPlacedReportsAllPlaced) {
 }
 
 TEST(EvaluateTest, RejectsMismatchedPlacement) {
-  const auto hosts = uniform_fleet(1, host_4g());
+  const auto hosts = platform::uniform_fleet_classes(1, host_4g());
   Placement p;
   p.assignment = {0, 0};
   EXPECT_THROW((void)evaluate(p, {vm(10, 256, 5)}, hosts), std::invalid_argument);
-}
-
-TEST(UniformFleetTest, NamesAreDistinct) {
-  const auto fleet = uniform_fleet(3, host_4g());
-  EXPECT_EQ(fleet[0].name, "host-0");
-  EXPECT_EQ(fleet[2].name, "host-2");
 }
 
 }  // namespace

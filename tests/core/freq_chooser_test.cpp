@@ -1,6 +1,7 @@
 // Tests for the stability-amended frequency chooser
 // (compute_new_freq_index_saturating) — the documented deviations from
-// Listing 1.1 (DESIGN.md §6b).
+// Listing 1.1, documented on compute_new_freq_index_saturating in
+// core/compensation.hpp.
 #include <gtest/gtest.h>
 
 #include "core/compensation.hpp"

@@ -30,16 +30,11 @@ namespace {
 using common::seconds;
 using common::SimTime;
 
-TEST(LinkModelTest, ToStringNamesEveryKind) {
-  EXPECT_STREQ(to_string(LinkKind::kIntraRack), "intra_rack");
-  EXPECT_STREQ(to_string(LinkKind::kCrossRack), "cross_rack");
-  EXPECT_STREQ(to_string(LinkKind::kWan), "wan");
-}
-
 TEST(LinkModelTest, PresetsPriceTiersInOrder) {
   // The same guest costs strictly more on each slower tier — both phases.
+  // A shard's own MigrationConfig defaults are the intra-rack tier.
   const cluster::MigrationPlan intra =
-      cluster::plan_migration(1024.0, 40.0, intra_rack_link().migration);
+      cluster::plan_migration(1024.0, 40.0, cluster::MigrationConfig{});
   const cluster::MigrationPlan cross =
       cluster::plan_migration(1024.0, 40.0, cross_rack_link().migration);
   const cluster::MigrationPlan wan =

@@ -1,9 +1,10 @@
 // The platform-class catalog: stock classes stay distinct and physically
-// sane, fleet mixing is deterministic, and the planner bridge carries
-// every field.
+// sane, fleet mixing is deterministic, planner labels number each host, and
+// impossible NUMA layouts are refused.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "platform/host_class.hpp"
@@ -56,22 +57,23 @@ TEST(HostClassTest, MixedFleetSeededIsDeterministic) {
   EXPECT_TRUE(any_diff) << "different seeds drew identical 16-host fleets";
 }
 
-TEST(HostClassTest, ToHostSpecCarriesEveryField) {
-  const HostClass xeon = xeon_e5_2620();
-  const consolidation::HostSpec spec = to_host_spec(xeon);
-  EXPECT_EQ(spec.name, xeon.name);
-  EXPECT_DOUBLE_EQ(spec.cpu_capacity_pct, xeon.cpu_capacity_pct);
-  EXPECT_DOUBLE_EQ(spec.memory_mb, xeon.memory_mb);
-  EXPECT_EQ(spec.numa_nodes, xeon.numa_nodes);
-  EXPECT_DOUBLE_EQ(spec.numa_spill_penalty, xeon.numa_spill_penalty);
-  EXPECT_DOUBLE_EQ(spec.power.idle_watts(), xeon.power.idle_watts());
-  ASSERT_EQ(spec.ladder.size(), xeon.ladder.size());
-  EXPECT_EQ(spec.ladder.at(0).freq, xeon.ladder.at(0).freq);
+TEST(HostClassTest, NumberedFleetNamesEachHostAndKeepsItsClass) {
+  const auto fleet = numbered_fleet({optiplex_755(), elite_8300()});
+  ASSERT_EQ(fleet.size(), 2u);
+  EXPECT_EQ(fleet[0].name, "optiplex-755-0");
+  EXPECT_EQ(fleet[1].name, "elite-8300-1");
+  EXPECT_DOUBLE_EQ(fleet[1].memory_mb, elite_8300().memory_mb);
+  EXPECT_DOUBLE_EQ(fleet[1].power.idle_watts(), elite_8300().power.idle_watts());
+}
 
-  const auto specs = fleet_specs({optiplex_755(), elite_8300()});
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_EQ(specs[0].name, "optiplex-755-0");
-  EXPECT_EQ(specs[1].name, "elite-8300-1");
+TEST(HostClassTest, ValidateClassRejectsImpossibleNuma) {
+  EXPECT_NO_THROW(validate_class(xeon_e5_2620()));
+  HostClass zero_nodes = optiplex_755();
+  zero_nodes.numa_nodes = 0;
+  EXPECT_THROW(validate_class(zero_nodes), std::invalid_argument);
+  HostClass negative = xeon_e5_2620();
+  negative.numa_spill_penalty = -0.1;
+  EXPECT_THROW(validate_class(negative), std::invalid_argument);
 }
 
 }  // namespace
